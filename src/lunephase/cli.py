@@ -55,13 +55,28 @@ def parse_angle(text: str) -> float:
     t = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(t)
     if m is None:
-        return float(t)
+        return _finite(t)
     sign = -1.0 if m.group(1) == "-" else 1.0
     num = float(m.group(2)) if m.group(2) else 1.0
     den = float(m.group(3)) if m.group(3) else 1.0
     if den == 0.0:
         raise ValueError("zero denominator in angle")
-    return sign * num * math.pi / den
+    return _finite(sign * num * math.pi / den)
+
+
+def _finite(text: str | float) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A gate width: finite and nonnegative (a nan gate would pass anything)."""
+    value = _finite(text)
+    if value < 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {text!r}")
+    return value
 
 
 def _angle_list(text: str) -> tuple[float, ...]:
@@ -119,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write to a file, not stdout")
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=1e-9,
             help="phase residual gate in rad (default 1e-9)",
         )
@@ -143,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
     p_sweep.add_argument("--relaxation", type=_relaxation, default=None,
                          help="transverse decay times t2a,t2b in seconds")
-    p_sweep.add_argument("--tolerance-visibility", type=float, default=None,
+    p_sweep.add_argument("--tolerance-visibility", type=_tolerance, default=None,
                          help="visibility gate (defaults to --tolerance)")
     add_common(p_sweep)
 
@@ -165,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="verify geodesic segments and parallel transport")
     p_check.add_argument("--theta", type=parse_angle, required=True)
     p_check.add_argument("--samples", type=int, default=1024)
-    p_check.add_argument("--perturb", type=float, default=0.0,
+    p_check.add_argument("--perturb", type=_finite, default=0.0,
                          help="verification hook: tilt segment axes by this amount")
     add_common(p_check)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .conventions import DEFAULT_CONVENTIONS, Conventions
 from .errors import ConventionError, DomainError
-from .geometry import StatePath
+from .geometry import StatePath, check_inclination, lune_axes
 from .phases import PhaseResult, signed_mixed_phase
 from .policy import POLICY
 from .pulse import (
@@ -45,6 +45,7 @@ from .qcore import (
     pauli_z,
     principal_angle,
     rotation_unitary,
+    sigma_dot,
     tensor,
 )
 
@@ -74,9 +75,7 @@ class ExperimentConfig:
     conventions: Conventions = DEFAULT_CONVENTIONS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
-        if not 0.0 <= self.theta <= math.pi / 2 + 1e-12:
-            raise DomainError("inclination angle must lie in [0, pi/2]")
+        object.__setattr__(self, "theta", check_inclination(self.theta))
         if not isinstance(self.n, int) or not 0 <= self.n < PURITY_STEPS:
             raise DomainError(
                 f"purity index must be an integer in [0, {PURITY_STEPS - 1}]"
@@ -187,9 +186,7 @@ def cycle_program(
         first: float | Fraction = theta
         second: float | Fraction = 1 - 2 * theta
     else:
-        theta = float(theta)
-        if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-            raise DomainError("inclination angle must lie in [0, pi/2]")
+        theta = check_inclination(theta)
         first = theta
         second = math.pi - 2.0 * theta
     events = (
@@ -288,20 +285,6 @@ def controlled_cycle(
     return out
 
 
-def lune_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation axes of the two geodesic half turns at inclination theta.
-
-    Both lie in the y-z plane at +-theta from +z; each half turn about one of
-    them maps +x to -x (and back) along a great-circle arc.
-    """
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-        raise DomainError("inclination angle must lie in [0, pi/2]")
-    n1 = np.array([0.0, -math.sin(theta), math.cos(theta)])
-    n2 = np.array([0.0, math.sin(theta), math.cos(theta)])
-    return n1, n2
-
-
 def lune_holonomy(theta: float, sense: int) -> np.ndarray:
     """Net spin-b unitary of the two-geodesic loop: exp(i*sense*2*theta*sx).
 
@@ -366,49 +349,29 @@ def idealized_eigenvector_path(
     if j_coupling <= 0.0:
         raise DomainError("coupling must be positive")
     n1, n2 = lune_axes(theta)
-    if conventions.pulse_sense == -1:
-        axes = (n2, -n1)
-    else:
-        axes = (n1, -n2)
-    vertex = np.array([1.0, 0.0, 0.0])
+    axes = (n2, -n1) if conventions.pulse_sense == -1 else (n1, -n2)
     if perturb != 0.0:
-        tilted = []
-        for axis in axes:
-            v = axis + float(perturb) * vertex
-            tilted.append(v / np.linalg.norm(v))
-        axes = tuple(tilted)
+        vertex = np.array([1.0, 0.0, 0.0])
+        tilted = [axis + float(perturb) * vertex for axis in axes]
+        axes = tuple(v / np.linalg.norm(v) for v in tilted)
+    sigma1, sigma2 = (sigma_dot(axis) for axis in axes)
 
-    start = np.array([1.0, float(eigen_sign)], dtype=complex) / math.sqrt(2.0)
+    m = samples_per_segment
+    k = np.arange(m + 1)
     seg_time = 1.0 / (2.0 * j_coupling)
     rate = 2.0 * math.pi * j_coupling  # half turn per segment at angle pi
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    generators: list[np.ndarray] = []
-    m = samples_per_segment
-    current = start
-    for seg, axis in enumerate(axes):
-        h = 0.5 * rate * _axis_sigma(axis)
-        first = 0 if seg == 0 else 1
-        for k in range(first, m + 1):
-            u = rotation_unitary(axis, math.pi * k / m)
-            times.append(seg * seg_time + seg_time * k / m)
-            states.append(u @ current)
-            generators.append(h)
-        current = states[-1]
-    return StatePath(
-        np.array(times), np.array(states), np.array(generators)
-    )
-
-
-def _axis_sigma(axis: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [axis[2], axis[0] - 1j * axis[1]],
-            [axis[0] + 1j * axis[1], -axis[2]],
-        ],
-        dtype=complex,
-    )
+    # sample k of a segment is exp(-i phi n.sigma/2) psi at phi = pi k/m
+    half = 0.5 * (math.pi * k / m)
+    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
+    start = np.array([1.0, float(eigen_sign)], dtype=complex) / math.sqrt(2.0)
+    seg1 = cos * start - 1j * sin * (sigma1 @ start)
+    seg2 = cos[1:] * seg1[-1] - 1j * sin[1:] * (sigma2 @ seg1[-1])
+    times = np.concatenate([seg_time * k / m, seg_time + seg_time * k[1:] / m])
+    generators = np.concatenate([
+        np.broadcast_to(0.5 * rate * sigma1, (m + 1, 2, 2)),
+        np.broadcast_to(0.5 * rate * sigma2, (m, 2, 2)),
+    ])
+    return StatePath(times, np.vstack([seg1, seg2]), generators)
 
 
 def spin_a_coherence(rho: DensityOperator) -> complex:

@@ -8,16 +8,51 @@ product, which tends to -Omega/2 for spin-1/2 as sampling densifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .pulse import Delay, Gradient, Rotation, SequenceProgram
-from .qcore import identity2, pauli_x, pauli_y, pauli_z, principal_angle
+from .qcore import principal_angle
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
+# pi/2 plus roundoff slack, so that computed quarter turns are accepted
+_MAX_INCLINATION = math.pi / 2 + 1e-12
+
+
+def check_inclination(theta: float) -> float:
+    """The lune inclination theta as a float, checked to lie in [0, pi/2]."""
+    theta = float(theta)
+    if not 0.0 <= theta <= _MAX_INCLINATION:
+        raise DomainError("inclination angle must lie in [0, pi/2]")
+    return theta
+
+
+def lune_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation axes of the two geodesic half turns at inclination theta.
+
+    Both lie in the y-z plane at +-theta from +z; each half turn about one of
+    them maps +x to -x (and back) along a great-circle arc.
+    """
+    theta = check_inclination(theta)
+    n1 = np.array([0.0, -math.sin(theta), math.cos(theta)])
+    n2 = np.array([0.0, math.sin(theta), math.cos(theta)])
+    return n1, n2
+
+
+def rotate(axis: np.ndarray, angle, v: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation of v right-handedly by angle about the unit axis.
+
+    angle and v broadcast against each other: an (N,) angle array sweeps one
+    vector along an arc, an (N, 3) array of vectors turns as a rigid body.
+    """
+    k = np.asarray(axis, dtype=float)
+    v = np.asarray(v, dtype=float)
+    c = np.cos(angle)[..., None]
+    s = np.sin(angle)[..., None]
+    return v * c + np.cross(k, v) * s + k * (v @ k)[..., None] * (1.0 - c)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -70,18 +105,19 @@ class BlochPath:
 @dataclass(frozen=True)
 class LuneSpec:
     """Lune of inclination theta: vertices on +-vertex_axis, enclosed area
-    4*theta."""
+    4*theta. The axis is kept as a tuple of floats, so specs compare and
+    hash by value."""
 
     theta: float
-    vertex_axis: np.ndarray = field(default_factory=_X_AXIS.copy)
+    vertex_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise DomainError("inclination angle must lie in [0, pi/2]")
+        object.__setattr__(self, "theta", check_inclination(self.theta))
         axis = np.asarray(self.vertex_axis, dtype=float)
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > POLICY.axis_unit_tol:
+        norm = np.linalg.norm(axis)
+        if axis.shape != (3,) or not abs(norm - 1.0) <= POLICY.axis_unit_tol:
             raise DomainError("vertex_axis must be a unit 3-vector")
-        object.__setattr__(self, "vertex_axis", _read_only(axis))
+        object.__setattr__(self, "vertex_axis", tuple(float(x) for x in axis))
 
 
 @dataclass(frozen=True)
@@ -136,59 +172,30 @@ class StatePath:
         return BlochPath(self.times, pts, closed)
 
 
-def _rotate_about(axis: np.ndarray, angle: float, v: np.ndarray) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
-    return (
-        v * math.cos(angle)
-        + np.cross(axis, v) * math.sin(angle)
-        + axis * np.dot(axis, v) * (1.0 - math.cos(angle))
-    )
-
-
-def _frame_rotation(target: np.ndarray) -> np.ndarray:
-    """Rotation matrix carrying x-hat onto target (identity when equal)."""
-    c = float(np.dot(_X_AXIS, target))
-    cross = np.cross(_X_AXIS, target)
-    s = float(np.linalg.norm(cross))
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        return np.diag([-1.0, -1.0, 1.0])  # half turn about z
-    axis = cross / s
-    angle = math.atan2(s, c)
-    k = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
 def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     """Closed loop A -> B -> C -> D -> A around a lune of inclination theta.
 
     A = vertex_axis, C = -A. Segment ABC rotates A by pi about
     n1 = (0, -sin t, cos t) through B = (0, cos t, sin t); segment CDA rotates
-    C by pi about -n2, n2 = (0, sin t, cos t), through D = (0, cos t, -sin t).
+    C by pi about -n2, n2 = (0, sin t, cos t), through D = (0, cos t, -sin t)
+    (axes for vertex_axis = x-hat; other vertices turn the loop rigidly).
     Times hold the arc-length parameter, total 2*pi. This sample order has
     signed solid angle -4*theta; its reversal bounds +4*theta.
     """
     if n_samples < 8:
         raise DomainError("lune sampling needs at least 8 points")
-    t = spec.theta
-    a = _X_AXIS
-    c = -a
-    n1 = np.array([0.0, -math.sin(t), math.cos(t)])
-    n2 = np.array([0.0, math.sin(t), math.cos(t)])
-    half = n_samples // 2
-    phis = np.linspace(0.0, math.pi, half + 1)
-    seg1 = np.array([_rotate_about(n1, phi, a) for phi in phis])
-    seg2 = np.array([_rotate_about(-n2, phi, c) for phi in phis])
-    points = np.vstack([seg1[:-1], seg2])
+    n1, n2 = lune_axes(spec.theta)
+    phis = np.linspace(0.0, math.pi, n_samples // 2 + 1)
+    points = np.vstack([rotate(n1, phis[:-1], _X_AXIS), rotate(-n2, phis, -_X_AXIS)])
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])
-    if not np.allclose(spec.vertex_axis, _X_AXIS):
-        points = points @ _frame_rotation(np.asarray(spec.vertex_axis)).T
-        norms = np.linalg.norm(points, axis=1)
-        points = points / norms[:, None]
+    vertex = np.array(spec.vertex_axis)
+    cross = np.cross(_X_AXIS, vertex)
+    s = float(np.linalg.norm(cross))
+    if s >= 1e-12:
+        points = rotate(cross / s, math.atan2(s, vertex[0]), points)
+    elif vertex[0] < 0.0:  # antipodal vertex: half turn about z
+        points = rotate(_Z_AXIS, math.pi, points)
     return BlochPath(times, points, closed=True)
 
 
@@ -275,88 +282,3 @@ def check_geodesic(path: BlochPath) -> float:
     _, _, vt = np.linalg.svd(points, full_matrices=True)
     normal = vt[-1]
     return float(np.max(np.abs(points @ normal)))
-
-
-def scaled_trajectory(path: BlochPath, r: float) -> np.ndarray:
-    """Bloch trajectory of the mixed state riding the unit path: the same
-    curve scaled to radius r. Plain array, not a BlochPath (non-unit)."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("purity must lie in [0, 1]")
-    return r * path.points
-
-
-_PAULI = (pauli_x, pauli_y, pauli_z)
-
-
-def trace_eigenvector_path(
-    prog: SequenceProgram,
-    branch: str,
-    initial: np.ndarray,
-    pulse_sense: int = 1,
-    iz_sign: int = 1,
-    samples_per_delay: int = 64,
-    samples_per_pulse: int = 32,
-) -> StatePath:
-    """Literal spin-b trajectory along one spin-a branch of a program.
-
-    branch is 'up' or 'down' (spin-a Zeeman state). Pulses are swept at
-    constant time (instantaneous, zero quadrature weight); delays evolve
-    under the branch Hamiltonian
-    H = delta_b Iz + 2piJ m_a Iz + delta_a m_a, which is recorded per sample
-    for dynamical-phase analysis. Programs with a-spin pulses or gradients
-    do not preserve a branch and are rejected.
-    """
-    if branch not in ("up", "down"):
-        raise DomainError("branch must be 'up' or 'down'")
-    if pulse_sense not in (1, -1) or iz_sign not in (1, -1):
-        raise DomainError("pulse_sense and iz_sign must be +1 or -1")
-    psi = np.asarray(initial, dtype=complex).reshape(2)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > POLICY.state_norm_tol:
-        raise DomainError("initial state must be normalized")
-    psi = psi / norm
-
-    params = prog.params
-    m_a = (0.5 if branch == "up" else -0.5) * iz_sign
-    iz = iz_sign * 0.5 * pauli_z
-    h_delay = (
-        params.delta_b * iz
-        + 2.0 * math.pi * params.j_coupling * m_a * iz
-        + params.delta_a * m_a * identity2
-    )
-    energies = np.real(np.diag(h_delay))  # diagonal by construction
-
-    times = [0.0]
-    states = [psi]
-    generators = [h_delay]
-    t = 0.0
-    for ev in prog.events:
-        if isinstance(ev, Gradient):
-            raise DomainError("crusher gradients do not preserve a pure branch state")
-        if isinstance(ev, Rotation):
-            if ev.spin != "b":
-                raise DomainError("a-spin pulses mix the branches; cannot trace")
-            n = ev.axis_vector()
-            h_dir = 0.5 * (n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2])
-            step_angle = pulse_sense * ev.flip_radians / samples_per_pulse
-            half = step_angle / 2.0
-            u = math.cos(half) * identity2 - 1j * math.sin(half) * 2.0 * h_dir
-            for _ in range(samples_per_pulse):
-                psi = u @ psi
-                times.append(t)
-                states.append(psi)
-                # impulsive generator: direction only, zero time weight
-                generators.append(h_dir)
-        elif isinstance(ev, Delay):
-            dt = ev.duration(params.j_coupling)
-            step = dt / samples_per_delay
-            u = np.diag(np.exp(-1j * energies * step))
-            for i in range(1, samples_per_delay + 1):
-                psi = u @ psi
-                times.append(t + dt * i / samples_per_delay)
-                states.append(psi)
-                generators.append(h_delay)
-            t += dt
-        else:
-            raise DomainError(f"unknown event type {type(ev).__name__}")
-    return StatePath(np.array(times), np.array(states), np.array(generators))

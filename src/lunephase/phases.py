@@ -93,22 +93,6 @@ def signed_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     return qubit_mixed_phase(r, omega, sign)
 
 
-def arctan_phase(r: float, omega: float, sign: int = 1) -> float:
-    """Single-branch convenience form sign*arctan(r tan(omega/2)).
-
-    Agrees with qubit_mixed_phase only on |omega| < pi; beyond that window
-    the complex-argument form is the meaningful one (at omega = 2 pi it gives
-    pi where the arctan form would report 0).
-    """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("purity must lie in [0, 1]")
-    if sign not in (1, -1):
-        raise DomainError("orientation sign must be +1 or -1")
-    if not abs(omega) < math.pi:
-        raise DomainError("arctan form is valid only for |omega| < pi")
-    return sign * math.atan(r * math.tan(0.5 * omega))
-
-
 @dataclass(frozen=True)
 class TheoryRow:
     """One prediction-table row; flipped marks purities entering as negative

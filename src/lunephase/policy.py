@@ -1,13 +1,11 @@
 """Global numeric policy record.
 
-All validation thresholds in the package read from one module-level record so
-they can be tightened or relaxed in one place (for instance in stress tests).
+All validation thresholds in the package read from one module-level record,
+so each tolerance is defined in one place.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 
 @dataclass
@@ -18,7 +16,6 @@ class NumericPolicy:
     unitarity_tol: float = 1e-10
     axis_unit_tol: float = 1e-9
     bloch_norm_tol: float = 1e-12
-    degeneracy_tol: float = 1e-12
     visibility_floor: float = 1e-9
     overlap_floor: float = 0.1
     antipode_guard: float = 1e-6
@@ -30,17 +27,3 @@ class NumericPolicy:
 
 POLICY = NumericPolicy()
 
-
-@contextmanager
-def override(**kwargs: float) -> Iterator[NumericPolicy]:
-    """Temporarily replace fields of the global policy record."""
-    saved = replace(POLICY)
-    try:
-        for name, value in kwargs.items():
-            if not hasattr(POLICY, name):
-                raise AttributeError(f"unknown policy field {name!r}")
-            setattr(POLICY, name, value)
-        yield POLICY
-    finally:
-        for name in vars(saved):
-            setattr(POLICY, name, getattr(saved, name))

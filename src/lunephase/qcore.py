@@ -70,16 +70,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class QubitEigensystem:
-    """Spectral data of a qubit state: weights, Bloch axis, degeneracy flag."""
-
-    p_plus: float
-    p_minus: float
-    axis: np.ndarray
-    degenerate: bool
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with spin a leftmost."""
     a = np.asarray(a, dtype=complex)
@@ -118,40 +108,9 @@ def density_to_bloch(rho: DensityOperator) -> np.ndarray:
     return np.array([np.real(np.trace(rho.matrix @ s)) for s in paulis])
 
 
-def eigendecompose_qubit(rho: DensityOperator) -> QubitEigensystem:
-    """Weights and Bloch axis of a qubit state.
-
-    A state within the degeneracy tolerance of maximally mixed reports the
-    conventional +z axis with the degenerate flag set.
-    """
-    r = density_to_bloch(rho)
-    norm = float(np.linalg.norm(r))
-    if norm < POLICY.degeneracy_tol:
-        return QubitEigensystem(0.5, 0.5, np.array([0.0, 0.0, 1.0]), True)
-    return QubitEigensystem(0.5 * (1 + norm), 0.5 * (1 - norm), r / norm, False)
-
-
-def spinor_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenstates (plus, minus) of axis.sigma.
-
-    Phase convention: the first component is real and non-negative; when it
-    vanishes the second component is made real and positive.
-    """
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise DomainError("axis must be a nonzero vector")
-    n = n / norm
-    theta = math.acos(max(-1.0, min(1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    plus = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
-    minus = np.array([math.sin(theta / 2), -math.cos(theta / 2) * np.exp(1j * phi)])
-
-    def fix(v: np.ndarray) -> np.ndarray:
-        lead = v[0] if abs(v[0]) > 1e-12 else v[1]
-        return v * (abs(lead) / lead)
-
-    return fix(plus), fix(minus)
+def sigma_dot(n) -> np.ndarray:
+    """n.sigma = n_x sigma_x + n_y sigma_y + n_z sigma_z for a 3-vector n."""
+    return n[0] * pauli_x + n[1] * pauli_y + n[2] * pauli_z
 
 
 def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -162,8 +121,7 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
         raise DomainError("rotation axis must be a unit vector")
     n = n / norm
     half = 0.5 * angle
-    ns = n[0] * pauli_x + n[1] * pauli_y + n[2] * pauli_z
-    return math.cos(half) * identity2 - 1j * math.sin(half) * ns
+    return math.cos(half) * identity2 - 1j * math.sin(half) * sigma_dot(n)
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:

@@ -39,6 +39,11 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle("pi/0")
 
+    def test_rejects_non_finite(self):
+        for text in ("inf", "-inf", "nan", "1" + "0" * 400 + "pi"):
+            with pytest.raises(ValueError):
+                parse_angle(text)
+
 
 class TestTheoryCommand:
     def test_quarter_turn_table(self):
@@ -344,3 +349,50 @@ class TestExitCodeContract:
             ["theory", "--omega", "pi/2", "--convention", "sense=2"]
         )
         assert code == 2
+
+
+class TestNumericInputRejection:
+    """Non-finite or negative numbers are usage errors naming their flag;
+    a nan gate would otherwise pass every row (abs(x) > nan is false)."""
+
+    def assert_usage_error(self, argv, flag):
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    def test_nan_tolerance_on_sweep(self):
+        self.assert_usage_error(["sweep", "--tolerance", "nan"], "--tolerance")
+
+    def test_nan_tolerance_on_simulate(self):
+        self.assert_usage_error(
+            ["simulate", "--theta", "pi/4", "--n", "3", "--tolerance", "nan"],
+            "--tolerance",
+        )
+
+    def test_negative_tolerance(self):
+        self.assert_usage_error(["sweep", "--tolerance=-1e-9"], "--tolerance")
+
+    def test_bad_visibility_tolerance(self):
+        for value in ("nan", "inf", "-0.1"):
+            self.assert_usage_error(
+                ["sweep", f"--tolerance-visibility={value}"], "--tolerance-visibility"
+            )
+
+    def test_infinite_omega(self):
+        self.assert_usage_error(["theory", "--omega", "inf"], "--omega")
+
+    def test_nan_theta(self):
+        self.assert_usage_error(["simulate", "--theta", "nan", "--n", "3"], "--theta")
+
+    def test_nan_perturb(self):
+        self.assert_usage_error(
+            ["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb"
+        )
+
+    def test_zero_tolerance_stays_legal(self):
+        code, _, _ = invoke(["theory", "--omega", "pi/2", "--tolerance", "0"])
+        assert code == 0
+        code, _, err = invoke(["sweep", "--theta", "pi/8", "--tolerance", "0"])
+        assert code in (0, 1)
+        assert err == ""

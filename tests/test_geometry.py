@@ -1,26 +1,33 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lunephase.errors import DomainError
+from lunephase.experiment import ExperimentConfig, cycle_program
 from lunephase.geometry import (
     BlochPath,
     LuneSpec,
     StatePath,
     check_geodesic,
     dynamical_phase,
+    lune_axes,
     lune_path,
     pancharatnam_phase,
-    scaled_trajectory,
+    rotate,
     solid_angle,
-    trace_eigenvector_path,
 )
-from lunephase.pulse import Delay, Gradient, Rotation, SpinSystemParams, make_program
-from lunephase.qcore import pauli_x, pauli_y, pauli_z, rotation_unitary
-
-J = 214.5
+from lunephase.qcore import (
+    bloch_to_density,
+    density_to_bloch,
+    evolve,
+    pauli_x,
+    pauli_y,
+    pauli_z,
+    rotation_unitary,
+)
 
 
 def circle_path(axis_angle, n, start_phi=0.0, span=2 * math.pi):
@@ -53,19 +60,13 @@ def spinor_circle(alpha, n, phase_noise=None):
     return StatePath(np.linspace(0, 1, n + 1), states)
 
 
-def cycle_program(theta):
-    events = [
-        Rotation("b", "-x", theta),
-        Delay(per_j=Fraction(1, 2)),
-        Rotation("b", "-x", math.pi - 2 * theta),
-        Delay(per_j=Fraction(1, 2)),
-    ]
-    params = SpinSystemParams().with_frame_shift("b", -math.pi * J)
-    return make_program(events, params)
-
-
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
-MINUS = np.array([1.0, -1.0]) / math.sqrt(2)
+
+unit_vectors = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+)
 
 
 class TestBlochPath:
@@ -126,6 +127,31 @@ class TestLunePath:
         assert np.allclose(path.points[0], [0, 0, 1], atol=1e-12)
         assert abs(solid_angle(path)) == pytest.approx(math.pi / 2, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(0.0, math.pi / 2), vertex=unit_vectors)
+    @example(theta=math.pi / 8, vertex=(-1.0, 0.0, 0.0))  # antipodal frame change
+    @example(theta=3 * math.pi / 8, vertex=(1.0, 0.0, 0.0))
+    @example(theta=0.0, vertex=(1.0, 0.0, 1e-10))  # within np.allclose of x-hat
+    def test_signed_area_for_any_vertex_axis(self, theta, vertex):
+        path = lune_path(LuneSpec(theta, vertex), 64)
+        assert np.allclose(path.points[0], vertex, atol=1e-12)
+        # -4 theta, read modulo 4 pi: the half-sphere lune at pi/2 reports +2 pi
+        area = solid_angle(path)
+        assert math.remainder(area + 4 * theta, 4 * math.pi) == pytest.approx(0.0, abs=1e-9)
+
+    def test_antipodal_vertex_turns_half_about_z(self):
+        base = lune_path(LuneSpec(0.3), 200)
+        flipped = lune_path(LuneSpec(0.3, (-1.0, 0.0, 0.0)), 200)
+        assert np.allclose(flipped.points, base.points * [-1, -1, 1], rtol=0.0, atol=1e-15)
+
+    def test_specs_compare_and_hash_by_value(self):
+        a, b = LuneSpec(0.3), LuneSpec(0.3, np.array([1.0, 0.0, 0.0]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, LuneSpec(0.3, [1, 0, 0])}) == 1
+        assert a != LuneSpec(0.3, (0.0, 0.0, 1.0))
+        assert a.vertex_axis == (1.0, 0.0, 0.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             LuneSpec(-0.1)
@@ -133,6 +159,56 @@ class TestLunePath:
             LuneSpec(math.pi / 2 + 0.1)
         with pytest.raises(DomainError):
             lune_path(LuneSpec(0.3), 7)
+        with pytest.raises(DomainError):
+            LuneSpec(0.3, (math.nan, 0.0, 0.0))
+
+
+class TestRotate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axis=unit_vectors,
+        angle=st.floats(-2 * math.pi, 2 * math.pi),
+        direction=unit_vectors,
+        length=st.floats(0.0, 1.0),
+    )
+    def test_matches_su2_conjugation(self, axis, angle, direction, length):
+        v = length * np.array(direction)
+        u = rotation_unitary(axis, angle)
+        want = density_to_bloch(evolve(bloch_to_density(v), u))
+        assert np.allclose(rotate(axis, angle, v), want, rtol=0.0, atol=1e-12)
+
+    def test_broadcasts_angles_and_points(self):
+        axis = np.array([0.0, 0.6, 0.8])
+        angles = np.linspace(-3.0, 3.0, 7)
+        v = np.array([0.2, -0.5, 0.7])
+        arc = rotate(axis, angles, v)
+        assert arc.shape == (7, 3)
+        for a, p in zip(angles, arc):
+            assert np.allclose(rotate(axis, a, v), p, rtol=0.0, atol=1e-15)
+        turned = rotate(axis, 1.1, arc)
+        assert np.allclose(turned, rotate(axis, angles + 1.1, v), rtol=0.0, atol=1e-14)
+
+
+class TestInclinationBound:
+    """Every entry point taking a lune inclination shares one bound: pi/2
+    plus roundoff slack."""
+
+    ENTRY_POINTS = pytest.mark.parametrize(
+        "build",
+        (LuneSpec, lambda t: ExperimentConfig(t, 0), cycle_program, lune_axes),
+        ids=("LuneSpec", "ExperimentConfig", "cycle_program", "lune_axes"),
+    )
+
+    @ENTRY_POINTS
+    def test_accepts_roundoff_above_quarter_turn(self, build):
+        build(math.pi / 2 + 5e-13)
+        build(0.0)
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("theta", (math.pi / 2 + 1e-9, math.nan, -1e-15))
+    def test_rejects_out_of_range(self, build, theta):
+        with pytest.raises(DomainError):
+            build(theta)
 
 
 class TestSolidAngle:
@@ -316,67 +392,3 @@ class TestCheckGeodesic:
     def test_needs_three_samples(self):
         with pytest.raises(DomainError):
             check_geodesic(BlochPath([0, 1], [[1, 0, 0], [0, 1, 0]]))
-
-
-class TestScaledTrajectory:
-    def test_scales_points(self):
-        path = circle_path(math.pi / 2, 16)
-        scaled = scaled_trajectory(path, 0.25)
-        assert np.allclose(np.linalg.norm(scaled, axis=1), 0.25)
-
-    def test_rejects_bad_purity(self):
-        with pytest.raises(DomainError):
-            scaled_trajectory(circle_path(1.0, 16), 1.5)
-
-
-class TestTraceEigenvectorPath:
-    def test_passive_branch_stays_put(self):
-        # on the passive branch the delay Hamiltonian vanishes and -x pulses
-        # keep |+x> fixed
-        prog = cycle_program(math.pi / 8)
-        path = trace_eigenvector_path(prog, "down", PLUS, pulse_sense=-1)
-        pts = path.to_bloch_path().points
-        assert np.max(np.linalg.norm(pts - np.array([1.0, 0, 0]), axis=1)) <= 1e-12
-
-    def test_active_branch_closes(self):
-        prog = cycle_program(math.pi / 8)
-        path = trace_eigenvector_path(prog, "up", PLUS, pulse_sense=-1)
-        bloch = path.to_bloch_path()
-        assert bloch.closed
-        assert np.linalg.norm(bloch.points[0] - bloch.points[-1]) <= 1e-9
-
-    def test_mirror_eigenvector_area_opposite_mod_4pi(self):
-        # the literal traces wind the equator: +-2pi coincide modulo 4pi
-        prog = cycle_program(math.pi / 4)
-        s_plus = solid_angle(
-            trace_eigenvector_path(prog, "up", PLUS, pulse_sense=-1).to_bloch_path()
-        )
-        s_minus = solid_angle(
-            trace_eigenvector_path(prog, "up", MINUS, pulse_sense=-1).to_bloch_path()
-        )
-        assert math.remainder(s_plus + s_minus, 4 * math.pi) == pytest.approx(0.0, abs=1e-9)
-
-    def test_total_phase_matches_branch_propagator(self):
-        from lunephase.pulse import branch_propagators
-
-        theta = math.pi / 8
-        prog = cycle_program(theta)
-        path = trace_eigenvector_path(prog, "up", PLUS, pulse_sense=-1)
-        up, _ = branch_propagators(prog, pulse_sense=-1)
-        expected = up @ PLUS
-        assert np.allclose(path.states[-1], expected, atol=1e-9)
-
-    def test_rejects_gradient_and_a_pulse(self):
-        with pytest.raises(DomainError):
-            trace_eigenvector_path(make_program([Gradient()]), "up", PLUS)
-        with pytest.raises(DomainError):
-            trace_eigenvector_path(
-                make_program([Rotation("a", "x", Fraction(1, 2))]), "up", PLUS
-            )
-
-    def test_rejects_bad_branch_and_state(self):
-        prog = cycle_program(0.3)
-        with pytest.raises(DomainError):
-            trace_eigenvector_path(prog, "sideways", PLUS)
-        with pytest.raises(DomainError):
-            trace_eigenvector_path(prog, "up", np.array([1.0, 1.0]))

@@ -6,7 +6,6 @@ import pytest
 from lunephase.errors import DomainError
 from lunephase.phases import (
     PhaseResult,
-    arctan_phase,
     qubit_mixed_phase,
     signed_mixed_phase,
     sjoqvist_average,
@@ -189,26 +188,6 @@ class TestSignedMixedPhase:
     def test_domain(self):
         with pytest.raises(DomainError):
             signed_mixed_phase(-1.2, 1.0)
-
-
-class TestArctanPhase:
-    def test_matches_complex_argument_inside_window(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            r = rng.uniform(0, 1)
-            omega = rng.uniform(-math.pi + 1e-6, math.pi - 1e-6)
-            want = qubit_mixed_phase(r, omega)
-            if want.defined:
-                assert arctan_phase(r, omega) == pytest.approx(want.gamma, abs=1e-12)
-                assert arctan_phase(r, omega, sign=-1) == pytest.approx(
-                    -want.gamma, abs=1e-12
-                )
-
-    def test_rejects_half_turn_and_beyond(self):
-        with pytest.raises(DomainError):
-            arctan_phase(0.5, math.pi)
-        with pytest.raises(DomainError):
-            arctan_phase(0.5, -4.0)
 
 
 class TestTheoryCurve:

@@ -9,12 +9,10 @@ from lunephase.qcore import (
     DensityOperator,
     bloch_to_density,
     density_to_bloch,
-    eigendecompose_qubit,
     evolve,
     partial_trace,
     principal_angle,
     rotation_unitary,
-    spinor_pair,
     tensor,
 )
 
@@ -130,36 +128,6 @@ class TestBlochConversions:
             bloch_to_density([1.0, 1.0, 0.0])
 
 
-class TestEigendecompose:
-    def test_simple_mixture(self):
-        es = eigendecompose_qubit(DensityOperator(0.5 * (I2 + 0.8 * X)))
-        assert es.p_plus == pytest.approx(0.9, abs=1e-12)
-        assert es.p_minus == pytest.approx(0.1, abs=1e-12)
-        assert np.allclose(es.axis, [1, 0, 0])
-        assert not es.degenerate
-
-    def test_degenerate_flag(self):
-        es = eigendecompose_qubit(DensityOperator(I2 / 2))
-        assert es.degenerate
-        assert es.p_plus == es.p_minus == 0.5
-        assert np.allclose(es.axis, [0, 0, 1])
-
-    def test_negative_weight_flips_axis(self):
-        r = math.cos(11 * math.pi / 12)
-        es = eigendecompose_qubit(DensityOperator(0.5 * (I2 + r * X)))
-        assert np.allclose(es.axis, [-1, 0, 0], atol=1e-12)
-        assert es.p_plus == pytest.approx(0.5 * (1 + abs(r)), abs=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            rho = random_qubit_state(rng)
-            es = eigendecompose_qubit(rho)
-            plus = bloch_to_density(es.axis).matrix
-            minus = bloch_to_density(-es.axis).matrix
-            assert np.allclose(es.p_plus * plus + es.p_minus * minus, rho.matrix, atol=1e-10)
-
-
 class TestRotationUnitary:
     def test_zero_angle(self):
         assert np.allclose(rotation_unitary([1, 0, 0], 0.0), I2)
@@ -234,34 +202,6 @@ class TestEvolve:
             assert abs(
                 np.linalg.norm(density_to_bloch(out)) - np.linalg.norm(density_to_bloch(rho))
             ) <= 1e-10
-
-
-class TestSpinorPair:
-    def test_z_axis(self):
-        plus, minus = spinor_pair([0, 0, 1])
-        assert np.allclose(plus, [1, 0])
-        assert np.allclose(minus, [0, 1])
-
-    def test_x_axis_matches_hadamard_states(self):
-        plus, minus = spinor_pair([1, 0, 0])
-        s = 1 / math.sqrt(2)
-        assert np.allclose(plus, [s, s], atol=1e-15)
-        assert np.allclose(minus, [s, -s], atol=1e-15)
-
-    def test_eigen_property_and_phase_fix(self):
-        rng = np.random.default_rng(29)
-        for _ in range(300):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            ns = n[0] * X + n[1] * Y + n[2] * Z
-            plus, minus = spinor_pair(n)
-            assert np.allclose(ns @ plus, plus, atol=1e-12)
-            assert np.allclose(ns @ minus, -minus, atol=1e-12)
-            assert abs(np.vdot(plus, minus)) <= 1e-12
-            for v in (plus, minus):
-                lead = v[0] if abs(v[0]) > 1e-12 else v[1]
-                assert lead.imag == pytest.approx(0.0, abs=1e-12)
-                assert lead.real > 0
 
 
 class TestPrincipalAngle:
