@@ -29,7 +29,6 @@ from .experiment import (
     records_to_json,
     run_single,
     run_sweep,
-    sweep_summary,
 )
 from .geometry import (
     BlochPath,
@@ -39,7 +38,7 @@ from .geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from .phases import theory_curve
+from .phases import PURITY_STEPS, theory_curve
 from .pulseprog import parse_sequence, render_sequence
 
 DYNAMICAL_TOL = 1e-9
@@ -127,17 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
         p.add_argument("--output", default=None, help="write to a file, not stdout")
+
+    def add_gate(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tolerance",
             type=_tolerance,
             default=1e-9,
             help="phase residual gate in rad (default 1e-9)",
         )
+        p.add_argument("--tolerance-visibility", type=_tolerance, default=None,
+                       help="visibility gate (defaults to --tolerance)")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_output(p)
         p.add_argument(
             "--convention",
             type=_convention,
@@ -148,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory = sub.add_parser("theory", help="closed-form phase/visibility ladder")
     p_theory.add_argument("--omega", type=parse_angle, required=True,
                           help="loop solid angle in rad (symbolic pi forms ok)")
-    p_theory.add_argument("--n-max", type=int, default=12,
-                          help="ladder length (default 12)")
+    p_theory.add_argument("--n-max", type=int, default=PURITY_STEPS,
+                          help=f"ladder length (default {PURITY_STEPS})")
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
@@ -158,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
     p_sweep.add_argument("--relaxation", type=_relaxation, default=None,
                          help="transverse decay times t2a,t2b in seconds")
-    p_sweep.add_argument("--tolerance-visibility", type=_tolerance, default=None,
-                         help="visibility gate (defaults to --tolerance)")
+    add_gate(p_sweep)
     add_common(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="one grid point with state snapshots")
@@ -167,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True, help="purity index 0..11")
     p_sim.add_argument("--model", choices=MODELS, default="literal-sequence")
     p_sim.add_argument("--relaxation", type=_relaxation, default=None)
+    add_gate(p_sim)
     add_common(p_sim)
 
     p_trace = sub.add_parser("trace-path", help="idealized active-branch Bloch path")
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse", help="validate and normalize a pulse program")
     p_parse.add_argument("file", help="pulse-program file")
-    add_common(p_parse)
+    add_output(p_parse)
 
     return parser
 
@@ -216,6 +222,19 @@ def cmd_theory(args) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", 0
 
 
+def _gate(records, args) -> int:
+    """Exit code 1 when any row misses the phase-residual or the visibility
+    gate, else 0; undefined rows carry no phase to gate."""
+    tol = args.tolerance
+    tol_vis = args.tolerance_visibility if args.tolerance_visibility is not None else tol
+    failed = any(
+        (rec.defined and abs(rec.residual) > tol)
+        or abs(rec.visibility_measured - rec.visibility_theory) > tol_vis
+        for rec in records
+    )
+    return 1 if failed else 0
+
+
 def cmd_sweep(args) -> tuple[str, int]:
     records = run_sweep(
         thetas=args.theta,
@@ -224,14 +243,7 @@ def cmd_sweep(args) -> tuple[str, int]:
         conventions=args.convention,
     )
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    tol = args.tolerance
-    tol_vis = args.tolerance_visibility if args.tolerance_visibility is not None else tol
-    failed = any(
-        (rec.defined and abs(rec.residual) > tol)
-        or abs(rec.visibility_measured - rec.visibility_theory) > tol_vis
-        for rec in records
-    )
-    return text, 1 if failed else 0
+    return text, _gate(records, args)
 
 
 def _matrix_payload(matrix: np.ndarray) -> dict:
@@ -246,7 +258,7 @@ def cmd_simulate(args) -> tuple[str, int]:
         args.theta, args.n, args.model, args.relaxation, args.convention
     )
     record = run_single(config, record_snapshots=True)
-    code = 1 if record.defined and abs(record.residual) > args.tolerance else 0
+    code = _gate([record], args)
     if args.format == "csv":
         return records_to_csv([record]), code
     payload = {

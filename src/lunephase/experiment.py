@@ -21,7 +21,13 @@ import numpy as np
 from .conventions import DEFAULT_CONVENTIONS, Conventions
 from .errors import ConventionError, DomainError
 from .geometry import StatePath, check_inclination, lune_axes
-from .phases import PhaseResult, signed_mixed_phase
+from .phases import (
+    PURITY_STEPS,
+    PhaseResult,
+    check_purity_index,
+    ladder_purity,
+    signed_mixed_phase,
+)
 from .policy import POLICY
 from .pulse import (
     DEFAULT_J,
@@ -51,9 +57,6 @@ from .qcore import (
 
 MODELS = ("literal-sequence", "idealized-controlled-U")
 
-# Purity ladder granularity: r = cos(n*pi/PURITY_STEPS) for n = 0..PURITY_STEPS-1.
-PURITY_STEPS = 12
-
 DEFAULT_THETAS = (math.pi / 8, math.pi / 4, 3 * math.pi / 8)
 
 
@@ -76,10 +79,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", check_inclination(self.theta))
-        if not isinstance(self.n, int) or not 0 <= self.n < PURITY_STEPS:
-            raise DomainError(
-                f"purity index must be an integer in [0, {PURITY_STEPS - 1}]"
-            )
+        check_purity_index(self.n)
         if self.model not in MODELS:
             raise DomainError(f"unknown cycle model {self.model!r}")
         if self.relaxation is not None:
@@ -96,7 +96,7 @@ class ExperimentConfig:
     @property
     def purity(self) -> float:
         """Signed spin-b Bloch length cos(n*pi/12) after mixing."""
-        return math.cos(self.n * math.pi / PURITY_STEPS)
+        return ladder_purity(self.n)
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,8 @@ def mixing_program(n: int, params: SpinSystemParams | None = None) -> SequencePr
     polarization to cos(n*pi/12); the two final pulses turn both spins into
     the transverse plane where the interferometer operates.
     """
-    if not isinstance(n, int) or not 0 <= n < PURITY_STEPS:
-        raise DomainError(
-            f"purity index must be an integer in [0, {PURITY_STEPS - 1}]"
-        )
     events = (
-        Rotation("b", "x", Fraction(n, PURITY_STEPS)),
+        Rotation("b", "x", Fraction(check_purity_index(n), PURITY_STEPS)),
         Gradient(),
         Rotation("a", "-y", Fraction(1, 2)),
         Rotation("b", "-y", Fraction(1, 2)),
@@ -265,23 +261,7 @@ def prepare_mixed(
         pulse_sense=conventions.pulse_sense,
         iz_sign=conventions.iz_sign,
     )
-    r_signed = math.cos(n * math.pi / PURITY_STEPS)
-    _require_direction(out, _mixed_target(r_signed), "purity preparation")
-    return out
-
-
-def controlled_cycle(
-    rho: DensityOperator,
-    theta: float | Fraction,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
-) -> DensityOperator:
-    """Apply the literal conditional-cycle pulse program to a two-spin state."""
-    out, _ = run_sequence(
-        rho,
-        cycle_program(theta),
-        pulse_sense=conventions.pulse_sense,
-        iz_sign=conventions.iz_sign,
-    )
+    _require_direction(out, _mixed_target(ladder_purity(n)), "purity preparation")
     return out
 
 
@@ -414,9 +394,9 @@ def run_single(
     rho = prepare_mixed(rho, config.n, conv)
     reference = spin_a_coherence(rho)
 
-    snapshots: tuple[tuple[float, DensityOperator], ...] | None = None
+    prog = cycle_program(config.theta)
+    duration = prog.total_duration
     if config.model == "literal-sequence":
-        prog = cycle_program(config.theta)
         out, trajectory = run_sequence(
             rho,
             prog,
@@ -424,14 +404,10 @@ def run_single(
             pulse_sense=conv.pulse_sense,
             iz_sign=conv.iz_sign,
         )
-        duration = float(prog.total_duration)
-        if record_snapshots:
-            snapshots = tuple(trajectory)
     else:
         out = idealized_controlled_cycle(rho, config.theta, conv)
-        duration = 1.0 / DEFAULT_J
-        if record_snapshots:
-            snapshots = ((0.0, rho), (duration, out))
+        trajectory = [(0.0, rho), (duration, out)]
+    snapshots = tuple(trajectory) if record_snapshots else None
 
     if config.relaxation is not None:
         t2a, t2b = config.relaxation

@@ -91,10 +91,6 @@ class BlochPath:
     def __len__(self) -> int:
         return len(self.points)
 
-    def reversed(self) -> "BlochPath":
-        t = self.times
-        return BlochPath(t[0] + (t[-1] - t[::-1]), self.points[::-1], self.closed)
-
     def arc_length(self) -> float:
         """Sum of great-circle segment lengths (chord form, precise for
         short segments where acos would lose digits)."""

@@ -17,6 +17,23 @@ from .errors import DomainError
 from .policy import POLICY
 from .qcore import principal_angle
 
+# Purity ladder granularity: r = cos(n*pi/PURITY_STEPS) for n = 0..PURITY_STEPS-1.
+PURITY_STEPS = 12
+
+
+def check_purity_index(n: int) -> int:
+    """The purity-ladder index n, checked to be an integer in [0, PURITY_STEPS)."""
+    if not isinstance(n, int) or not 0 <= n < PURITY_STEPS:
+        raise DomainError(
+            f"purity index must be an integer in [0, {PURITY_STEPS - 1}]"
+        )
+    return n
+
+
+def ladder_purity(n: int) -> float:
+    """Signed spin-b Bloch length r = cos(n*pi/PURITY_STEPS) of ladder step n."""
+    return math.cos(n * math.pi / PURITY_STEPS)
+
 
 @dataclass(frozen=True)
 class PhaseResult:
@@ -106,13 +123,15 @@ class TheoryRow:
     flipped: bool
 
 
-def theory_curve(omega: float, n_max: int = 12, sign: int = 1) -> list[TheoryRow]:
-    """Prediction table over the purity ladder r = cos(n pi/12), n = 0..n_max-1."""
+def theory_curve(
+    omega: float, n_max: int = PURITY_STEPS, sign: int = 1
+) -> list[TheoryRow]:
+    """Prediction table over the purity ladder, n = 0..n_max-1."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     rows = []
     for n in range(n_max):
-        c = math.cos(n * math.pi / 12.0)
+        c = ladder_purity(n)
         res = signed_mixed_phase(c, omega, sign)
         rows.append(
             TheoryRow(n, abs(c), res.gamma, res.visibility, res.defined, c < 0)

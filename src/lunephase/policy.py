@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericPolicy:
     hermiticity_tol: float = 1e-12
     trace_tol: float = 1e-12

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .policy import POLICY
 from .qcore import DensityOperator, evolve, identity2, rotation_unitary, tensor
 
 DEFAULT_J = 214.5
@@ -282,10 +281,13 @@ def run_sequence(
 ) -> tuple[DensityOperator, list[tuple[float, DensityOperator]]]:
     """Execute a program left to right.
 
-    Returns the final state and a (time, state) trajectory. The final state
-    always comes from unsubdivided closed-form delay propagators; with
-    record=True each delay is additionally sampled samples_per_delay times for
-    path tracing, which never feeds back into the final state.
+    Returns the final state and a (time, state) trajectory that opens with
+    rho0 and gains one entry after each event, holding the state that event
+    leaves; delays use their unsubdivided closed-form propagators. With
+    record=True each delay first appends samples_per_delay - 1 intermediate
+    samples, stepped from the state the delay starts in, for path tracing.
+    The samples are never fed back: the entries closing each event and the
+    final state are the ones an unrecorded run returns.
     """
     if rho0.dim != 4:
         raise DomainError("sequences act on the two-spin system")
@@ -295,36 +297,24 @@ def run_sequence(
     t = 0.0
     rho = rho0
     trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
-    rho_samp = rho0
     for ev in prog.events:
         if isinstance(ev, Gradient):
             rho = gradient_crusher(rho)
-            if record:
-                rho_samp = gradient_crusher(rho_samp)
-                trajectory.append((t, rho_samp))
-            else:
-                trajectory.append((t, rho))
         elif isinstance(ev, Rotation):
-            u = pulse_unitary(prog.params, ev, sense=pulse_sense)
-            rho = evolve(rho, u)
-            if record:
-                rho_samp = evolve(rho_samp, u)
-                trajectory.append((t, rho_samp))
-            else:
-                trajectory.append((t, rho))
+            rho = evolve(rho, pulse_unitary(prog.params, ev, sense=pulse_sense))
         elif isinstance(ev, Delay):
             dt = ev.duration(j)
-            rho = evolve(rho, free_evolution_unitary(prog.params, dt, iz_sign))
             if record:
                 step = free_evolution_unitary(prog.params, dt / samples_per_delay, iz_sign)
-                for i in range(1, samples_per_delay + 1):
-                    rho_samp = evolve(rho_samp, step)
-                    trajectory.append((t + dt * i / samples_per_delay, rho_samp))
-            else:
-                trajectory.append((t + dt, rho))
+                sample = rho
+                for i in range(1, samples_per_delay):
+                    sample = evolve(sample, step)
+                    trajectory.append((t + dt * i / samples_per_delay, sample))
+            rho = evolve(rho, free_evolution_unitary(prog.params, dt, iz_sign))
             t += dt
         else:
             raise DomainError(f"unknown event type {type(ev).__name__}")
+        trajectory.append((t, rho))
     return rho, trajectory
 
 

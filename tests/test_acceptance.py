@@ -10,12 +10,10 @@ import numpy as np
 
 import oracle_brute as oracle
 from lunephase.cli import main as cli_main
-from lunephase.errors import DomainError
 from lunephase.experiment import (
     ExperimentConfig,
     cycle_program,
     idealized_eigenvector_path,
-    mixing_program,
     prepare_effective_pure,
     prepare_mixed,
     readout_phase,

@@ -183,6 +183,13 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    def test_relaxation_needs_wider_visibility_gate(self):
+        argv = ["simulate", "--theta", "pi/4", "--n", "3", "--relaxation", "0.3,0.4"]
+        code, _, _ = invoke(argv)
+        assert code == 1
+        code, _, _ = invoke(argv + ["--tolerance-visibility", "0.02"])
+        assert code == 0
+
     def test_bad_purity_index_is_usage_error(self):
         code, _, err = invoke(["simulate", "--theta", "pi/8", "--n", "12"])
         assert code == 2
@@ -344,6 +351,19 @@ class TestExitCodeContract:
         code, _, _ = invoke(["--help"])
         assert code == 0
 
+    def test_tolerance_flags_only_on_gating_commands(self):
+        for argv in (
+            ["theory", "--omega", "pi/2", "--tolerance", "0"],
+            ["trace-path", "--theta", "pi/4", "--tolerance", "1e-9"],
+            ["check-transport", "--theta", "pi/8", "--tolerance", "1e-30"],
+            ["check-transport", "--theta", "pi/8", "--tolerance-visibility", "1"],
+            ["parse", str(bundled_program_path()), "--tolerance", "1e-9"],
+            ["parse", str(bundled_program_path()), "--convention", "sense=1"],
+        ):
+            code, out, err = invoke(argv)
+            assert code == 2, argv
+            assert out == "" and "unrecognized arguments" in err
+
     def test_bad_convention_string(self):
         code, _, err = invoke(
             ["theory", "--omega", "pi/2", "--convention", "sense=2"]
@@ -391,8 +411,11 @@ class TestNumericInputRejection:
         )
 
     def test_zero_tolerance_stays_legal(self):
-        code, _, _ = invoke(["theory", "--omega", "pi/2", "--tolerance", "0"])
-        assert code == 0
+        code, _, err = invoke(
+            ["simulate", "--theta", "pi/8", "--n", "3", "--tolerance", "0"]
+        )
+        assert code in (0, 1)
+        assert err == ""
         code, _, err = invoke(["sweep", "--theta", "pi/8", "--tolerance", "0"])
         assert code in (0, 1)
         assert err == ""

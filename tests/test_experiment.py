@@ -14,7 +14,6 @@ from lunephase.experiment import (
     SWEEP_COLUMNS,
     ExperimentConfig,
     RunRecord,
-    controlled_cycle,
     cycle_program,
     idealized_controlled_cycle,
     idealized_eigenvector_path,
@@ -43,7 +42,7 @@ from lunephase.geometry import (
     solid_angle,
 )
 from lunephase.phases import qubit_mixed_phase, sjoqvist_average
-from lunephase.pulse import branch_propagators, gradient_crusher
+from lunephase.pulse import branch_propagators, gradient_crusher, run_sequence
 from lunephase.qcore import (
     DensityOperator,
     bloch_to_density,
@@ -209,7 +208,7 @@ class TestControlledCycle:
     def test_degenerate_lune_leaves_phase_unchanged(self):
         rho = prepared_state(0)
         ref = spin_a_coherence(rho)
-        out = controlled_cycle(rho, 0.0)
+        out, _ = run_sequence(rho, cycle_program(0.0), pulse_sense=-1)
         result = readout_phase(out, ref)
         assert result.defined
         assert result.gamma == pytest.approx(0.0, abs=1e-12)
@@ -218,7 +217,7 @@ class TestControlledCycle:
     def test_pure_quarter_turn_phase_magnitude(self):
         rho = prepared_state(0)
         ref = spin_a_coherence(rho)
-        out = controlled_cycle(rho, math.pi / 4)
+        out, _ = run_sequence(rho, cycle_program(math.pi / 4), pulse_sense=-1)
         result = readout_phase(out, ref)
         assert abs(result.gamma) == pytest.approx(math.pi / 2, abs=1e-9)
 
@@ -229,7 +228,7 @@ class TestControlledCycle:
             n = int(rng.integers(0, 12))
             rho = prepared_state(n)
             ref = spin_a_coherence(rho)
-            out = controlled_cycle(rho, theta)
+            out, _ = run_sequence(rho, cycle_program(theta), pulse_sense=-1)
             got = spin_a_coherence(out) / ref
             r = math.cos(n * math.pi / 12)
             want = oracle.interferometric_phase(theta, r, sense=-1)
@@ -442,7 +441,7 @@ class TestEndToEnd:
 
     def test_branch_purity_preserved(self):
         rho = prepared_state(4)
-        out = controlled_cycle(rho, 0.7)
+        out, _ = run_sequence(rho, cycle_program(0.7), pulse_sense=-1)
         for spin_cut in ("b",):
             before = reduced_bloch_length(rho, spin_cut)
             after = reduced_bloch_length(out, spin_cut)

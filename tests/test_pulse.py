@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunephase.errors import DomainError
 from lunephase.pulse import (
@@ -20,7 +22,6 @@ from lunephase.pulse import (
 )
 from lunephase.qcore import (
     DensityOperator,
-    bloch_to_density,
     identity2 as I2,
     partial_trace,
     pauli_x as X,
@@ -49,6 +50,39 @@ def random_two_spin_state(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = a @ a.conj().T
     return DensityOperator(m / np.trace(m))
+
+
+OFFSET_BOUND = 10 * 2 * math.pi * J
+
+pulse_events = st.builds(
+    Rotation,
+    st.sampled_from("ab"),
+    st.one_of(st.sampled_from(["x", "-x", "y", "-y"]), st.floats(0.0, 2 * math.pi)),
+    st.one_of(
+        st.integers(-23, 24).map(lambda k: Fraction(k, 12)),
+        st.floats(-6.28, 6.28),
+    ),
+)
+delay_events = st.one_of(
+    st.builds(lambda k, d: Delay(per_j=Fraction(k, d)), st.integers(0, 4), st.integers(1, 4)),
+    st.floats(0.0, 0.01).map(lambda sec: Delay(seconds=sec)),
+)
+program_events = st.lists(
+    st.one_of(pulse_events, delay_events, st.just(Gradient())), max_size=8
+)
+
+
+def delay_reference(params, start, t, iz_sign):
+    """exp(-iHt) start exp(iHt) for the diagonal rotating-frame Hamiltonian
+    H = delta_a I_z^a + delta_b I_z^b + 2piJ I_z^a I_z^b."""
+    iza = iz_sign * np.kron(np.diag([0.5, -0.5]), np.eye(2))
+    izb = iz_sign * np.kron(np.eye(2), np.diag([0.5, -0.5]))
+    h = np.diag(
+        params.delta_a * iza + params.delta_b * izb
+        + 2 * math.pi * params.j_coupling * iza @ izb
+    )
+    u = np.exp(-1j * h * t)
+    return u[:, None] * start * u.conj()[None, :]
 
 
 class TestSpinSystemParams:
@@ -294,6 +328,46 @@ class TestRunSequence:
         plain, _ = run_sequence(rho, prog)
         assert np.array_equal(coarse.matrix, plain.matrix)
         assert np.array_equal(fine.matrix, plain.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=program_events,
+        offsets=st.tuples(
+            st.floats(-OFFSET_BOUND, OFFSET_BOUND), st.floats(-OFFSET_BOUND, OFFSET_BOUND)
+        ),
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        samples=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recording_only_adds_delay_samples(
+        self, events, offsets, pulse_sense, iz_sign, samples, seed
+    ):
+        prog = make_program(events, params_with(*offsets))
+        rho = random_two_spin_state(np.random.default_rng(seed))
+        conv = {"pulse_sense": pulse_sense, "iz_sign": iz_sign}
+        plain, steps = run_sequence(rho, prog, **conv)
+        final, traj = run_sequence(
+            rho, prog, record=True, samples_per_delay=samples, **conv
+        )
+        assert np.array_equal(final.matrix, plain.matrix)
+        delays = sum(isinstance(ev, Delay) for ev in events)
+        assert len(steps) == 1 + len(events)
+        assert len(traj) == 1 + len(events) + (samples - 1) * delays
+        assert traj[0][0] == 0.0 and traj[0][1] is rho
+        k = 1
+        for ev, (t0, start), (t1, closing) in zip(events, steps, steps[1:]):
+            if isinstance(ev, Delay):
+                dt = ev.duration(J)
+                for i in range(1, samples):
+                    t, state = traj[k]
+                    assert t == t0 + dt * i / samples
+                    want = delay_reference(prog.params, start.matrix, dt * i / samples, iz_sign)
+                    assert np.max(np.abs(state.matrix - want)) <= 1e-12
+                    k += 1
+            assert traj[k][0] == t1
+            assert np.array_equal(traj[k][1].matrix, closing.matrix)
+            k += 1
 
     def test_trace_and_hermiticity_at_every_sample(self):
         rng = np.random.default_rng(79)
