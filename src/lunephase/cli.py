@@ -34,11 +34,12 @@ from .geometry import (
     BlochPath,
     StatePath,
     check_geodesic,
+    check_inclination,
     dynamical_phase,
     pancharatnam_phase,
     solid_angle,
 )
-from .phases import PURITY_STEPS, theory_curve
+from .phases import PURITY_STEPS, check_purity_index, theory_curve
 from .pulseprog import parse_sequence, render_sequence
 
 DYNAMICAL_TOL = 1e-9
@@ -78,11 +79,35 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _angle_list(text: str) -> tuple[float, ...]:
+def _bound(check, value):
+    """Apply a package bound check; argparse then reports the check's message."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _inclination(text: str) -> float:
+    return _bound(check_inclination, parse_angle(text))
+
+
+def _inclination_list(text: str) -> tuple[float, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of angles")
-    return tuple(parse_angle(p) for p in parts)
+    return tuple(_inclination(p) for p in parts)
+
+
+def _purity_index(text: str) -> int:
+    return _bound(check_purity_index, int(text))
+
+
+def _samples(text: str) -> int:
+    """Total loop samples: at least two per geodesic segment."""
+    value = int(text)
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"need at least 4 samples, got {value}")
+    return value
 
 
 def _relaxation(text: str) -> tuple[float, float]:
@@ -159,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
-    p_sweep.add_argument("--theta", type=_angle_list, default=DEFAULT_THETAS,
+    p_sweep.add_argument("--theta", type=_inclination_list, default=DEFAULT_THETAS,
                          help="comma-separated inclination angles")
     p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
     p_sweep.add_argument("--relaxation", type=_relaxation, default=None,
@@ -168,24 +193,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="one grid point with state snapshots")
-    p_sim.add_argument("--theta", type=parse_angle, required=True)
-    p_sim.add_argument("--n", type=int, required=True, help="purity index 0..11")
+    p_sim.add_argument("--theta", type=_inclination, required=True)
+    p_sim.add_argument("--n", type=_purity_index, required=True,
+                       help=f"purity index 0..{PURITY_STEPS - 1}")
     p_sim.add_argument("--model", choices=MODELS, default="literal-sequence")
     p_sim.add_argument("--relaxation", type=_relaxation, default=None)
     add_gate(p_sim)
     add_common(p_sim)
 
     p_trace = sub.add_parser("trace-path", help="idealized active-branch Bloch path")
-    p_trace.add_argument("--theta", type=parse_angle, required=True)
+    p_trace.add_argument("--theta", type=_inclination, required=True)
     p_trace.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p_trace.add_argument("--samples", type=int, default=4096,
-                         help="total samples along the loop")
+    p_trace.add_argument("--samples", type=_samples, default=4096,
+                         help="total samples along the loop (at least 4)")
     add_common(p_trace)
 
     p_check = sub.add_parser("check-transport",
                              help="verify geodesic segments and parallel transport")
-    p_check.add_argument("--theta", type=parse_angle, required=True)
-    p_check.add_argument("--samples", type=int, default=1024)
+    p_check.add_argument("--theta", type=_inclination, required=True)
+    p_check.add_argument("--samples", type=_samples, default=1024,
+                         help="total samples along the loop (at least 4)")
     p_check.add_argument("--perturb", type=_finite, default=0.0,
                          help="verification hook: tilt segment axes by this amount")
     add_common(p_check)
@@ -288,35 +315,21 @@ def _loop_segments(path: StatePath, per_segment: int):
 
 
 def _build_path(args, eigen_sign: int, perturb: float = 0.0):
-    """Returns (path, per_segment) or raises; density problems exit 1."""
+    """The idealized loop at --samples total samples, and its per-segment count."""
     per_segment = args.samples // 2
-    if per_segment < 2:
-        print(
-            "error: need at least 4 samples to trace the loop; refine --samples",
-            file=sys.stderr,
-        )
-        return None, per_segment
-    try:
-        path = idealized_eigenvector_path(
-            args.theta,
-            eigen_sign,
-            conventions=args.convention,
-            samples_per_segment=per_segment,
-            perturb=perturb,
-        )
-    except DomainError as exc:
-        if "refine" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return None, per_segment
-        raise
+    path = idealized_eigenvector_path(
+        args.theta,
+        eigen_sign,
+        conventions=args.convention,
+        samples_per_segment=per_segment,
+        perturb=perturb,
+    )
     return path, per_segment
 
 
-def cmd_trace_path(args) -> tuple[str | None, int]:
+def cmd_trace_path(args) -> tuple[str, int]:
     eigen_sign = 1 if args.branch == "plus" else -1
     path, per_segment = _build_path(args, eigen_sign)
-    if path is None:
-        return None, 1
     bloch = path.to_bloch_path()
     area = solid_angle(bloch)
     deviations = [
@@ -350,10 +363,8 @@ def cmd_trace_path(args) -> tuple[str | None, int]:
     return json.dumps(payload, indent=2) + "\n", 0
 
 
-def cmd_check_transport(args) -> tuple[str | None, int]:
+def cmd_check_transport(args) -> tuple[str, int]:
     path, per_segment = _build_path(args, 1, perturb=args.perturb)
-    if path is None:
-        return None, 1
     reports = []
     for k, seg in enumerate(_loop_segments(path, per_segment), start=1):
         dyn = dynamical_phase(seg)
@@ -381,18 +392,13 @@ def cmd_check_transport(args) -> tuple[str | None, int]:
     return text, 0 if ok else 1
 
 
-def cmd_parse(args) -> tuple[str | None, int]:
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+def cmd_parse(args) -> tuple[str, int]:
+    with open(args.file, encoding="utf-8") as handle:
+        source = handle.read()
     try:
         prog = parse_sequence(source)
     except SequenceSyntaxError as exc:
-        print(f"error: {args.file}:{exc}", file=sys.stderr)
-        return None, 2
+        raise ValueError(f"{args.file}:{exc}") from exc
     rendered = render_sequence(prog)
     duration = float(prog.total_duration)
     if args.format == "csv":
@@ -436,11 +442,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         text, code = _HANDLERS[args.command](args)
-    except (DomainError, ValueError) as exc:
+        _emit(text, args.output)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if text is not None:
-        _emit(text, args.output)
     return code
 
 

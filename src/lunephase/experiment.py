@@ -36,7 +36,6 @@ from .pulse import (
     Gradient,
     Rotation,
     SequenceProgram,
-    SpinSystemParams,
     apply_t2_relaxation,
     make_program,
     run_sequence,
@@ -136,7 +135,7 @@ def thermal_state() -> DensityOperator:
     return DensityOperator(dev, normalized=False)
 
 
-def prepare_pure_program(params: SpinSystemParams | None = None) -> SequenceProgram:
+def prepare_pure_program() -> SequenceProgram:
     """Bundled pulse program reshaping the thermal deviation to effective purity.
 
     Runs on resonance; no frame directives.
@@ -146,10 +145,10 @@ def prepare_pure_program(params: SpinSystemParams | None = None) -> SequenceProg
         .joinpath("data", "prepare_pure.seq")
         .read_text(encoding="utf-8")
     )
-    return parse_sequence(text, params)
+    return parse_sequence(text)
 
 
-def mixing_program(n: int, params: SpinSystemParams | None = None) -> SequenceProgram:
+def mixing_program(n: int) -> SequenceProgram:
     """Purity-setting stage after the pure preparation.
 
     A partial spin-b rotation followed by a crusher shrinks its longitudinal
@@ -162,66 +161,57 @@ def mixing_program(n: int, params: SpinSystemParams | None = None) -> SequencePr
         Rotation("a", "-y", Fraction(1, 2)),
         Rotation("b", "-y", Fraction(1, 2)),
     )
-    return make_program(events, params)
+    return make_program(events)
 
 
-def cycle_program(
-    theta: float | Fraction, params: SpinSystemParams | None = None
-) -> SequenceProgram:
+def cycle_program(theta: float) -> SequenceProgram:
     """Conditional-cycle pulse program at inclination theta.
 
     Two spin-b pulses about -x (flips theta and pi - 2*theta) bracket
     two 1/(2J) delays.  The spin-b frame is shifted by -piJ so the branch
     Hamiltonians become 0 and 2*pi*J*Iz: the passive branch idles while the
-    active one precesses a half turn per delay.  A Fraction theta is read as
-    an exact multiple of pi and renders as exact degrees.
+    active one precesses a half turn per delay.
     """
-    if isinstance(theta, Fraction):
-        if not 0 <= theta <= Fraction(1, 2):
-            raise DomainError("inclination angle must lie in [0, pi/2]")
-        first: float | Fraction = theta
-        second: float | Fraction = 1 - 2 * theta
-    else:
-        theta = check_inclination(theta)
-        first = theta
-        second = math.pi - 2.0 * theta
+    theta = check_inclination(theta)
     events = (
-        Rotation("b", "-x", first),
+        Rotation("b", "-x", theta),
         Delay(per_j=Fraction(1, 2)),
-        Rotation("b", "-x", second),
+        Rotation("b", "-x", math.pi - 2.0 * theta),
         Delay(per_j=Fraction(1, 2)),
     )
-    return make_program(events, params, (FrameOffset("b", Fraction(-1, 2), "piJ"),))
+    return make_program(events, frames=(FrameOffset("b", Fraction(-1, 2), "piJ"),))
 
 
-def _deviation_direction(matrix: np.ndarray) -> np.ndarray:
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(flat))
+def _traceless_product(sigma_a: np.ndarray, sigma_b: np.ndarray) -> np.ndarray:
+    """Traceless part of (1 + sigma_a)/2 tensor (1 + sigma_b)/2."""
+    full = tensor(0.5 * (identity2 + sigma_a), 0.5 * (identity2 + sigma_b))
+    return full - np.trace(full).real / 4.0 * np.eye(4)
+
+
+def _run_stage(
+    rho: DensityOperator,
+    prog: SequenceProgram,
+    conventions: Conventions,
+    target: np.ndarray,
+    stage: str,
+) -> DensityOperator:
+    """Run a preparation program and require its output deviation to be
+    positively proportional to target (directions, not lines)."""
+    out, _ = run_sequence(
+        rho, prog, pulse_sense=conventions.pulse_sense, iz_sign=conventions.iz_sign
+    )
+    got = out.matrix.reshape(-1)
+    norm = float(np.linalg.norm(got))
     if norm < 1e-12:
         raise DomainError("deviation vanishes; no direction to compare")
-    return flat / norm
-
-def _require_direction(out: DensityOperator, target: np.ndarray, stage: str) -> None:
-    # Positive proportionality required: directions, not lines.
-    got = _deviation_direction(out.matrix)
-    want = _deviation_direction(target)
-    if float(np.linalg.norm(got - want)) > POLICY.direction_tol:
+    want = target.reshape(-1) / np.linalg.norm(target)
+    if float(np.linalg.norm(got / norm - want)) > POLICY.direction_tol:
         raise ConventionError(
             f"{stage} missed its target state: the configured rotation sense "
             "or branch assignment is inconsistent with the pulse labels (see "
             "the sign-conventions section of the package documentation)"
         )
-
-def _pure_target() -> np.ndarray:
-    up = 0.5 * (identity2 + pauli_z)
-    full = tensor(up, up)
-    return full - np.trace(full).real / 4.0 * np.eye(4)
-
-def _mixed_target(r_signed: float) -> np.ndarray:
-    spin_a = 0.5 * (identity2 + pauli_x)
-    spin_b = 0.5 * (identity2 + r_signed * pauli_x)
-    full = tensor(spin_a, spin_b)
-    return full - np.trace(full).real / 4.0 * np.eye(4)
+    return out
 
 
 def prepare_effective_pure(
@@ -233,14 +223,11 @@ def prepare_effective_pure(
     traceless part of the both-spins-up projector; a mismatch raises
     ConventionError since it can only come from inconsistent sign choices.
     """
-    out, _ = run_sequence(
-        rho_thermal,
-        prepare_pure_program(),
-        pulse_sense=conventions.pulse_sense,
-        iz_sign=conventions.iz_sign,
+    target = _traceless_product(pauli_z, pauli_z)
+    return _run_stage(
+        rho_thermal, prepare_pure_program(), conventions, target,
+        "effective-pure preparation",
     )
-    _require_direction(out, _pure_target(), "effective-pure preparation")
-    return out
 
 
 def prepare_mixed(
@@ -255,14 +242,8 @@ def prepare_mixed(
     along +x, spin b with shortened Bloch vector.
     """
     prog = mixing_program(n)
-    out, _ = run_sequence(
-        rho_pure,
-        prog,
-        pulse_sense=conventions.pulse_sense,
-        iz_sign=conventions.iz_sign,
-    )
-    _require_direction(out, _mixed_target(ladder_purity(n)), "purity preparation")
-    return out
+    target = _traceless_product(pauli_x, ladder_purity(n) * pauli_x)
+    return _run_stage(rho_pure, prog, conventions, target, "purity preparation")
 
 
 def lune_holonomy(theta: float, sense: int) -> np.ndarray:
@@ -310,7 +291,6 @@ def idealized_eigenvector_path(
     eigen_sign: int = 1,
     conventions: Conventions = DEFAULT_CONVENTIONS,
     samples_per_segment: int = 2000,
-    j_coupling: float = DEFAULT_J,
     perturb: float = 0.0,
 ) -> StatePath:
     """Active-branch spinor trajectory through the idealized loop.
@@ -326,8 +306,6 @@ def idealized_eigenvector_path(
         raise DomainError("eigenvector label must be +1 or -1")
     if samples_per_segment < 2:
         raise DomainError("need at least two samples per segment")
-    if j_coupling <= 0.0:
-        raise DomainError("coupling must be positive")
     n1, n2 = lune_axes(theta)
     axes = (n2, -n1) if conventions.pulse_sense == -1 else (n1, -n2)
     if perturb != 0.0:
@@ -338,8 +316,8 @@ def idealized_eigenvector_path(
 
     m = samples_per_segment
     k = np.arange(m + 1)
-    seg_time = 1.0 / (2.0 * j_coupling)
-    rate = 2.0 * math.pi * j_coupling  # half turn per segment at angle pi
+    seg_time = 1.0 / (2.0 * DEFAULT_J)
+    rate = 2.0 * math.pi * DEFAULT_J  # half turn per segment at angle pi
     # sample k of a segment is exp(-i phi n.sigma/2) psi at phi = pi k/m
     half = 0.5 * (math.pi * k / m)
     cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
@@ -379,56 +357,69 @@ def readout_phase(rho_ab: DensityOperator, reference: complex) -> PhaseResult:
     )
 
 
+def _run_grid(
+    configs: list[ExperimentConfig], record_snapshots: bool = False
+) -> list[RunRecord]:
+    """Run grid points that share one convention set, in order.
+
+    The theta-independent stages run once: thermal deviation and
+    effective-pure preparation once per call, purity mixing and the
+    reference coherence once per distinct n.  Each point then runs its
+    cycle under the selected model, the optional transverse relaxation over
+    the cycle duration and the phase readout against the closed form.
+    """
+    conv = configs[0].conventions
+    pure = prepare_effective_pure(thermal_state(), conv)
+    mixed: dict[int, tuple[DensityOperator, complex]] = {}
+    records = []
+    for config in configs:
+        if config.n not in mixed:
+            rho = prepare_mixed(pure, config.n, conv)
+            mixed[config.n] = (rho, spin_a_coherence(rho))
+        rho, reference = mixed[config.n]
+
+        prog = cycle_program(config.theta)
+        duration = prog.total_duration
+        if config.model == "literal-sequence":
+            out, trajectory = run_sequence(
+                rho,
+                prog,
+                record=record_snapshots,
+                pulse_sense=conv.pulse_sense,
+                iz_sign=conv.iz_sign,
+            )
+        else:
+            out = idealized_controlled_cycle(rho, config.theta, conv)
+            trajectory = [(0.0, rho), (duration, out)]
+
+        if config.relaxation is not None:
+            t2a, t2b = config.relaxation
+            out = apply_t2_relaxation(out, duration, t2a, t2b)
+
+        measured = readout_phase(out, reference)
+        theory = signed_mixed_phase(config.purity, config.omega, conv.orientation)
+        defined = measured.defined and theory.defined
+        residual = (
+            principal_angle(measured.gamma - theory.gamma) if defined else math.nan
+        )
+        records.append(RunRecord(
+            config=config,
+            gamma_measured=measured.gamma,
+            visibility_measured=measured.visibility,
+            gamma_theory=theory.gamma,
+            visibility_theory=theory.visibility,
+            residual=residual,
+            defined=defined,
+            snapshots=tuple(trajectory) if record_snapshots else None,
+        ))
+    return records
+
+
 def run_single(
     config: ExperimentConfig, record_snapshots: bool = False
 ) -> RunRecord:
-    """Execute one grid point end to end and compare against closed form.
-
-    Pipeline: thermal deviation, effective-pure preparation, purity mixing,
-    reference coherence capture, conditional cycle under the selected model,
-    optional transverse relaxation over the cycle duration, phase readout.
-    """
-    conv = config.conventions
-    rho = thermal_state()
-    rho = prepare_effective_pure(rho, conv)
-    rho = prepare_mixed(rho, config.n, conv)
-    reference = spin_a_coherence(rho)
-
-    prog = cycle_program(config.theta)
-    duration = prog.total_duration
-    if config.model == "literal-sequence":
-        out, trajectory = run_sequence(
-            rho,
-            prog,
-            record=record_snapshots,
-            pulse_sense=conv.pulse_sense,
-            iz_sign=conv.iz_sign,
-        )
-    else:
-        out = idealized_controlled_cycle(rho, config.theta, conv)
-        trajectory = [(0.0, rho), (duration, out)]
-    snapshots = tuple(trajectory) if record_snapshots else None
-
-    if config.relaxation is not None:
-        t2a, t2b = config.relaxation
-        out = apply_t2_relaxation(out, duration, t2a, t2b)
-
-    measured = readout_phase(out, reference)
-    theory = signed_mixed_phase(config.purity, config.omega, conv.orientation)
-    defined = measured.defined and theory.defined
-    residual = (
-        principal_angle(measured.gamma - theory.gamma) if defined else math.nan
-    )
-    return RunRecord(
-        config=config,
-        gamma_measured=measured.gamma,
-        visibility_measured=measured.visibility,
-        gamma_theory=theory.gamma,
-        visibility_theory=theory.visibility,
-        residual=residual,
-        defined=defined,
-        snapshots=snapshots,
-    )
+    """Execute one grid point end to end and compare against closed form."""
+    return _run_grid([config], record_snapshots)[0]
 
 
 def run_sweep(
@@ -449,12 +440,11 @@ def run_sweep(
         raise DomainError("at least one inclination angle is required")
     if not ns:
         raise DomainError("at least one purity index is required")
-    configs = [
+    return _run_grid([
         ExperimentConfig(theta, n, model, relaxation, conventions)
         for theta in thetas
         for n in ns
-    ]
-    return [run_single(config) for config in configs]
+    ])
 
 
 def sweep_summary(records: list[RunRecord]) -> dict:

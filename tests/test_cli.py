@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -244,10 +247,15 @@ class TestTracePathCommand:
         line = [l for l in out.strip().split("\n") if "solid_angle" in l][0]
         assert abs(float(line.split(" = ")[1])) < 1e-9
 
-    def test_too_few_samples_exits_one_with_hint(self):
-        code, _, err = invoke(["trace-path", "--theta", "pi/4", "--samples", "2"])
-        assert code == 1
-        assert "refine" in err
+    def test_too_few_samples_is_usage_error(self):
+        for argv in (
+            ["trace-path", "--theta", "pi/4", "--samples", "3"],
+            ["check-transport", "--theta", "pi/4", "--samples", "-5"],
+        ):
+            code, out, err = invoke(argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "argument --samples:" in err
 
     def test_json_payload(self):
         code, out, _ = invoke(
@@ -267,6 +275,14 @@ class TestTracePathCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("time_s,x,y,z,branch")
+
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = invoke(["theory", "--omega", "pi", "--output", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "missing" in err
+        assert not target.parent.exists()
 
 
 class TestCheckTransportCommand:
@@ -405,6 +421,20 @@ class TestNumericInputRejection:
     def test_nan_theta(self):
         self.assert_usage_error(["simulate", "--theta", "nan", "--n", "3"], "--theta")
 
+    def test_theta_outside_lune_range(self):
+        for argv in (
+            ["sweep", "--theta", "2"],
+            ["sweep", "--theta", "pi/8,-0.1"],
+            ["simulate", "--theta", "2", "--n", "3"],
+            ["trace-path", "--theta", "-pi/8"],
+            ["check-transport", "--theta", "3pi/4"],
+        ):
+            self.assert_usage_error(argv, "--theta")
+
+    def test_purity_index_outside_ladder(self):
+        for value in ("12", "-1", "1.5"):
+            self.assert_usage_error(["simulate", "--theta", "pi/4", "--n", value], "--n")
+
     def test_nan_perturb(self):
         self.assert_usage_error(
             ["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb"
@@ -419,3 +449,30 @@ class TestNumericInputRejection:
         code, _, err = invoke(["sweep", "--theta", "pi/8", "--tolerance", "0"])
         assert code in (0, 1)
         assert err == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_SHELL_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def readme_commands():
+    return [
+        line.strip()
+        for block in _SHELL_BLOCK.findall(README.read_text(encoding="utf-8"))
+        for line in block.splitlines()
+        if line.strip().startswith("lunephase ")
+    ]
+
+
+class TestReadmeExamples:
+    """Every documented command line runs from the repository root and exits
+    0, or 1 where the line is marked '# must fail'."""
+
+    def test_examples_are_found(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_example_runs(self, line, monkeypatch):
+        monkeypatch.chdir(README.parent)
+        code, _, err = invoke(shlex.split(line, comments=True)[1:])
+        assert code == (1 if "# must fail" in line else 0), err
