@@ -203,17 +203,19 @@ _FALLBACK_FAN_POINTS = [
 
 
 def _fan_point(points: np.ndarray) -> np.ndarray:
-    candidates = []
+    """The candidate farthest from every sample's antipode, where the
+    triangle excess degenerates; the guard is only a floor on that margin."""
+    candidates = np.array(_FALLBACK_FAN_POINTS)
     centroid = points.mean(axis=0)
     if np.linalg.norm(centroid) > 1e-12:
-        candidates.append(centroid / np.linalg.norm(centroid))
-    candidates.extend(np.array(c) / np.linalg.norm(c) for c in _FALLBACK_FAN_POINTS)
-    for cand in candidates:
-        # reject fan points nearly antipodal to any sample: the triangle
-        # excess degenerates there
-        if np.min(np.linalg.norm(points + cand, axis=1)) > POLICY.antipode_guard:
-            return cand
-    raise DomainError("could not find a stable fan point for this loop")
+        candidates = np.vstack([centroid, candidates])
+    candidates /= np.linalg.norm(candidates, axis=1)[:, None]
+    # |p + c|^2 = 2 + 2 p.c for unit vectors: the largest margin belongs to
+    # the candidate whose most antipodal sample has the largest p.c
+    best = candidates[np.argmax(np.min(points @ candidates.T, axis=0))]
+    if not np.min(np.linalg.norm(points + best, axis=1)) > POLICY.antipode_guard:
+        raise DomainError("could not find a stable fan point for this loop")
+    return best
 
 
 def solid_angle(path: BlochPath) -> float:

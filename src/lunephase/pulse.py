@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .qcore import DensityOperator, evolve, identity2, rotation_unitary, tensor
+from .qcore import DensityOperator, evolve, identity4, is_unitary, rotation_unitary
 
 DEFAULT_J = 214.5
 
@@ -228,14 +229,22 @@ def pulse_unitary(params: SpinSystemParams, ev: Rotation, sense: int = 1) -> np.
 
     sense = +-1 fixes how a pulse label (axis, flip) maps onto a physical
     rotation: the realized unitary is exp(-i sense*flip axis.sigma/2) on the
-    target spin. sense=+1 reproduces rotation_unitary verbatim.
+    target spin. sense=+1 reproduces rotation_unitary verbatim. The 4x4 is
+    filled in place, entry for entry equal to tensor(u, 1) or tensor(1, u).
     """
     if sense not in (1, -1):
         raise DomainError("pulse sense must be +1 or -1")
     u = rotation_unitary(ev.axis_vector(), sense * ev.flip_radians)
+    full = np.zeros((4, 4), dtype=complex)
     if ev.spin == "a":
-        return tensor(u, identity2)
-    return tensor(identity2, u)
+        # u acts on the leftmost label: one copy per spin-b state, interleaved
+        full[0::2, 0::2] = u
+        full[1::2, 1::2] = u
+    else:
+        # one copy per spin-a branch, block diagonal
+        full[:2, :2] = u
+        full[2:, 2:] = u
+    return full
 
 
 def gradient_crusher(rho: DensityOperator) -> DensityOperator:
@@ -263,12 +272,48 @@ def apply_t2_relaxation(
     return DensityOperator(rho.matrix * factors, normalized=rho.normalized)
 
 
-def event_unitary(
-    prog: SequenceProgram, ev: Rotation | Delay, pulse_sense: int = 1, iz_sign: int = 1
-) -> np.ndarray:
-    if isinstance(ev, Rotation):
-        return pulse_unitary(prog.params, ev, sense=pulse_sense)
-    return free_evolution_unitary(prog.params, ev.duration(prog.params.j_coupling), iz_sign)
+class _Step(NamedTuple):
+    """One unitary event of a stretch and the stretch's running propagator
+    up to and including it (latest factor leftmost)."""
+
+    event: Rotation | Delay
+    duration: float
+    product: np.ndarray
+
+
+def _compile(
+    prog: SequenceProgram, pulse_sense: int = 1, iz_sign: int = 1
+) -> list[Gradient | list[_Step]]:
+    """Split a program at its crushers into stretches of unitary events.
+
+    Crushers stay in the list as themselves; a stretch's last step carries
+    its whole propagator. Every event propagator passes one stacked
+    unitarity check.
+    """
+    j = prog.params.j_coupling
+    compiled: list[Gradient | list[_Step]] = []
+    factors = []
+    for ev in prog.events:
+        if isinstance(ev, Gradient):
+            compiled.append(ev)
+            continue
+        if isinstance(ev, Rotation):
+            dt, u = 0.0, pulse_unitary(prog.params, ev, sense=pulse_sense)
+        elif isinstance(ev, Delay):
+            dt = ev.duration(j)
+            u = free_evolution_unitary(prog.params, dt, iz_sign)
+        else:
+            raise DomainError(f"unknown event type {type(ev).__name__}")
+        factors.append(u)
+        if compiled and isinstance(compiled[-1], list):
+            product = u @ compiled[-1][-1].product
+        else:
+            product = u
+            compiled.append([])
+        compiled[-1].append(_Step(ev, dt, product))
+    if factors and not is_unitary(np.array(factors)):
+        raise DomainError("event propagator is not unitary within tolerance")
+    return compiled
 
 
 def run_sequence(
@@ -281,39 +326,51 @@ def run_sequence(
 ) -> tuple[DensityOperator, list[tuple[float, DensityOperator]]]:
     """Execute a program left to right.
 
+    Crushers split the program into stretches of pulses and delays; the
+    propagator of each stretch is the product of its events' closed-form
+    propagators, each of which is checked for unitarity. A stretch then
+    costs one conjugation of the state it starts in, with one unitarity
+    check of the product and one state check of the result.
+
     Returns the final state and a (time, state) trajectory that opens with
-    rho0 and gains one entry after each event, holding the state that event
-    leaves; delays use their unsubdivided closed-form propagators. With
-    record=True each delay first appends samples_per_delay - 1 intermediate
-    samples, stepped from the state the delay starts in, for path tracing.
-    The samples are never fed back: the entries closing each event and the
-    final state are the ones an unrecorded run returns.
+    (0, rho0). Unrecorded, the trajectory holds only that entry and the
+    closing (total delay time, final state) one. With record=True it gains
+    one entry after each event instead: the stretch's start state
+    conjugated by the running product up to that event. Each delay first
+    appends samples_per_delay - 1 intermediate samples, stepped from the
+    state the delay starts in, for path tracing. The samples are never fed
+    back, and a stretch's last running product is the very matrix an
+    unrecorded run conjugates by, so the final state is bit-identical with
+    or without record.
     """
     if rho0.dim != 4:
         raise DomainError("sequences act on the two-spin system")
     if record and samples_per_delay < 1:
         raise DomainError("samples_per_delay must be at least 1")
-    j = prog.params.j_coupling
     t = 0.0
     rho = rho0
     trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
-    for ev in prog.events:
-        if isinstance(ev, Gradient):
+    for stretch in _compile(prog, pulse_sense, iz_sign):
+        if isinstance(stretch, Gradient):
             rho = gradient_crusher(rho)
-        elif isinstance(ev, Rotation):
-            rho = evolve(rho, pulse_unitary(prog.params, ev, sense=pulse_sense))
-        elif isinstance(ev, Delay):
-            dt = ev.duration(j)
             if record:
-                step = free_evolution_unitary(prog.params, dt / samples_per_delay, iz_sign)
-                sample = rho
-                for i in range(1, samples_per_delay):
-                    sample = evolve(sample, step)
-                    trajectory.append((t + dt * i / samples_per_delay, sample))
-            rho = evolve(rho, free_evolution_unitary(prog.params, dt, iz_sign))
+                trajectory.append((t, rho))
+            continue
+        start = rho
+        for ev, dt, product in stretch:
+            if record:
+                if isinstance(ev, Delay):
+                    step = free_evolution_unitary(prog.params, dt / samples_per_delay, iz_sign)
+                    sample = rho
+                    for i in range(1, samples_per_delay):
+                        sample = evolve(sample, step)
+                        trajectory.append((t + dt * i / samples_per_delay, sample))
+                rho = evolve(start, product)
+                trajectory.append((t + dt, rho))
             t += dt
-        else:
-            raise DomainError(f"unknown event type {type(ev).__name__}")
+        if not record:
+            rho = evolve(start, stretch[-1].product)
+    if not record:
         trajectory.append((t, rho))
     return rho, trajectory
 
@@ -327,13 +384,13 @@ def branch_propagators(
     mixes the spin-a blocks is rejected). Returns (U when a is up, U when a is
     down) as 2x2 blocks of the full propagator.
     """
-    u = np.eye(4, dtype=complex)
     for ev in prog.events:
         if isinstance(ev, Gradient):
             raise DomainError("branch propagators are unitary; crushers not allowed")
         if isinstance(ev, Rotation) and ev.spin != "b":
             raise DomainError("branch propagators require b-spin pulses only")
-        u = event_unitary(prog, ev, pulse_sense, iz_sign) @ u
+    stretches = _compile(prog, pulse_sense, iz_sign)
+    u = stretches[0][-1].product if stretches else identity4
     if np.max(np.abs(u[:2, 2:])) > 1e-12 or np.max(np.abs(u[2:, :2])) > 1e-12:
         raise DomainError("propagator does not preserve the spin-a branches")
     return u[:2, :2].copy(), u[2:, 2:].copy()

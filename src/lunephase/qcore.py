@@ -125,11 +125,15 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
+    """Whether u, or every matrix of a stack u of shape (k, n, n), is unitary
+    within tol: the largest deviation over the stack meets the tolerance
+    exactly when each matrix's own does."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
         return False
     tol = POLICY.unitarity_tol if tol is None else tol
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return bool(abs(gram - np.eye(u.shape[-1])).max() <= tol)
 
 
 def evolve(rho: DensityOperator, u: np.ndarray) -> DensityOperator:

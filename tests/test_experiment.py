@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -615,6 +616,29 @@ class TestGridPipeline:
             if rec.defined:
                 assert abs(principal_angle(other.gamma_measured - rec.gamma_measured)) < 1e-12
                 assert abs(principal_angle(mirror.gamma_measured + rec.gamma_measured)) < 1e-12
+
+
+class TestReadoutIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(0.0, math.pi / 2), n=st.integers(0, 11),
+           conv=st.sampled_from(CALIBRATED))
+    @example(theta=math.pi / 4, n=6, conv=CALIBRATED[0])  # vanishing contrast
+    @example(theta=math.pi / 2, n=0, conv=CALIBRATED[1])
+    def test_branch_propagators_predict_the_readout(self, theta, n, conv):
+        # v e^{i gamma} = tr(U_down^dagger U_up rho_b) for any cycle that keeps
+        # the spin-a branches apart, with rho_b the mixed spin-b state
+        rec = run_single(ExperimentConfig(theta, n, conventions=conv))
+        up, down = branch_propagators(
+            cycle_program(theta), pulse_sense=conv.pulse_sense, iz_sign=conv.iz_sign
+        )
+        rho_b = 0.5 * (identity2 + rec.config.purity * pauli_x)
+        z = complex(np.trace(down.conj().T @ up @ rho_b))
+        assert abs(abs(z) - rec.visibility_measured) <= 1e-12
+        if rec.defined:
+            measured = rec.visibility_measured * cmath.exp(1j * rec.gamma_measured)
+            assert abs(z - measured) <= 1e-12
+        else:
+            assert abs(z) < 1e-9
 
 
 class TestSerializers:

@@ -66,6 +66,13 @@ def spinor_circle(alpha, n, phase_noise=None):
 
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
+NEAR_HALF_PI = 1.5707963267948963  # one ulp below pi/2
+
+
+def z_tilted_by(eps):
+    v = np.array([0.0, eps, 1.0])
+    return tuple(v / np.linalg.norm(v))
+
 
 unit_vectors = (
     st.tuples(*[st.floats(-1.0, 1.0)] * 3)
@@ -127,12 +134,19 @@ class TestLunePath:
         assert abs(solid_angle(path)) == pytest.approx(math.pi / 2, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
-    @given(theta=st.floats(0.0, math.pi / 2), vertex=unit_vectors)
-    @example(theta=math.pi / 8, vertex=(-1.0, 0.0, 0.0))  # antipodal frame change
-    @example(theta=3 * math.pi / 8, vertex=(1.0, 0.0, 0.0))
-    @example(theta=0.0, vertex=(1.0, 0.0, 1e-10))  # within np.allclose of x-hat
-    def test_signed_area_for_any_vertex_axis(self, theta, vertex):
-        path = lune_path(LuneSpec(theta, vertex), 64)
+    @given(theta=st.floats(0.0, math.pi / 2), vertex=unit_vectors,
+           samples=st.sampled_from((64, 1000)))
+    @example(theta=math.pi / 8, vertex=(-1.0, 0.0, 0.0), samples=64)  # antipodal frame change
+    @example(theta=3 * math.pi / 8, vertex=(1.0, 0.0, 0.0), samples=64)
+    @example(theta=0.0, vertex=(1.0, 0.0, 1e-10), samples=64)  # within np.allclose of x-hat
+    # a sample's antipode lies just past the antipode guard from the x-hat
+    # candidate: the fan point must be the best candidate, not the first
+    # acceptable one
+    @example(theta=NEAR_HALF_PI, vertex=z_tilted_by(1e-6), samples=64)
+    @example(theta=NEAR_HALF_PI, vertex=z_tilted_by(1.2e-6), samples=1000)
+    @example(theta=NEAR_HALF_PI, vertex=z_tilted_by(2e-6), samples=1000)
+    def test_signed_area_for_any_vertex_axis(self, theta, vertex, samples):
+        path = lune_path(LuneSpec(theta, vertex), samples)
         assert np.allclose(path.points[0], vertex, atol=1e-12)
         # -4 theta, read modulo 4 pi: the half-sphere lune at pi/2 reports +2 pi
         area = solid_angle(path)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lunephase import pulse
 from lunephase.errors import DomainError
+from lunephase.experiment import cycle_program, mixing_program, prepare_pure_program
 from lunephase.pulse import (
     Delay,
     Gradient,
@@ -22,6 +24,7 @@ from lunephase.pulse import (
 )
 from lunephase.qcore import (
     DensityOperator,
+    evolve,
     identity2 as I2,
     partial_trace,
     pauli_x as X,
@@ -213,6 +216,13 @@ class TestPulseUnitary:
             u = pulse_unitary(p, ev, sense=int(rng.choice([1, -1])))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(ev=pulse_events, sense=st.sampled_from((1, -1)))
+    def test_embedding_equals_tensor(self, ev, sense):
+        u = rotation_unitary(ev.axis_vector(), sense * ev.flip_radians)
+        want = tensor(u, I2) if ev.spin == "a" else tensor(I2, u)
+        assert np.array_equal(pulse_unitary(SpinSystemParams(), ev, sense=sense), want)
+
 
 class TestGradientCrusher:
     def test_diagonal_state_unchanged(self):
@@ -299,8 +309,11 @@ class TestRunSequence:
     def test_empty_program(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         final, traj = run_sequence(rho, make_program([]))
-        assert np.array_equal(final.matrix, rho.matrix)
-        assert len(traj) == 1 and traj[0][0] == 0.0
+        assert final is rho
+        assert [t for t, _ in traj] == [0.0, 0.0]
+        assert all(state is rho for _, state in traj)
+        _, recorded = run_sequence(rho, make_program([]), record=True)
+        assert len(recorded) == 1 and recorded[0][0] == 0.0 and recorded[0][1] is rho
 
     def test_pi_pulse_flips_spin_b(self):
         rho = DensityOperator(tensor(np.diag([1, 0]), np.diag([1, 0])))
@@ -346,28 +359,66 @@ class TestRunSequence:
         prog = make_program(events, params_with(*offsets))
         rho = random_two_spin_state(np.random.default_rng(seed))
         conv = {"pulse_sense": pulse_sense, "iz_sign": iz_sign}
-        plain, steps = run_sequence(rho, prog, **conv)
+        plain, ends = run_sequence(rho, prog, **conv)
         final, traj = run_sequence(
             rho, prog, record=True, samples_per_delay=samples, **conv
         )
         assert np.array_equal(final.matrix, plain.matrix)
         delays = sum(isinstance(ev, Delay) for ev in events)
-        assert len(steps) == 1 + len(events)
         assert len(traj) == 1 + len(events) + (samples - 1) * delays
         assert traj[0][0] == 0.0 and traj[0][1] is rho
-        k = 1
-        for ev, (t0, start), (t1, closing) in zip(events, steps, steps[1:]):
+        assert len(ends) == 2 and ends[0][0] == 0.0 and ends[0][1] is rho
+        assert ends[1][0] == traj[-1][0] and ends[1][1] is plain
+        # independent per-event reference: each event applied on its own
+        t, want, k = 0.0, rho.matrix, 1
+        for ev in events:
             if isinstance(ev, Delay):
                 dt = ev.duration(J)
                 for i in range(1, samples):
-                    t, state = traj[k]
-                    assert t == t0 + dt * i / samples
-                    want = delay_reference(prog.params, start.matrix, dt * i / samples, iz_sign)
-                    assert np.max(np.abs(state.matrix - want)) <= 1e-12
+                    time, state = traj[k]
+                    assert time == t + dt * i / samples
+                    step = delay_reference(prog.params, want, dt * i / samples, iz_sign)
+                    assert np.max(np.abs(state.matrix - step)) <= 1e-12
                     k += 1
-            assert traj[k][0] == t1
-            assert np.array_equal(traj[k][1].matrix, closing.matrix)
+                want = delay_reference(prog.params, want, dt, iz_sign)
+                t += dt
+            elif isinstance(ev, Rotation):
+                u = rotation_unitary(ev.axis_vector(), pulse_sense * ev.flip_radians)
+                u = tensor(u, I2) if ev.spin == "a" else tensor(I2, u)
+                want = u @ want @ u.conj().T
+            else:
+                want = np.diag(np.diag(want))
+            assert traj[k][0] == t
+            assert np.max(np.abs(traj[k][1].matrix - want)) <= 1e-12
             k += 1
+
+    def test_every_pulse_factor_is_checked(self, monkeypatch):
+        # A and its inverse multiply to the identity, so only a check of
+        # each factor, not of the stretch product, can refuse them
+        a = np.diag([2.0, 0.5, 2.0, 0.5]).astype(complex)
+        factors = iter([a, np.linalg.inv(a)])
+        monkeypatch.setattr(pulse, "pulse_unitary", lambda *args, **kw: next(factors))
+        quarter = Rotation("b", "x", Fraction(1, 2))
+        prog = make_program([quarter, quarter])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(DomainError, match="not unitary"):
+            run_sequence(rho, prog)
+
+    def test_one_conjugation_per_crusher_free_stretch(self, monkeypatch):
+        calls = []
+
+        def counting(rho, u):
+            calls.append(u)
+            return evolve(rho, u)
+
+        monkeypatch.setattr(pulse, "evolve", counting)
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        counts = []
+        for prog in (prepare_pure_program(), mixing_program(5), cycle_program(0.4)):
+            calls.clear()
+            run_sequence(rho, prog, pulse_sense=-1)
+            counts.append(len(calls))
+        assert counts == [2, 2, 1]
 
     def test_trace_and_hermiticity_at_every_sample(self):
         rng = np.random.default_rng(79)

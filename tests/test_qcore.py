@@ -10,6 +10,7 @@ from lunephase.qcore import (
     bloch_to_density,
     density_to_bloch,
     evolve,
+    is_unitary,
     partial_trace,
     principal_angle,
     rotation_unitary,
@@ -202,6 +203,31 @@ class TestEvolve:
             assert abs(
                 np.linalg.norm(density_to_bloch(out)) - np.linalg.norm(density_to_bloch(rho))
             ) <= 1e-10
+
+
+class TestIsUnitary:
+    def test_stack_fails_when_any_one_matrix_is_off(self):
+        rng = np.random.default_rng(29)
+        for dim in (2, 4):
+            stack = np.stack([random_unitary(rng, dim) for _ in range(5)])
+            assert is_unitary(stack)
+            for k in range(len(stack)):
+                bad = stack.copy()
+                bad[k, 1, 0] += 1e-9
+                assert not is_unitary(bad)
+                assert is_unitary(np.delete(bad, k, axis=0))
+
+    def test_stack_verdict_is_every_matrix_verdict(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            stack = np.stack([random_unitary(rng, 4) for _ in range(3)])
+            stack[rng.integers(3)] *= 1 + rng.choice([0.0, 5e-11, 2e-10])
+            assert is_unitary(stack) == all(is_unitary(u) for u in stack)
+
+    def test_rejects_non_square_shapes(self):
+        assert not is_unitary(np.eye(4)[:3])
+        assert not is_unitary(np.ones(4))
+        assert not is_unitary(np.ones((2, 2, 2, 2)))
 
 
 class TestPrincipalAngle:
