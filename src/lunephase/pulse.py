@@ -8,6 +8,7 @@ pulse); delays are diagonal in the Zeeman product basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -216,12 +217,20 @@ def free_evolution_unitary(
         raise DomainError("evolution time must be nonnegative")
     if iz_sign not in (1, -1):
         raise DomainError("iz_sign must be +1 or -1")
+    return np.diag(_free_phases(params, t, iz_sign))
+
+
+def _free_phases(
+    params: SpinSystemParams, t: float | np.ndarray, iz_sign: int
+) -> np.ndarray:
+    """Diagonal of free_evolution_unitary(params, t, iz_sign): shape (4,)
+    for one time t, (k, 4) for an array of k times."""
     ma, mb = iz_sign * _MA, iz_sign * _MB
-    phases = -(
+    energies = (
         params.delta_a * ma + params.delta_b * mb
         + 2 * math.pi * params.j_coupling * ma * mb
-    ) * t
-    return np.diag(np.exp(1j * phases))
+    )
+    return np.exp(1j * np.multiply.outer(t, -energies))
 
 
 def pulse_unitary(params: SpinSystemParams, ev: Rotation, sense: int = 1) -> np.ndarray:
@@ -335,18 +344,28 @@ def run_sequence(
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0). Unrecorded, the trajectory holds only that entry and the
     closing (total delay time, final state) one. With record=True it gains
-    one entry after each event instead: the stretch's start state
-    conjugated by the running product up to that event. Each delay first
-    appends samples_per_delay - 1 intermediate samples, stepped from the
-    state the delay starts in, for path tracing. The samples are never fed
-    back, and a stretch's last running product is the very matrix an
-    unrecorded run conjugates by, so the final state is bit-identical with
-    or without record.
+    one entry after each event, and each delay of duration dt first adds
+    samples_per_delay - 1 samples at dt*i/samples_per_delay into it, for
+    path tracing. A recorded stretch stacks one propagator per entry: the
+    running product after each event, and before the sample i of a delay
+    exp(-iH dt*i/samples_per_delay) times the running product the delay
+    starts from. Every sample therefore comes from the delay's start state
+    under its own propagator, so rounding does not grow with the sample
+    count. The stretch's start state is conjugated by the whole stack in
+    one evolve call: one stacked unitarity check, one batched product and
+    one state check. The stack closes on the very product an unrecorded run
+    conjugates by, so the final state is bit-identical with or without
+    record.
     """
     if rho0.dim != 4:
         raise DomainError("sequences act on the two-spin system")
-    if record and samples_per_delay < 1:
-        raise DomainError("samples_per_delay must be at least 1")
+    if record:
+        try:
+            samples = operator.index(samples_per_delay)
+        except TypeError:
+            raise DomainError("samples_per_delay must be an integer") from None
+        if samples < 1:
+            raise DomainError("samples_per_delay must be at least 1")
     t = 0.0
     rho = rho0
     trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
@@ -356,20 +375,25 @@ def run_sequence(
             if record:
                 trajectory.append((t, rho))
             continue
-        start = rho
-        for ev, dt, product in stretch:
-            if record:
-                if isinstance(ev, Delay):
-                    step = free_evolution_unitary(prog.params, dt / samples_per_delay, iz_sign)
-                    sample = rho
-                    for i in range(1, samples_per_delay):
-                        sample = evolve(sample, step)
-                        trajectory.append((t + dt * i / samples_per_delay, sample))
-                rho = evolve(start, product)
-                trajectory.append((t + dt, rho))
-            t += dt
         if not record:
-            rho = evolve(start, stretch[-1].product)
+            for step in stretch:
+                t += step.duration
+            rho = evolve(rho, stretch[-1].product)
+            continue
+        times, stack, before = [], [], identity4
+        for ev, dt, product in stretch:
+            if isinstance(ev, Delay):
+                elapsed = dt * np.arange(1, samples) / samples
+                times += (t + elapsed).tolist()
+                phases = _free_phases(prog.params, elapsed, iz_sign)
+                stack.append(phases[:, :, None] * before)
+            t += dt
+            times.append(t)
+            stack.append(product[None])
+            before = product
+        states = evolve(rho, np.concatenate(stack))
+        trajectory += zip(times, states)
+        rho = states[-1]
     if not record:
         trajectory.append((t, rho))
     return rho, trajectory

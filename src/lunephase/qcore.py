@@ -40,6 +40,28 @@ def _as_square(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
+    """Check one (n, n) operator, or every matrix of a (..., n, n) stack,
+    and return the read-only symmetrized copy.
+
+    Each matrix must be Hermitian within tolerance; normalized ones must
+    also have unit trace and no eigenvalue below the floor. The largest
+    deviation over the stack meets each tolerance exactly when every
+    matrix's own does.
+    """
+    adjoint = m.conj().swapaxes(-1, -2)
+    if np.abs(m - adjoint).max() > POLICY.hermiticity_tol:
+        raise DomainError("density matrix is not Hermitian within tolerance")
+    m = 0.5 * (m + adjoint)
+    if normalized:
+        if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() > POLICY.trace_tol:
+            raise DomainError("normalized state must have unit trace")
+        if np.linalg.eigvalsh(m).min() < POLICY.eigenvalue_floor:
+            raise DomainError("normalized state has a negative eigenvalue")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian state container; deviation operators use normalized=False.
@@ -53,17 +75,15 @@ class DensityOperator:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        m = _as_square(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > POLICY.hermiticity_tol:
-            raise DomainError("density matrix is not Hermitian within tolerance")
-        m = 0.5 * (m + m.conj().T)
-        if self.normalized:
-            if abs(m.trace() - 1.0) > POLICY.trace_tol:
-                raise DomainError("normalized state must have unit trace")
-            if np.linalg.eigvalsh(m).min() < POLICY.eigenvalue_floor:
-                raise DomainError("normalized state has a negative eigenvalue")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _validated(_as_square(self.matrix), self.normalized))
+
+    @classmethod
+    def _wrap(cls, matrix: np.ndarray, normalized: bool) -> "DensityOperator":
+        """A state around a matrix that _validated has already returned."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "normalized", normalized)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -114,14 +134,19 @@ def sigma_dot(n) -> np.ndarray:
 
 
 def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
-    """exp(-i angle axis.sigma / 2) for a unit axis."""
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
+    """exp(-i angle axis.sigma / 2) = cos(angle/2) 1 - i sin(angle/2) axis.sigma
+    for a unit axis, filled entry by entry."""
+    nx, ny, nz = map(float, axis)
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(norm - 1.0) > POLICY.axis_unit_tol:
         raise DomainError("rotation axis must be a unit vector")
-    n = n / norm
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
     half = 0.5 * angle
-    return math.cos(half) * identity2 - 1j * math.sin(half) * sigma_dot(n)
+    c, s = math.cos(half), math.sin(half)
+    return np.array([
+        [complex(c, -s * nz), complex(-s * ny, -s * nx)],
+        [complex(s * ny, -s * nx), complex(c, s * nz)],
+    ])
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
@@ -136,11 +161,24 @@ def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
     return bool(abs(gram - np.eye(u.shape[-1])).max() <= tol)
 
 
-def evolve(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    """Unitary conjugation u rho u^dagger with a unitarity guard."""
+def evolve(
+    rho: DensityOperator, u: np.ndarray
+) -> DensityOperator | list[DensityOperator]:
+    """Unitary conjugation u rho u^dagger with a unitarity guard.
+
+    u is one (n, n) propagator, giving one state, or a (k, n, n) stack of
+    them, giving the list of the k states u[i] rho u[i]^dagger. A stack
+    costs one stacked unitarity check, one batched conjugation and one
+    state check of all k results against the same tolerances as a single
+    state; each returned state is read-only, symmetrized and carries
+    rho.normalized. A stack's slice i is bit-identical to evolve(rho, u[i]).
+    """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (rho.dim, rho.dim):
+    if u.ndim not in (2, 3) or u.shape[-2:] != (rho.dim, rho.dim):
         raise DomainError("propagator dimension does not match the state")
     if not is_unitary(u):
         raise DomainError("propagator is not unitary within tolerance")
-    return DensityOperator(u @ rho.matrix @ u.conj().T, normalized=rho.normalized)
+    m = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
+    if u.ndim == 2:
+        return DensityOperator(m, normalized=rho.normalized)
+    return [DensityOperator._wrap(s, rho.normalized) for s in _validated(m, rho.normalized)]

@@ -30,3 +30,12 @@ def test_requests_pass_the_benchmark_checks(workloads, name, count):
         request = next(stream)
         run(pulse, qcore, request)
         assert check(request, None) == []
+
+
+@pytest.mark.parametrize("samples", [1, 2, 1000])
+def test_any_sample_count_passes_the_trajectory_check(workloads, samples):
+    request = next(workloads.trajectory_requests(random.Random(13)))
+    cycles = [dict(args, samples=samples) for args in request.args["cycles"]]
+    request = workloads.Request({"cycles": cycles}, 0)
+    workloads.run_trajectory(pulse, qcore, request)
+    assert workloads.check_trajectory(request, None) == []

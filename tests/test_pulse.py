@@ -404,6 +404,25 @@ class TestRunSequence:
         with pytest.raises(DomainError, match="not unitary"):
             run_sequence(rho, prog)
 
+    def test_every_sample_propagator_is_checked(self, monkeypatch):
+        # only the stacked sample propagators go wrong: every event
+        # propagator, and so every running product, stays unitary
+        phases = pulse._free_phases
+
+        def one_bad_sample(params, t, iz_sign):
+            out = phases(params, t, iz_sign)
+            if np.ndim(t) == 1 and len(t) > 2:
+                out[2, 1] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(pulse, "_free_phases", one_bad_sample)
+        prog = make_program([Rotation("b", "x", Fraction(1, 3)), Delay(per_j=Fraction(1, 2))])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        run_sequence(rho, prog)
+        run_sequence(rho, prog, record=True, samples_per_delay=3)
+        with pytest.raises(DomainError, match="not unitary"):
+            run_sequence(rho, prog, record=True, samples_per_delay=4)
+
     def test_one_conjugation_per_crusher_free_stretch(self, monkeypatch):
         calls = []
 
@@ -413,12 +432,58 @@ class TestRunSequence:
 
         monkeypatch.setattr(pulse, "evolve", counting)
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
-        counts = []
-        for prog in (prepare_pure_program(), mixing_program(5), cycle_program(0.4)):
-            calls.clear()
-            run_sequence(rho, prog, pulse_sense=-1)
-            counts.append(len(calls))
-        assert counts == [2, 2, 1]
+        for record, ndim in ((False, 2), (True, 3)):
+            counts = []
+            for prog in (prepare_pure_program(), mixing_program(5), cycle_program(0.4)):
+                calls.clear()
+                run_sequence(rho, prog, record=record, pulse_sense=-1)
+                counts.append(len(calls))
+                assert all(np.ndim(u) == ndim for u in calls)
+            assert counts == [2, 2, 1]
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_recorded_states_keep_the_state_invariants(self, normalized):
+        rng = np.random.default_rng(89)
+        start = random_two_spin_state(rng).matrix
+        if not normalized:
+            start = start - np.eye(4) / 4
+        rho = DensityOperator(start, normalized=normalized)
+        prog = make_program(
+            [Rotation("b", "x", Fraction(1, 4)), Delay(per_j=Fraction(1, 2)), Gradient(),
+             Rotation("a", "y", 0.3), Delay(seconds=1e-3), Rotation("b", "-x", 1.1)],
+            params_with(delta_a=0.4 * J, delta_b=math.pi * J),
+        )
+        _, traj = run_sequence(rho, prog, record=True, samples_per_delay=16)
+        assert len(traj) == 1 + 6 + 2 * 15
+        for _, state in traj:
+            assert not state.matrix.flags.writeable
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
+            assert state.normalized is normalized
+
+    def test_samples_per_delay_must_be_an_integer(self):
+        prog = make_program([Delay(per_j=Fraction(1, 2))])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(DomainError, match="samples_per_delay"):
+            run_sequence(rho, prog, record=True, samples_per_delay=2.5)
+        _, traj = run_sequence(rho, prog, record=True, samples_per_delay=np.int64(3))
+        assert [t for t, _ in traj] == [0.0, HALF_J_DELAY / 3, 2 * HALF_J_DELAY / 3, HALF_J_DELAY]
+
+    def test_samples_do_not_drift_with_their_count(self):
+        # each sample comes from the delay's start state under its own
+        # propagator, so the 4000th is as close to the closed form as the first
+        samples = 4000
+        u = tensor(I2, rotation_unitary([1, 0, 0], 0.7))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params = params_with(*rng.uniform(-OFFSET_BOUND, OFFSET_BOUND, size=2))
+            rho = random_two_spin_state(rng)
+            prog = make_program([Rotation("b", "x", 0.7), Delay(per_j=Fraction(1, 2))], params)
+            _, traj = run_sequence(rho, prog, record=True, samples_per_delay=samples)
+            start = u @ rho.matrix @ u.conj().T
+            assert len(traj) == 2 + samples
+            for i, (_, state) in enumerate(traj[2:], start=1):
+                want = delay_reference(params, start, HALF_J_DELAY * i / samples, 1)
+                assert np.max(np.abs(state.matrix - want)) <= 1e-14
 
     def test_trace_and_hermiticity_at_every_sample(self):
         rng = np.random.default_rng(79)

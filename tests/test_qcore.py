@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunephase import qcore
 from lunephase.errors import DomainError
+from lunephase.policy import POLICY
 from lunephase.qcore import (
     DensityOperator,
     bloch_to_density,
@@ -30,6 +33,20 @@ def random_unitary(rng, dim=2):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_state(rng, dim=4):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
+unit_axes = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: tuple(np.asarray(v) / np.linalg.norm(v))),
+)
 
 
 class TestDensityOperator:
@@ -140,6 +157,16 @@ class TestRotationUnitary:
         expected = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
         assert np.allclose(rotation_unitary([0, 0, 1], math.pi / 2), expected, atol=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        axis=unit_axes,
+        angle=st.floats(-2 * math.pi, 2 * math.pi).filter(lambda a: a > -2 * math.pi),
+    )
+    def test_matches_cos_minus_i_sin_sigma_dot(self, axis, angle):
+        n = np.asarray(axis) / np.linalg.norm(axis)
+        want = math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * qcore.sigma_dot(n)
+        assert np.max(np.abs(rotation_unitary(axis, angle) - want)) <= 1e-15
+
     def test_rejects_non_unit_axis(self):
         with pytest.raises(DomainError):
             rotation_unitary([2, 0, 0], 1.0)
@@ -203,6 +230,102 @@ class TestEvolve:
             assert abs(
                 np.linalg.norm(density_to_bloch(out)) - np.linalg.norm(density_to_bloch(rho))
             ) <= 1e-10
+
+    def test_stack_gives_each_state_of_its_slice(self):
+        rng = np.random.default_rng(37)
+        for normalized in (True, False):
+            m = random_state(rng) if normalized else random_state(rng) - np.eye(4) / 4
+            rho = DensityOperator(m, normalized=normalized)
+            stack = np.stack([random_unitary(rng, 4) for _ in range(6)])
+            states = evolve(rho, stack)
+            assert len(states) == len(stack)
+            for u, state in zip(stack, states):
+                assert np.array_equal(state.matrix, evolve(rho, u).matrix)
+                assert state.normalized is normalized
+                assert not state.matrix.flags.writeable
+                assert np.array_equal(state.matrix, state.matrix.conj().T)
+
+    def test_stack_rejects_any_non_unitary_member(self):
+        rng = np.random.default_rng(41)
+        rho = DensityOperator(random_state(rng))
+        stack = np.stack([random_unitary(rng, 4) for _ in range(4)])
+        for k in range(len(stack)):
+            bad = stack.copy()
+            bad[k, 2, 1] += 1e-9
+            with pytest.raises(DomainError, match="not unitary"):
+                evolve(rho, bad)
+
+    def test_rejects_mismatched_shapes(self):
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        for u in (np.eye(2), np.eye(4)[None, :3], np.eye(4)[None, None]):
+            with pytest.raises(DomainError, match="dimension"):
+                evolve(rho, u)
+
+
+def deviate(m, kind):
+    """m pushed 1e-9 beyond one state tolerance."""
+    m = m.copy()
+    if kind == "hermiticity":
+        m[1, 0] += POLICY.hermiticity_tol + 1e-9
+    elif kind == "trace":
+        m *= 1 + POLICY.trace_tol + 1e-9
+    else:
+        w, v = np.linalg.eigh(m)
+        w[0] = POLICY.eigenvalue_floor - 1e-9
+        w[1:] += (1 - w.sum()) / (len(w) - 1)
+        m = (v * w) @ v.conj().T
+    return m
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue"])
+    def test_stack_is_refused_when_any_one_member_is(self, kind):
+        rng = np.random.default_rng(43)
+        for dim in (2, 4):
+            stack = np.stack([random_state(rng, dim) for _ in range(5)])
+            qcore._validated(stack, True)
+            for k in range(len(stack)):
+                bad = stack.copy()
+                bad[k] = deviate(bad[k], kind)
+                with pytest.raises(DomainError):
+                    DensityOperator(bad[k])
+                with pytest.raises(DomainError):
+                    qcore._validated(bad, True)
+                qcore._validated(np.delete(bad, k, axis=0), True)
+
+    def test_stack_verdict_is_every_member_verdict(self):
+        rng = np.random.default_rng(47)
+        kinds = ["hermiticity", "trace", "eigenvalue", None]
+        for _ in range(100):
+            stack = np.stack([random_state(rng) for _ in range(3)])
+            kind = kinds[rng.integers(len(kinds))]
+            if kind is not None:
+                k = rng.integers(3)
+                stack[k] = deviate(stack[k], kind)
+            for normalized in (True, False):
+                verdicts = []
+                for m in stack:
+                    try:
+                        DensityOperator(m, normalized=normalized)
+                        verdicts.append(True)
+                    except DomainError:
+                        verdicts.append(False)
+                try:
+                    qcore._validated(stack, normalized)
+                    verdict = True
+                except DomainError:
+                    verdict = False
+                assert verdict == all(verdicts)
+
+    def test_result_is_symmetrized_and_read_only(self):
+        rng = np.random.default_rng(53)
+        stack = np.stack([random_state(rng) for _ in range(3)])
+        stack[:, 0, 1] += 1e-13
+        out = qcore._validated(stack, True)
+        assert not out.flags.writeable
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        for m, single in zip(out, stack):
+            assert np.array_equal(m, DensityOperator(single).matrix)
 
 
 class TestIsUnitary:
