@@ -40,6 +40,7 @@ from .geometry import (
     solid_angle,
 )
 from .phases import PURITY_STEPS, check_purity_index, theory_curve
+from .pulse import check_t2_times
 from .pulseprog import parse_sequence, render_sequence
 
 DYNAMICAL_TOL = 1e-9
@@ -114,7 +115,7 @@ def _relaxation(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected t2a,t2b")
-    return float(parts[0]), float(parts[1])
+    return _bound(check_t2_times, parts)
 
 
 def _convention(text: str) -> Conventions:
@@ -179,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory = sub.add_parser("theory", help="closed-form phase/visibility ladder")
     p_theory.add_argument("--omega", type=parse_angle, required=True,
                           help="loop solid angle in rad (symbolic pi forms ok)")
-    p_theory.add_argument("--n-max", type=int, default=PURITY_STEPS,
-                          help=f"ladder length (default {PURITY_STEPS})")
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args) -> tuple[str, int]:
-    rows = theory_curve(args.omega, args.n_max, sign=args.convention.orientation)
+    rows = theory_curve(args.omega, sign=args.convention.orientation)
     if args.format == "csv":
         lines = ["n,r,gamma_rad,visibility"]
         for row in rows:

@@ -26,7 +26,7 @@ from .phases import (
     PhaseResult,
     check_purity_index,
     ladder_purity,
-    signed_mixed_phase,
+    qubit_mixed_phase,
 )
 from .policy import POLICY
 from .pulse import (
@@ -37,6 +37,7 @@ from .pulse import (
     Rotation,
     SequenceProgram,
     apply_t2_relaxation,
+    check_t2_times,
     make_program,
     run_sequence,
 )
@@ -82,10 +83,7 @@ class ExperimentConfig:
         if self.model not in MODELS:
             raise DomainError(f"unknown cycle model {self.model!r}")
         if self.relaxation is not None:
-            t2a, t2b = self.relaxation
-            if not (t2a > 0.0 and t2b > 0.0):
-                raise DomainError("relaxation times must be positive")
-            object.__setattr__(self, "relaxation", (float(t2a), float(t2b)))
+            object.__setattr__(self, "relaxation", check_t2_times(self.relaxation))
 
     @property
     def omega(self) -> float:
@@ -397,7 +395,7 @@ def _run_grid(
             out = apply_t2_relaxation(out, duration, t2a, t2b)
 
         measured = readout_phase(out, reference)
-        theory = signed_mixed_phase(config.purity, config.omega, conv.orientation)
+        theory = qubit_mixed_phase(config.purity, config.omega, conv.orientation)
         defined = measured.defined and theory.defined
         residual = (
             principal_angle(measured.gamma - theory.gamma) if defined else math.nan

@@ -17,7 +17,6 @@ from .policy import POLICY
 from .qcore import principal_angle
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 # pi/2 plus roundoff slack, so that computed quarter turns are accepted
 _MAX_INCLINATION = math.pi / 2 + 1e-12
 
@@ -100,20 +99,13 @@ class BlochPath:
 
 @dataclass(frozen=True)
 class LuneSpec:
-    """Lune of inclination theta: vertices on +-vertex_axis, enclosed area
-    4*theta. The axis is kept as a tuple of floats, so specs compare and
-    hash by value."""
+    """Lune of inclination theta: vertices on +-x-hat, enclosed area
+    4*theta."""
 
     theta: float
-    vertex_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", check_inclination(self.theta))
-        axis = np.asarray(self.vertex_axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if axis.shape != (3,) or not abs(norm - 1.0) <= POLICY.axis_unit_tol:
-            raise DomainError("vertex_axis must be a unit 3-vector")
-        object.__setattr__(self, "vertex_axis", tuple(float(x) for x in axis))
 
 
 @dataclass(frozen=True)
@@ -171,10 +163,9 @@ class StatePath:
 def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     """Closed loop A -> B -> C -> D -> A around a lune of inclination theta.
 
-    A = vertex_axis, C = -A. Segment ABC rotates A by pi about
+    A = x-hat, C = -A. Segment ABC rotates A by pi about
     n1 = (0, -sin t, cos t) through B = (0, cos t, sin t); segment CDA rotates
-    C by pi about -n2, n2 = (0, sin t, cos t), through D = (0, cos t, -sin t)
-    (axes for vertex_axis = x-hat; other vertices turn the loop rigidly).
+    C by pi about -n2, n2 = (0, sin t, cos t), through D = (0, cos t, -sin t).
     Times hold the arc-length parameter, total 2*pi. This sample order has
     signed solid angle -4*theta; its reversal bounds +4*theta.
     """
@@ -185,13 +176,6 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     points = np.vstack([rotate(n1, phis[:-1], _X_AXIS), rotate(-n2, phis, -_X_AXIS)])
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])
-    vertex = np.array(spec.vertex_axis)
-    cross = np.cross(_X_AXIS, vertex)
-    s = float(np.linalg.norm(cross))
-    if s >= 1e-12:
-        points = rotate(cross / s, math.atan2(s, vertex[0]), points)
-    elif vertex[0] < 0.0:  # antipodal vertex: half turn about z
-        points = rotate(_Z_AXIS, math.pi, points)
     return BlochPath(times, points, closed=True)
 
 

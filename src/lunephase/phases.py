@@ -82,32 +82,20 @@ def sjoqvist_average(probabilities, phases) -> PhaseResult:
 def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     """Closed qubit form v e^{i gamma} = cos(omega/2) + i sign r sin(omega/2).
 
-    r is the Bloch-vector length of the mixture and omega the signed solid
-    angle bounded by its heavier eigenvector's loop; sign is the global
+    r is the signed Bloch-vector length of the mixture along the eigenvector
+    whose loop bounds the signed solid angle omega; sign is the global
     orientation convention relating loop sense to phase sign. Equivalent to
-    sjoqvist_average with weights (1+-r)/2 on phases +-sign*omega/2. For
-    |omega| < pi the phase reduces to sign*arctan(r tan(omega/2)).
+    sjoqvist_average with weights (1+-r)/2 on phases +-sign*omega/2: a
+    negative r swaps the weights, which flips the phase sign and leaves the
+    visibility unchanged. For |omega| < pi the phase reduces to
+    sign*arctan(r tan(omega/2)).
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("purity must lie in [0, 1]")
+    if not -1.0 <= r <= 1.0:
+        raise DomainError("purity must lie in [-1, 1]")
     if sign not in (1, -1):
         raise DomainError("orientation sign must be +1 or -1")
     half = 0.5 * omega
     return _from_complex(math.cos(half), sign * r * math.sin(half))
-
-
-def signed_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
-    """qubit_mixed_phase extended to signed Bloch length r in [-1, 1].
-
-    Negative r is the same mixture with its two eigenvector weights swapped
-    (the Bloch vector points along the opposite axis), which flips the phase
-    sign while leaving the visibility unchanged.
-    """
-    if not -1.0 <= r <= 1.0:
-        raise DomainError("signed purity must lie in [-1, 1]")
-    if r < 0:
-        return qubit_mixed_phase(-r, omega, -sign)
-    return qubit_mixed_phase(r, omega, sign)
 
 
 @dataclass(frozen=True)
@@ -123,16 +111,12 @@ class TheoryRow:
     flipped: bool
 
 
-def theory_curve(
-    omega: float, n_max: int = PURITY_STEPS, sign: int = 1
-) -> list[TheoryRow]:
-    """Prediction table over the purity ladder, n = 0..n_max-1."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+def theory_curve(omega: float, sign: int = 1) -> list[TheoryRow]:
+    """Prediction table over the purity ladder, n = 0..PURITY_STEPS-1."""
     rows = []
-    for n in range(n_max):
+    for n in range(PURITY_STEPS):
         c = ladder_purity(n)
-        res = signed_mixed_phase(c, omega, sign)
+        res = qubit_mixed_phase(c, omega, sign)
         rows.append(
             TheoryRow(n, abs(c), res.gamma, res.visibility, res.defined, c < 0)
         )

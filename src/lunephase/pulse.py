@@ -1,9 +1,9 @@
 """Propagators for hard pulses, scalar-coupled free evolution, and crushers.
 
-Everything is computed in the doubly rotating frame: only the per-spin offsets
-delta = omega - omega_frame enter the free-evolution phases, never the Larmor
-frequencies themselves. Pulses are instantaneous (no J evolution during a
-pulse); delays are diagonal in the Zeeman product basis.
+Everything is computed in the doubly rotating frame: only each spin's offset
+from its frame enters the free-evolution phases, never the Larmor frequencies
+themselves. Pulses are instantaneous (no J evolution during a pulse); delays
+are diagonal in the Zeeman product basis.
 """
 from __future__ import annotations
 
@@ -37,40 +37,22 @@ _MB = np.array([0.5, -0.5, 0.5, -0.5])
 class SpinSystemParams:
     """Two-spin rotating-frame parameters; frequencies in rad/s, J in Hz.
 
-    Frequencies are stored relative to a per-spin carrier (defaults put both
-    spins on their carriers). Absolute Larmor values never enter a
-    rotating-frame propagator, and carrying them around at 1e8 rad/s scale
-    would only round the offsets they are subtracted into.
+    omega_a and omega_b are each spin's offset from its rotating frame (the
+    defaults put both spins on resonance). Absolute Larmor values never
+    enter a rotating-frame propagator, and carrying them around at 1e8 rad/s
+    scale would only round the offsets they are subtracted into.
     """
 
     omega_a: float = 0.0
     omega_b: float = 0.0
-    omega_a_frame: float = 0.0
-    omega_b_frame: float = 0.0
     j_coupling: float = DEFAULT_J
 
     def __post_init__(self) -> None:
         if not self.j_coupling > 0:
             raise DomainError("J coupling must be positive")
         bound = 10 * 2 * math.pi * self.j_coupling
-        if abs(self.delta_a) > bound or abs(self.delta_b) > bound:
+        if abs(self.omega_a) > bound or abs(self.omega_b) > bound:
             raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
-
-    @property
-    def delta_a(self) -> float:
-        return self.omega_a - self.omega_a_frame
-
-    @property
-    def delta_b(self) -> float:
-        return self.omega_b - self.omega_b_frame
-
-    def with_frame_shift(self, spin: str, shift: float) -> "SpinSystemParams":
-        """New params with the frame frequency of one spin moved by shift rad/s."""
-        if spin == "a":
-            return replace(self, omega_a_frame=self.omega_a + shift)
-        if spin == "b":
-            return replace(self, omega_b_frame=self.omega_b + shift)
-        raise DomainError(f"unknown spin label {spin!r}")
 
 
 def _flip_radians(flip: Fraction | float) -> float:
@@ -151,8 +133,10 @@ PulseEvent = Rotation | Delay | Gradient
 
 @dataclass(frozen=True)
 class FrameOffset:
-    """Frame directive: move one spin's frame frequency by value in the given
-    unit ('piJ' = multiples of 2piJ rad/s, so -0.5piJ shifts by -piJ; 'Hz')."""
+    """Frame directive: place one spin's frame at the spin's resonance plus
+    value in the given unit ('piJ' = multiples of 2piJ rad/s, so -0.5piJ
+    places it piJ rad/s below; 'Hz'). The spin's offset from its frame is
+    then minus that value."""
 
     spin: str
     value: Fraction | float
@@ -197,10 +181,17 @@ def make_program(
     params: SpinSystemParams | None = None,
     frames: tuple[FrameOffset, ...] = (),
 ) -> SequenceProgram:
-    """Assemble a program, applying frame directives to the base parameters."""
+    """Assemble a program; each frame directive sets its spin's offset in
+    the base parameters, and a spin takes at most one directive."""
     params = params if params is not None else SpinSystemParams()
+    offsets = {}
     for fr in frames:
-        params = params.with_frame_shift(fr.spin, fr.angular(params.j_coupling))
+        field = f"omega_{fr.spin}"
+        if field in offsets:
+            raise DomainError(f"spin {fr.spin} has more than one frame directive")
+        offsets[field] = -fr.angular(params.j_coupling)
+    if offsets:
+        params = replace(params, **offsets)
     return SequenceProgram(tuple(events), params, tuple(frames))
 
 
@@ -208,7 +199,7 @@ def free_evolution_unitary(
     params: SpinSystemParams, t: float, iz_sign: int = 1
 ) -> np.ndarray:
     """Diagonal propagator exp(-i H t) of the rotating-frame Hamiltonian
-    H = delta_a I_z^a + delta_b I_z^b + 2piJ I_z^a I_z^b.
+    H = omega_a I_z^a + omega_b I_z^b + 2piJ I_z^a I_z^b.
 
     iz_sign = +-1 selects which Zeeman label carries m = +1/2; the J term is
     invariant under the flip, the offset terms change sign with it.
@@ -227,13 +218,13 @@ def _free_phases(
     for one time t, (k, 4) for an array of k times."""
     ma, mb = iz_sign * _MA, iz_sign * _MB
     energies = (
-        params.delta_a * ma + params.delta_b * mb
+        params.omega_a * ma + params.omega_b * mb
         + 2 * math.pi * params.j_coupling * ma * mb
     )
     return np.exp(1j * np.multiply.outer(t, -energies))
 
 
-def pulse_unitary(params: SpinSystemParams, ev: Rotation, sense: int = 1) -> np.ndarray:
+def pulse_unitary(ev: Rotation, sense: int = 1) -> np.ndarray:
     """Two-spin propagator of a hard pulse.
 
     sense = +-1 fixes how a pulse label (axis, flip) maps onto a physical
@@ -264,6 +255,14 @@ def gradient_crusher(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(np.diag(np.diag(rho.matrix)), normalized=rho.normalized)
 
 
+def check_t2_times(times) -> tuple[float, float]:
+    """The transverse decay times (t2a, t2b) as floats, checked positive."""
+    t2a, t2b = map(float, times)
+    if not (t2a > 0 and t2b > 0):
+        raise DomainError("relaxation times must be positive")
+    return t2a, t2b
+
+
 def apply_t2_relaxation(
     rho: DensityOperator, t: float, t2a: float, t2b: float
 ) -> DensityOperator:
@@ -273,8 +272,7 @@ def apply_t2_relaxation(
         raise DomainError("relaxation model is defined for the two-spin system")
     if t < 0:
         raise DomainError("relaxation time must be nonnegative")
-    if not (t2a > 0 and t2b > 0):
-        raise DomainError("T2 constants must be positive")
+    t2a, t2b = check_t2_times((t2a, t2b))
     dma = np.abs(_MA[:, None] - _MA[None, :])
     dmb = np.abs(_MB[:, None] - _MB[None, :])
     factors = np.exp(-dma * (t / t2a)) * np.exp(-dmb * (t / t2b))
@@ -307,7 +305,7 @@ def _compile(
             compiled.append(ev)
             continue
         if isinstance(ev, Rotation):
-            dt, u = 0.0, pulse_unitary(prog.params, ev, sense=pulse_sense)
+            dt, u = 0.0, pulse_unitary(ev, sense=pulse_sense)
         elif isinstance(ev, Delay):
             dt = ev.duration(j)
             u = free_evolution_unitary(prog.params, dt, iz_sign)

@@ -22,7 +22,6 @@ from .pulse import (
     Gradient,
     Rotation,
     SequenceProgram,
-    SpinSystemParams,
     make_program,
 )
 
@@ -140,11 +139,11 @@ class _LineParser:
         return FrameOffset(spin, value if unit == "piJ" else float(value), unit)
 
 
-def parse_sequence(text: str, params: SpinSystemParams | None = None) -> SequenceProgram:
-    """Parse pulse-program source into a SequenceProgram.
+def parse_sequence(text: str) -> SequenceProgram:
+    """Parse pulse-program source into a SequenceProgram on the default
+    spin-system constants.
 
-    Frame directives apply to the whole program; params supplies the base
-    spin-system constants (defaults used when omitted).
+    Frame directives apply to the whole program, at most one per spin.
     """
     events = []
     frames = []
@@ -182,7 +181,7 @@ def parse_sequence(text: str, params: SpinSystemParams | None = None) -> Sequenc
         else:
             lp.fail(col, f"unknown statement {head!r}")
     try:
-        return make_program(events, params, tuple(frames))
+        return make_program(events, frames=tuple(frames))
     except DomainError as exc:
         raise SequenceSyntaxError(1, 1, str(exc)) from exc
 

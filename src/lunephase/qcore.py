@@ -149,16 +149,15 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
     ])
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
-    """Whether u, or every matrix of a stack u of shape (k, n, n), is unitary
-    within tol: the largest deviation over the stack meets the tolerance
-    exactly when each matrix's own does."""
+def is_unitary(u: np.ndarray) -> bool:
+    """Whether u, or every matrix of a nonempty stack u of shape (k, n, n),
+    is unitary within POLICY.unitarity_tol: the largest deviation over the
+    stack meets the tolerance exactly when each matrix's own does."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
+    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2] or u.size == 0:
         return False
-    tol = POLICY.unitarity_tol if tol is None else tol
     gram = u.conj().swapaxes(-1, -2) @ u
-    return bool(abs(gram - np.eye(u.shape[-1])).max() <= tol)
+    return bool(abs(gram - np.eye(u.shape[-1])).max() <= POLICY.unitarity_tol)
 
 
 def evolve(
@@ -166,9 +165,9 @@ def evolve(
 ) -> DensityOperator | list[DensityOperator]:
     """Unitary conjugation u rho u^dagger with a unitarity guard.
 
-    u is one (n, n) propagator, giving one state, or a (k, n, n) stack of
-    them, giving the list of the k states u[i] rho u[i]^dagger. A stack
-    costs one stacked unitarity check, one batched conjugation and one
+    u is one (n, n) propagator, giving one state, or a nonempty (k, n, n)
+    stack of them, giving the list of the k states u[i] rho u[i]^dagger. A
+    stack costs one stacked unitarity check, one batched conjugation and one
     state check of all k results against the same tolerances as a single
     state; each returned state is read-only, symmetrized and carries
     rho.normalized. A stack's slice i is bit-identical to evolve(rho, u[i]).
@@ -176,6 +175,8 @@ def evolve(
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (rho.dim, rho.dim):
         raise DomainError("propagator dimension does not match the state")
+    if u.size == 0:
+        raise DomainError("propagator stack is empty")
     if not is_unitary(u):
         raise DomainError("propagator is not unitary within tolerance")
     m = u @ rho.matrix @ u.conj().swapaxes(-1, -2)

@@ -76,10 +76,12 @@ class TestTheoryCommand:
         assert rows[0]["defined"] is True
         assert rows[7]["flipped"] is True
 
-    def test_n_max_controls_rows(self):
-        code, out, _ = invoke(["theory", "--omega", "pi/2", "--n-max", "5"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 6
+    def test_n_max_is_not_an_option(self):
+        # the table always spans the 12-step ladder that simulate --n indexes
+        code, out, err = invoke(["theory", "--omega", "pi/2", "--n-max", "5"])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --n-max 5" in err
 
     def test_convention_flips_sign(self):
         _, default_out, _ = invoke(["theory", "--omega", "pi/2"])
@@ -434,6 +436,14 @@ class TestNumericInputRejection:
     def test_purity_index_outside_ladder(self):
         for value in ("12", "-1", "1.5"):
             self.assert_usage_error(["simulate", "--theta", "pi/4", "--n", value], "--n")
+
+    def test_nonpositive_relaxation(self):
+        for argv in (
+            ["sweep", "--relaxation", "0,0.4"],
+            ["sweep", "--relaxation", "nan,0.4"],
+            ["simulate", "--theta", "pi/4", "--n", "3", "--relaxation=-1,1"],
+        ):
+            self.assert_usage_error(argv, "--relaxation")
 
     def test_nan_perturb(self):
         self.assert_usage_error(

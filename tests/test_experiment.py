@@ -45,7 +45,7 @@ from lunephase.geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from lunephase.phases import qubit_mixed_phase, signed_mixed_phase, sjoqvist_average
+from lunephase.phases import qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import branch_propagators, gradient_crusher, run_sequence
 from lunephase.qcore import (
     DensityOperator,
@@ -188,7 +188,7 @@ class TestCycleProgram:
 
     def test_frame_shift_gives_positive_pi_j_offset(self):
         prog = cycle_program(0.3)
-        assert prog.params.delta_b == pytest.approx(math.pi * J, abs=0)
+        assert prog.params.omega_b == pytest.approx(math.pi * J, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -605,7 +605,7 @@ class TestGridPipeline:
             for field in dataclasses.fields(RunRecord):
                 assert same_value(getattr(rec, field.name), getattr(single, field.name))
             cfg = rec.config
-            theory = signed_mixed_phase(cfg.purity, cfg.omega, conv.orientation)
+            theory = qubit_mixed_phase(cfg.purity, cfg.omega, conv.orientation)
             assert rec.defined == theory.defined
             # a ratio of two computed magnitudes: 1 up to roundoff at r = 1
             assert 0.0 <= rec.visibility_measured <= 1.0 + 1e-12

@@ -74,6 +74,20 @@ def z_tilted_by(eps):
     return tuple(v / np.linalg.norm(v))
 
 
+def turned_lune(theta, vertex, samples):
+    """The x-hat lune turned rigidly so that its first vertex lands on the
+    unit vector vertex."""
+    lune = lune_path(LuneSpec(theta), samples)
+    points, vertex = lune.points, np.array(vertex)
+    cross = np.cross([1.0, 0.0, 0.0], vertex)
+    s = float(np.linalg.norm(cross))
+    if s >= 1e-12:
+        points = rotate(cross / s, math.atan2(s, vertex[0]), points)
+    elif vertex[0] < 0.0:  # antipodal vertex: half turn about z
+        points = rotate(np.array([0.0, 0.0, 1.0]), math.pi, points)
+    return BlochPath(lune.times, points, closed=True)
+
+
 unit_vectors = (
     st.tuples(*[st.floats(-1.0, 1.0)] * 3)
     .filter(lambda v: np.linalg.norm(v) > 0.1)
@@ -129,7 +143,7 @@ class TestLunePath:
         assert np.max(np.abs(path.points[:, 2])) <= 1e-12
 
     def test_rotated_vertex_axis(self):
-        path = lune_path(LuneSpec(math.pi / 8, np.array([0.0, 0.0, 1.0])), 500)
+        path = turned_lune(math.pi / 8, (0.0, 0.0, 1.0), 500)
         assert np.allclose(path.points[0], [0, 0, 1], atol=1e-12)
         assert abs(solid_angle(path)) == pytest.approx(math.pi / 2, abs=1e-9)
 
@@ -138,7 +152,7 @@ class TestLunePath:
            samples=st.sampled_from((64, 1000)))
     @example(theta=math.pi / 8, vertex=(-1.0, 0.0, 0.0), samples=64)  # antipodal frame change
     @example(theta=3 * math.pi / 8, vertex=(1.0, 0.0, 0.0), samples=64)
-    @example(theta=0.0, vertex=(1.0, 0.0, 1e-10), samples=64)  # within np.allclose of x-hat
+    @example(theta=0.0, vertex=(1.0, 0.0, 1e-10), samples=64)  # a turn by 1e-10 rad
     # a sample's antipode lies just past the antipode guard from the x-hat
     # candidate: the fan point must be the best candidate, not the first
     # acceptable one
@@ -146,24 +160,18 @@ class TestLunePath:
     @example(theta=NEAR_HALF_PI, vertex=z_tilted_by(1.2e-6), samples=1000)
     @example(theta=NEAR_HALF_PI, vertex=z_tilted_by(2e-6), samples=1000)
     def test_signed_area_for_any_vertex_axis(self, theta, vertex, samples):
-        path = lune_path(LuneSpec(theta, vertex), samples)
+        path = turned_lune(theta, vertex, samples)
         assert np.allclose(path.points[0], vertex, atol=1e-12)
         # -4 theta, read modulo 4 pi: the half-sphere lune at pi/2 reports +2 pi
         area = solid_angle(path)
         assert math.remainder(area + 4 * theta, 4 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
-    def test_antipodal_vertex_turns_half_about_z(self):
-        base = lune_path(LuneSpec(0.3), 200)
-        flipped = lune_path(LuneSpec(0.3, (-1.0, 0.0, 0.0)), 200)
-        assert np.allclose(flipped.points, base.points * [-1, -1, 1], rtol=0.0, atol=1e-15)
-
     def test_specs_compare_and_hash_by_value(self):
-        a, b = LuneSpec(0.3), LuneSpec(0.3, np.array([1.0, 0.0, 0.0]))
+        a, b = LuneSpec(0.3), LuneSpec(np.float64(0.3))
         assert a == b
         assert hash(a) == hash(b)
-        assert len({a, b, LuneSpec(0.3, [1, 0, 0])}) == 1
-        assert a != LuneSpec(0.3, (0.0, 0.0, 1.0))
-        assert a.vertex_axis == (1.0, 0.0, 0.0)
+        assert type(b.theta) is float
+        assert a != LuneSpec(0.4)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -172,8 +180,6 @@ class TestLunePath:
             LuneSpec(math.pi / 2 + 0.1)
         with pytest.raises(DomainError):
             lune_path(LuneSpec(0.3), 7)
-        with pytest.raises(DomainError):
-            LuneSpec(0.3, (math.nan, 0.0, 0.0))
 
 
 class TestRotate:

@@ -1,5 +1,6 @@
-"""Unused-import check on the package source, written against the standard
-library `ast` module so it runs wherever the test suite does."""
+"""Unused-import and unread-parameter checks on the package source, written
+against the standard library `ast` module so they run wherever the test
+suite does."""
 import ast
 from pathlib import Path
 
@@ -25,6 +26,29 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Parameters a function's body never reads, with the function's name
+    and line number; self and cls are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{name}.{p} (line {node.lineno})"
+            for p in params if p not in read and p not in ("self", "cls")
+        ]
+    return unread
+
+
 def test_package_modules_found():
     assert "pulse.py" in MODULES and "experiment.py" in MODULES
 
@@ -44,3 +68,25 @@ def test_checker_flags_unused_names():
         "    return pi * x\n"
     )
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    assert unread_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_unread_parameters():
+    source = (
+        "class C:\n"
+        "    def m(self, used, unused, *args, **kw):\n"
+        "        def inner(x):\n"
+        "            return used\n"
+        "        return inner, kw\n"
+        "f = lambda a, b: a\n"
+    )
+    assert sorted(unread_parameters(source)) == [
+        "<lambda>.b (line 6)",
+        "inner.x (line 3)",
+        "m.args (line 2)",
+        "m.unused (line 2)",
+    ]

@@ -55,12 +55,12 @@ class TestParseStatements:
     def test_frame_directive_sets_offset(self):
         prog = parse_sequence("frame b offset -0.5piJ\ndelay 1/2/J")
         assert prog.frames == (FrameOffset("b", Fraction(-1, 2), "piJ"),)
-        assert prog.params.delta_b == math.pi * J
-        assert prog.params.delta_a == 0.0
+        assert prog.params.omega_b == math.pi * J
+        assert prog.params.omega_a == 0.0
 
     def test_frame_hz_offset(self):
         prog = parse_sequence("frame a offset 100Hz")
-        assert prog.params.delta_a == pytest.approx(-2 * math.pi * 100.0)
+        assert prog.params.omega_a == pytest.approx(-2 * math.pi * 100.0)
 
     def test_comments_and_blank_lines(self):
         text = "# full program\n\npulse b x 60deg  # excitation\n   \ngrad z\n"
@@ -90,6 +90,10 @@ class TestDiagnostics:
         assert err.value.line == line
         assert err.value.column == column
         assert fragment in err.value.message
+
+    def test_second_frame_directive_for_one_spin(self):
+        text = "frame b offset -1/2piJ\nframe a offset 100Hz\nframe b offset -1/2piJ\n"
+        self.assert_fails_at(text, 1, 1, "spin b has more than one frame directive")
 
     def test_unknown_statement(self):
         self.assert_fails_at("pulse b x 60deg\nwobble z", 2, 1, "unknown statement")

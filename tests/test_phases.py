@@ -7,7 +7,6 @@ from lunephase.errors import DomainError
 from lunephase.phases import (
     PhaseResult,
     qubit_mixed_phase,
-    signed_mixed_phase,
     sjoqvist_average,
     theory_curve,
 )
@@ -161,8 +160,9 @@ class TestQubitMixedPhase:
                 assert minus.gamma == -plus.gamma
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            qubit_mixed_phase(-0.1, 1.0)
+        # a negative r is the mixture with its weights swapped: the phase
+        # sign flips, bit for bit
+        assert qubit_mixed_phase(-0.1, 1.0) == qubit_mixed_phase(0.1, 1.0, sign=-1)
         with pytest.raises(DomainError):
             qubit_mixed_phase(1.1, 1.0)
         with pytest.raises(DomainError):
@@ -175,19 +175,16 @@ class TestSignedMixedPhase:
         for _ in range(100):
             r = rng.uniform(0.05, 1.0)
             omega = rng.uniform(0.1, 2 * math.pi - 0.1)
-            neg = signed_mixed_phase(-r, omega)
+            neg = qubit_mixed_phase(-r, omega)
             pos = qubit_mixed_phase(r, omega)
             assert neg.visibility == pos.visibility
             assert principal_angle(neg.gamma + pos.gamma) == pytest.approx(
                 0.0, abs=1e-14
             )
 
-    def test_nonnegative_passthrough(self):
-        assert signed_mixed_phase(0.7, 1.1) == qubit_mixed_phase(0.7, 1.1)
-
     def test_domain(self):
         with pytest.raises(DomainError):
-            signed_mixed_phase(-1.2, 1.0)
+            qubit_mixed_phase(-1.2, 1.0)
 
 
 class TestTheoryCurve:
@@ -235,8 +232,3 @@ class TestTheoryCurve:
                 assert principal_angle(a.gamma + b.gamma) == pytest.approx(
                     0.0, abs=1e-14
                 )
-
-    def test_requires_positive_count(self):
-        with pytest.raises(DomainError):
-            theory_curve(1.0, n_max=0)
-        assert len(theory_curve(1.0, n_max=1)) == 1

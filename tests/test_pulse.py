@@ -11,6 +11,7 @@ from lunephase.errors import DomainError
 from lunephase.experiment import cycle_program, mixing_program, prepare_pure_program
 from lunephase.pulse import (
     Delay,
+    FrameOffset,
     Gradient,
     Rotation,
     SpinSystemParams,
@@ -36,17 +37,6 @@ from lunephase.qcore import (
 
 J = 214.5
 HALF_J_DELAY = 1 / (2 * J)
-
-
-def params_with(delta_a=0.0, delta_b=0.0, j=J):
-    base = SpinSystemParams(j_coupling=j)
-    return SpinSystemParams(
-        omega_a=base.omega_a,
-        omega_b=base.omega_b,
-        omega_a_frame=base.omega_a - delta_a,
-        omega_b_frame=base.omega_b - delta_b,
-        j_coupling=j,
-    )
 
 
 def random_two_spin_state(rng):
@@ -77,11 +67,11 @@ program_events = st.lists(
 
 def delay_reference(params, start, t, iz_sign):
     """exp(-iHt) start exp(iHt) for the diagonal rotating-frame Hamiltonian
-    H = delta_a I_z^a + delta_b I_z^b + 2piJ I_z^a I_z^b."""
+    H = omega_a I_z^a + omega_b I_z^b + 2piJ I_z^a I_z^b."""
     iza = iz_sign * np.kron(np.diag([0.5, -0.5]), np.eye(2))
     izb = iz_sign * np.kron(np.eye(2), np.diag([0.5, -0.5]))
     h = np.diag(
-        params.delta_a * iza + params.delta_b * izb
+        params.omega_a * iza + params.omega_b * izb
         + 2 * math.pi * params.j_coupling * iza @ izb
     )
     u = np.exp(-1j * h * t)
@@ -91,7 +81,7 @@ def delay_reference(params, start, t, iz_sign):
 class TestSpinSystemParams:
     def test_default_offsets_vanish(self):
         p = SpinSystemParams()
-        assert p.delta_a == 0.0 and p.delta_b == 0.0
+        assert p.omega_a == 0.0 and p.omega_b == 0.0
         assert p.j_coupling == J
 
     def test_rejects_nonpositive_j(self):
@@ -100,12 +90,19 @@ class TestSpinSystemParams:
 
     def test_rejects_oversized_offset(self):
         with pytest.raises(DomainError):
-            params_with(delta_a=11 * 2 * math.pi * J)
+            SpinSystemParams(omega_a=11 * 2 * math.pi * J)
 
     def test_frame_shift_sets_offset(self):
-        p = SpinSystemParams().with_frame_shift("b", -math.pi * J)
-        assert p.delta_b == math.pi * J
-        assert p.delta_a == 0.0
+        frame = FrameOffset("b", Fraction(-1, 2), "piJ")
+        p = make_program([], SpinSystemParams(omega_b=0.3), (frame,)).params
+        assert p.omega_b == math.pi * J
+        assert p.omega_a == 0.0
+
+    def test_rejects_second_frame_directive_for_one_spin(self):
+        frames = (FrameOffset("b", Fraction(-1, 2), "piJ"), FrameOffset("a", 100.0, "Hz"))
+        make_program([], frames=frames)
+        with pytest.raises(DomainError, match="more than one frame directive"):
+            make_program([], frames=frames + frames[:1])
 
 
 class TestEvents:
@@ -153,9 +150,9 @@ class TestFreeEvolution:
         assert np.allclose(np.diag(u), [q, q.conjugate(), q.conjugate(), q], atol=1e-12)
 
     def test_offset_frame_branch_split(self):
-        # delta_b = +piJ, half-J delay: one spin-a branch sees a pi z-rotation
+        # omega_b = +piJ, half-J delay: one spin-a branch sees a pi z-rotation
         # on spin b, the other an exact identity
-        u = free_evolution_unitary(params_with(delta_b=math.pi * J), HALF_J_DELAY)
+        u = free_evolution_unitary(SpinSystemParams(omega_b=math.pi * J), HALF_J_DELAY)
         up_block, down_block = u[:2, :2], u[2:, 2:]
         assert np.allclose(up_block, rotation_unitary([0, 0, 1], math.pi), atol=1e-12)
         assert np.allclose(down_block, I2, atol=1e-12)
@@ -163,13 +160,13 @@ class TestFreeEvolution:
     def test_iz_sign_swaps_branches(self):
         # flipping I_z moves the nontrivial block to the other branch; the
         # block itself conjugates, i.e. becomes the -pi z-rotation
-        u = free_evolution_unitary(params_with(delta_b=math.pi * J), HALF_J_DELAY, iz_sign=-1)
+        u = free_evolution_unitary(SpinSystemParams(omega_b=math.pi * J), HALF_J_DELAY, iz_sign=-1)
         assert np.allclose(u[:2, :2], I2, atol=1e-12)
         assert np.allclose(u[2:, 2:], rotation_unitary([0, 0, 1], -math.pi), atol=1e-12)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(41)
-        p = params_with(delta_a=0.3 * J, delta_b=-1.2 * J)
+        p = SpinSystemParams(omega_a=0.3 * J, omega_b=-1.2 * J)
         for _ in range(100):
             t1, t2 = rng.uniform(0, 0.02, size=2)
             left = free_evolution_unitary(p, t1 + t2)
@@ -179,25 +176,25 @@ class TestFreeEvolution:
     def test_unitarity(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
-            p = params_with(delta_a=rng.uniform(-5, 5) * J, delta_b=rng.uniform(-5, 5) * J)
+            p = SpinSystemParams(omega_a=rng.uniform(-5, 5) * J, omega_b=rng.uniform(-5, 5) * J)
             u = free_evolution_unitary(p, rng.uniform(0, 0.05))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
 
 class TestPulseUnitary:
     def test_zero_flip_is_identity(self):
-        u = pulse_unitary(SpinSystemParams(), Rotation("b", "x", 0.0))
+        u = pulse_unitary(Rotation("b", "x", 0.0))
         assert np.allclose(u, np.eye(4))
 
     def test_matches_rotation_unitary_tensor(self):
-        u = pulse_unitary(SpinSystemParams(), Rotation("a", "-y", Fraction(1, 2)))
+        u = pulse_unitary(Rotation("a", "-y", Fraction(1, 2)))
         assert np.allclose(u, tensor(rotation_unitary([0, -1, 0], math.pi / 2), I2), atol=1e-15)
 
     def test_sense_flips_rotation_direction(self):
         ev = Rotation("b", "x", Fraction(1, 3))
         rho0 = DensityOperator(tensor(np.diag([1, 0]), np.diag([1, 0])))
         for sense in (1, -1):
-            u = pulse_unitary(SpinSystemParams(), ev, sense=sense)
+            u = pulse_unitary(ev, sense=sense)
             out = partial_trace(DensityOperator(u @ rho0.matrix @ u.conj().T), "b")
             r = [np.real(np.trace(out.matrix @ s)) for s in (X, Y, Z)]
             assert np.allclose(
@@ -206,14 +203,13 @@ class TestPulseUnitary:
 
     def test_unitarity_random(self):
         rng = np.random.default_rng(47)
-        p = SpinSystemParams()
         for _ in range(300):
             ev = Rotation(
                 rng.choice(["a", "b"]),
                 float(rng.uniform(-math.pi, math.pi)),
                 float(rng.uniform(-2 * math.pi, 2 * math.pi)),
             )
-            u = pulse_unitary(p, ev, sense=int(rng.choice([1, -1])))
+            u = pulse_unitary(ev, sense=int(rng.choice([1, -1])))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
@@ -221,7 +217,7 @@ class TestPulseUnitary:
     def test_embedding_equals_tensor(self, ev, sense):
         u = rotation_unitary(ev.axis_vector(), sense * ev.flip_radians)
         want = tensor(u, I2) if ev.spin == "a" else tensor(I2, u)
-        assert np.array_equal(pulse_unitary(SpinSystemParams(), ev, sense=sense), want)
+        assert np.array_equal(pulse_unitary(ev, sense=sense), want)
 
 
 class TestGradientCrusher:
@@ -250,7 +246,7 @@ class TestGradientCrusher:
 
     def test_commutes_with_free_evolution(self):
         rng = np.random.default_rng(59)
-        p = params_with(delta_a=0.7 * J, delta_b=-0.2 * J)
+        p = SpinSystemParams(omega_a=0.7 * J, omega_b=-0.2 * J)
         for _ in range(50):
             rho = random_two_spin_state(rng)
             u = free_evolution_unitary(p, rng.uniform(0, 0.01))
@@ -333,7 +329,7 @@ class TestRunSequence:
         prog = make_program(
             [Rotation("b", "x", Fraction(1, 3)), Delay(per_j=Fraction(1, 2)),
              Rotation("b", "-y", Fraction(1, 2)), Delay(per_j=Fraction(1, 4))],
-            params_with(delta_b=math.pi * J),
+            SpinSystemParams(omega_b=math.pi * J),
         )
         rho = random_two_spin_state(rng)
         coarse, _ = run_sequence(rho, prog, record=True, samples_per_delay=3)
@@ -356,7 +352,7 @@ class TestRunSequence:
     def test_recording_only_adds_delay_samples(
         self, events, offsets, pulse_sense, iz_sign, samples, seed
     ):
-        prog = make_program(events, params_with(*offsets))
+        prog = make_program(events, SpinSystemParams(*offsets))
         rho = random_two_spin_state(np.random.default_rng(seed))
         conv = {"pulse_sense": pulse_sense, "iz_sign": iz_sign}
         plain, ends = run_sequence(rho, prog, **conv)
@@ -451,7 +447,7 @@ class TestRunSequence:
         prog = make_program(
             [Rotation("b", "x", Fraction(1, 4)), Delay(per_j=Fraction(1, 2)), Gradient(),
              Rotation("a", "y", 0.3), Delay(seconds=1e-3), Rotation("b", "-x", 1.1)],
-            params_with(delta_a=0.4 * J, delta_b=math.pi * J),
+            SpinSystemParams(omega_a=0.4 * J, omega_b=math.pi * J),
         )
         _, traj = run_sequence(rho, prog, record=True, samples_per_delay=16)
         assert len(traj) == 1 + 6 + 2 * 15
@@ -475,7 +471,7 @@ class TestRunSequence:
         u = tensor(I2, rotation_unitary([1, 0, 0], 0.7))
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            params = params_with(*rng.uniform(-OFFSET_BOUND, OFFSET_BOUND, size=2))
+            params = SpinSystemParams(*rng.uniform(-OFFSET_BOUND, OFFSET_BOUND, size=2))
             rho = random_two_spin_state(rng)
             prog = make_program([Rotation("b", "x", 0.7), Delay(per_j=Fraction(1, 2))], params)
             _, traj = run_sequence(rho, prog, record=True, samples_per_delay=samples)
@@ -489,7 +485,7 @@ class TestRunSequence:
         rng = np.random.default_rng(79)
         prog = make_program(
             [Rotation("b", "x", Fraction(1, 4)), Delay(per_j=Fraction(1, 2)), Gradient()],
-            params_with(delta_b=math.pi * J),
+            SpinSystemParams(omega_b=math.pi * J),
         )
         rho = random_two_spin_state(rng)
         _, traj = run_sequence(rho, prog, record=True)
@@ -506,7 +502,7 @@ class TestBranchPropagators:
             branch_propagators(make_program([Gradient()]))
 
     def test_delay_splits_into_stated_branches(self):
-        prog = make_program([Delay(per_j=Fraction(1, 2))], params_with(delta_b=math.pi * J))
+        prog = make_program([Delay(per_j=Fraction(1, 2))], SpinSystemParams(omega_b=math.pi * J))
         up, down = branch_propagators(prog)
         assert np.allclose(up, rotation_unitary([0, 0, 1], math.pi), atol=1e-12)
         assert np.allclose(down, I2, atol=1e-12)
@@ -516,7 +512,7 @@ class TestBranchPropagators:
         prog = make_program(
             [Rotation("b", "-x", Fraction(1, 4)), Delay(per_j=Fraction(1, 2)),
              Rotation("b", "-x", Fraction(3, 4)), Delay(per_j=Fraction(1, 2))],
-            params_with(delta_b=math.pi * J),
+            SpinSystemParams(omega_b=math.pi * J),
         )
         up, down = branch_propagators(prog, pulse_sense=-1)
         rho = random_two_spin_state(rng)

@@ -261,6 +261,11 @@ class TestEvolve:
             with pytest.raises(DomainError, match="dimension"):
                 evolve(rho, u)
 
+    def test_rejects_empty_stack(self):
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(DomainError, match="stack is empty"):
+            evolve(rho, np.zeros((0, 4, 4)))
+
 
 def deviate(m, kind):
     """m pushed 1e-9 beyond one state tolerance."""
@@ -351,6 +356,10 @@ class TestIsUnitary:
         assert not is_unitary(np.eye(4)[:3])
         assert not is_unitary(np.ones(4))
         assert not is_unitary(np.ones((2, 2, 2, 2)))
+
+    def test_empty_stack_is_not_unitary(self):
+        assert not is_unitary(np.zeros((0, 4, 4)))
+        assert not is_unitary(np.zeros((0, 0)))
 
 
 class TestPrincipalAngle:
