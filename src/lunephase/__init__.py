@@ -65,8 +65,6 @@ from .pulse import (
 from .pulseprog import parse_sequence, render_sequence
 from .qcore import (
     DensityOperator,
-    bloch_to_density,
-    density_to_bloch,
     evolve,
     partial_trace,
     principal_angle,
@@ -101,11 +99,9 @@ __all__ = [
     "StatePath",
     "TheoryRow",
     "apply_t2_relaxation",
-    "bloch_to_density",
     "branch_propagators",
     "check_geodesic",
     "cycle_program",
-    "density_to_bloch",
     "dynamical_phase",
     "evolve",
     "gradient_crusher",

@@ -244,19 +244,27 @@ def prepare_mixed(
     return _run_stage(rho_pure, prog, conventions, target, "purity preparation")
 
 
-def lune_holonomy(theta: float, sense: int) -> np.ndarray:
-    """Net spin-b unitary of the two-geodesic loop: exp(i*sense*2*theta*sx).
+def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axes of the loop's two half turns in traversal order.
 
     At sense -1 the first half turn is about n2 (carrying +x through the
     lower vertex) and the second about -n1; at sense +1 the mirrored order.
-    Both factorizations compose without any extra global phase.
     """
     n1, n2 = lune_axes(theta)
     if sense == -1:
-        return rotation_unitary(-n1, math.pi) @ rotation_unitary(n2, math.pi)
+        return n2, -n1
     if sense == 1:
-        return rotation_unitary(-n2, math.pi) @ rotation_unitary(n1, math.pi)
+        return n1, -n2
     raise DomainError("traversal sense must be +1 or -1")
+
+
+def lune_holonomy(theta: float, sense: int) -> np.ndarray:
+    """Net spin-b unitary of the two-geodesic loop: exp(i*sense*2*theta*sx).
+
+    Both traversal orders compose without any extra global phase.
+    """
+    first, second = _loop_axes(theta, sense)
+    return rotation_unitary(second, math.pi) @ rotation_unitary(first, math.pi)
 
 
 def idealized_controlled_cycle(
@@ -304,8 +312,7 @@ def idealized_eigenvector_path(
         raise DomainError("eigenvector label must be +1 or -1")
     if samples_per_segment < 2:
         raise DomainError("need at least two samples per segment")
-    n1, n2 = lune_axes(theta)
-    axes = (n2, -n1) if conventions.pulse_sense == -1 else (n1, -n2)
+    axes = _loop_axes(theta, conventions.pulse_sense)
     if perturb != 0.0:
         vertex = np.array([1.0, 0.0, 0.0])
         tilted = [axis + float(perturb) * vertex for axis in axes]

@@ -90,12 +90,6 @@ class BlochPath:
     def __len__(self) -> int:
         return len(self.points)
 
-    def arc_length(self) -> float:
-        """Sum of great-circle segment lengths (chord form, precise for
-        short segments where acos would lose digits)."""
-        chords = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return float(np.sum(2.0 * np.arcsin(np.clip(chords / 2.0, 0.0, 1.0))))
-
 
 @dataclass(frozen=True)
 class LuneSpec:

@@ -15,7 +15,6 @@ class NumericPolicy:
     eigenvalue_floor: float = -1e-10
     unitarity_tol: float = 1e-10
     axis_unit_tol: float = 1e-9
-    bloch_norm_tol: float = 1e-12
     visibility_floor: float = 1e-9
     overlap_floor: float = 0.1
     antipode_guard: float = 1e-6

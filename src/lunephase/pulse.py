@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .qcore import DensityOperator, evolve, identity4, is_unitary, rotation_unitary
 
+# Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
 DEFAULT_J = 214.5
 
 AXIS_LABELS = {
@@ -33,9 +34,17 @@ _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
 
 
+def _check_offset(omega: float) -> float:
+    """A frame offset in rad/s, checked to lie within the 10*2piJ sanity
+    bound."""
+    if abs(omega) > 10 * 2 * math.pi * DEFAULT_J:
+        raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
+    return omega
+
+
 @dataclass(frozen=True)
 class SpinSystemParams:
-    """Two-spin rotating-frame parameters; frequencies in rad/s, J in Hz.
+    """Two-spin rotating-frame offsets in rad/s; the coupling is DEFAULT_J.
 
     omega_a and omega_b are each spin's offset from its rotating frame (the
     defaults put both spins on resonance). Absolute Larmor values never
@@ -45,14 +54,10 @@ class SpinSystemParams:
 
     omega_a: float = 0.0
     omega_b: float = 0.0
-    j_coupling: float = DEFAULT_J
 
     def __post_init__(self) -> None:
-        if not self.j_coupling > 0:
-            raise DomainError("J coupling must be positive")
-        bound = 10 * 2 * math.pi * self.j_coupling
-        if abs(self.omega_a) > bound or abs(self.omega_b) > bound:
-            raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
+        _check_offset(self.omega_a)
+        _check_offset(self.omega_b)
 
 
 def _flip_radians(flip: Fraction | float) -> float:
@@ -111,21 +116,15 @@ class Delay:
         if self.per_j is not None and self.per_j < 0:
             raise DomainError("delay duration must be nonnegative")
 
-    def duration(self, j: float) -> float:
+    def duration(self) -> float:
         if self.per_j is not None:
-            return float(self.per_j) / j
+            return float(self.per_j) / DEFAULT_J
         return float(self.seconds)
 
 
 @dataclass(frozen=True)
 class Gradient:
-    """Crusher gradient; only the z axis is modeled."""
-
-    axis: str = "z"
-
-    def __post_init__(self) -> None:
-        if self.axis != "z":
-            raise DomainError("only z crusher gradients are supported")
+    """Crusher gradient along z, the only axis modeled."""
 
 
 PulseEvent = Rotation | Delay | Gradient
@@ -148,9 +147,9 @@ class FrameOffset:
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
 
-    def angular(self, j: float) -> float:
+    def angular(self) -> float:
         if self.unit == "piJ":
-            return float(self.value) * 2 * math.pi * j
+            return float(self.value) * 2 * math.pi * DEFAULT_J
         return 2 * math.pi * float(self.value)
 
 
@@ -173,7 +172,7 @@ class SequenceProgram:
                     per_j += ev.per_j
                 else:
                     seconds += ev.seconds
-        return float(per_j) / self.params.j_coupling + seconds
+        return float(per_j) / DEFAULT_J + seconds
 
 
 def make_program(
@@ -186,13 +185,25 @@ def make_program(
     params = params if params is not None else SpinSystemParams()
     offsets = {}
     for fr in frames:
-        field = f"omega_{fr.spin}"
-        if field in offsets:
-            raise DomainError(f"spin {fr.spin} has more than one frame directive")
-        offsets[field] = -fr.angular(params.j_coupling)
+        _add_frame(offsets, fr)
     if offsets:
         params = replace(params, **offsets)
     return SequenceProgram(tuple(events), params, tuple(frames))
+
+
+def _add_frame(offsets: dict[str, float], frame: FrameOffset) -> None:
+    """Enter one frame directive's offset into offsets, keyed by its
+    SpinSystemParams field: a spin takes at most one directive, and the
+    offset must lie within the sanity bound."""
+    field = f"omega_{frame.spin}"
+    if field in offsets:
+        raise DomainError(f"spin {frame.spin} has more than one frame directive")
+    offsets[field] = _check_offset(-frame.angular())
+
+
+def _check_sign(value: int, name: str) -> None:
+    if value not in (1, -1):
+        raise DomainError(f"{name} must be +1 or -1")
 
 
 def free_evolution_unitary(
@@ -206,8 +217,7 @@ def free_evolution_unitary(
     """
     if t < 0:
         raise DomainError("evolution time must be nonnegative")
-    if iz_sign not in (1, -1):
-        raise DomainError("iz_sign must be +1 or -1")
+    _check_sign(iz_sign, "iz_sign")
     return np.diag(_free_phases(params, t, iz_sign))
 
 
@@ -219,7 +229,7 @@ def _free_phases(
     ma, mb = iz_sign * _MA, iz_sign * _MB
     energies = (
         params.omega_a * ma + params.omega_b * mb
-        + 2 * math.pi * params.j_coupling * ma * mb
+        + 2 * math.pi * DEFAULT_J * ma * mb
     )
     return np.exp(1j * np.multiply.outer(t, -energies))
 
@@ -232,8 +242,7 @@ def pulse_unitary(ev: Rotation, sense: int = 1) -> np.ndarray:
     target spin. sense=+1 reproduces rotation_unitary verbatim. The 4x4 is
     filled in place, entry for entry equal to tensor(u, 1) or tensor(1, u).
     """
-    if sense not in (1, -1):
-        raise DomainError("pulse sense must be +1 or -1")
+    _check_sign(sense, "pulse sense")
     u = rotation_unitary(ev.axis_vector(), sense * ev.flip_radians)
     full = np.zeros((4, 4), dtype=complex)
     if ev.spin == "a":
@@ -295,9 +304,11 @@ def _compile(
 
     Crushers stay in the list as themselves; a stretch's last step carries
     its whole propagator. Every event propagator passes one stacked
-    unitarity check.
+    unitarity check. Both sign conventions are checked up front, whether or
+    not an event reads them.
     """
-    j = prog.params.j_coupling
+    _check_sign(pulse_sense, "pulse sense")
+    _check_sign(iz_sign, "iz_sign")
     compiled: list[Gradient | list[_Step]] = []
     factors = []
     for ev in prog.events:
@@ -307,7 +318,7 @@ def _compile(
         if isinstance(ev, Rotation):
             dt, u = 0.0, pulse_unitary(ev, sense=pulse_sense)
         elif isinstance(ev, Delay):
-            dt = ev.duration(j)
+            dt = ev.duration()
             u = free_evolution_unitary(prog.params, dt, iz_sign)
         else:
             raise DomainError(f"unknown event type {type(ev).__name__}")

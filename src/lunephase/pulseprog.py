@@ -17,11 +17,13 @@ from fractions import Fraction
 
 from .errors import DomainError, SequenceSyntaxError
 from .pulse import (
+    AXIS_LABELS,
     Delay,
     FrameOffset,
     Gradient,
     Rotation,
     SequenceProgram,
+    _add_frame,
     make_program,
 )
 
@@ -79,7 +81,7 @@ class _LineParser:
 
     def axis(self) -> str | float:
         col, tok = self.take("axis (x, -x, y, -y, or phase:<radians>)")
-        if tok in ("x", "-x", "y", "-y"):
+        if tok in AXIS_LABELS:
             return tok
         if tok.startswith("phase:"):
             try:
@@ -147,6 +149,7 @@ def parse_sequence(text: str) -> SequenceProgram:
     """
     events = []
     frames = []
+    offsets = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line)
         if not tokens:
@@ -176,14 +179,16 @@ def parse_sequence(text: str) -> SequenceProgram:
             kcol, keyword = lp.take("keyword 'offset'")
             if keyword != "offset":
                 lp.fail(kcol, f"expected keyword 'offset', found {keyword!r}")
-            frames.append(lp.frame_offset(spin))
+            frame = lp.frame_offset(spin)
             lp.done()
+            try:
+                _add_frame(offsets, frame)
+            except DomainError as exc:
+                lp.fail(col, str(exc))
+            frames.append(frame)
         else:
             lp.fail(col, f"unknown statement {head!r}")
-    try:
-        return make_program(events, frames=tuple(frames))
-    except DomainError as exc:
-        raise SequenceSyntaxError(1, 1, str(exc)) from exc
+    return make_program(events, frames=tuple(frames))
 
 
 def _format_rational(value: Fraction) -> str:
@@ -213,7 +218,7 @@ def render_sequence(prog: SequenceProgram) -> str:
             else:
                 lines.append(f"delay {ev.seconds!r}s")
         elif isinstance(ev, Gradient):
-            lines.append(f"grad {ev.axis}")
+            lines.append("grad z")
         else:
             raise DomainError(f"cannot render event type {type(ev).__name__}")
     return "\n".join(lines) + "\n"

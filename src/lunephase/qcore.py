@@ -22,8 +22,6 @@ identity4 = np.eye(4, dtype=complex)
 for _m in (pauli_x, pauli_y, pauli_z, identity2, identity4):
     _m.setflags(write=False)
 
-paulis = (pauli_x, pauli_y, pauli_z)
-
 
 def principal_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]."""
@@ -108,24 +106,6 @@ def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
     blocks = rho.matrix.reshape(2, 2, 2, 2)
     reduced = blocks.trace(axis1=1, axis2=3) if keep == "a" else blocks.trace(axis1=0, axis2=2)
     return DensityOperator(reduced, normalized=rho.normalized)
-
-
-def bloch_to_density(r: np.ndarray) -> DensityOperator:
-    """State (1 + r.sigma)/2 from a Bloch vector with |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise DomainError("Bloch vector must have three components")
-    if np.linalg.norm(r) > 1.0 + POLICY.bloch_norm_tol:
-        raise DomainError("Bloch vector lies outside the unit ball")
-    m = 0.5 * (identity2 + r[0] * pauli_x + r[1] * pauli_y + r[2] * pauli_z)
-    return DensityOperator(m)
-
-
-def density_to_bloch(rho: DensityOperator) -> np.ndarray:
-    """Bloch components tr(rho sigma_k) of a single-spin state."""
-    if rho.dim != 2:
-        raise DomainError("density_to_bloch expects a single-spin state")
-    return np.array([np.real(np.trace(rho.matrix @ s)) for s in paulis])
 
 
 def sigma_dot(n) -> np.ndarray:

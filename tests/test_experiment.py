@@ -49,7 +49,6 @@ from lunephase.phases import qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import branch_propagators, gradient_crusher, run_sequence
 from lunephase.qcore import (
     DensityOperator,
-    bloch_to_density,
     evolve,
     identity2,
     partial_trace,
@@ -276,7 +275,7 @@ class TestIdealizedCycle:
             assert abs(principal_angle(lit.gamma_measured - ide.gamma_measured)) < 1e-12
 
     def test_rejects_single_qubit_state(self):
-        rho = bloch_to_density(np.array([1.0, 0.0, 0.0]))
+        rho = DensityOperator(0.5 * (identity2 + pauli_x))
         with pytest.raises(DomainError):
             idealized_controlled_cycle(rho, 0.3)
 

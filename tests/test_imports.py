@@ -1,6 +1,6 @@
-"""Unused-import and unread-parameter checks on the package source, written
-against the standard library `ast` module so they run wherever the test
-suite does."""
+"""Unused-import, unread-parameter and unreached-name checks on the package
+source, written against the standard library `ast` module so they run
+wherever the test suite does."""
 import ast
 from pathlib import Path
 
@@ -9,6 +9,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lunephase"
 # __init__.py imports names to re-export them, not to use them.
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+# Public names that only tests reach, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "phases.sjoqvist_average": "the reference implementation the tests "
+    "compare qubit_mixed_phase against",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,3 +96,108 @@ def test_checker_flags_unread_parameters():
         "m.args (line 2)",
         "m.unused (line 2)",
     ]
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, defining node) for each public top-level
+    function, class and constant, and each public method, property and
+    dataclass field of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named = [(node.name, node)]
+        elif isinstance(node, ast.Assign):
+            named = [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            named = [(node.target.id, node)]
+        else:
+            named = []
+        for name, defining in named:
+            if _public(name):
+                yield name, name, defining
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if _public(name):
+                    yield f"{node.name}.{name}", name, member
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """Names read anywhere under node: loaded names, loaded attributes and
+    keyword arguments."""
+    names = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.append(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.append(n.attr)
+        elif isinstance(n, ast.keyword) and n.arg is not None:
+            names.append(n.arg)
+    return names
+
+
+def unreached_names(package: dict[str, str], readers: list[str] = ()) -> list[str]:
+    """Public names of the package modules that nothing reads outside their
+    own definition, as module.name or module.Class.member.
+
+    package maps module names to source; readers are further sources that
+    may read package names but define none. A read is matched by bare name
+    alone, so a name counts as reached when anything of that name is read.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    counts: dict[str, int] = {}
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for name in _reads(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unreached = []
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            if counts.get(name, 0) == _reads(node).count(name):
+                unreached.append(f"{module}.{qualified}")
+    return sorted(unreached)
+
+
+def test_every_public_name_is_reached():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")]
+    assert readers, "perfbench modules not found"
+    assert unreached_names(package, readers) == sorted(UNREACHED_ALLOWED)
+
+
+def test_checker_flags_unreached_names():
+    package = {
+        "m": (
+            "from dataclasses import dataclass\n"
+            "LIMIT = 3\n"
+            "UNUSED_LIMIT = 4\n"
+            "def helper(n):\n"
+            "    return helper(n - 1) if n else LIMIT\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    size: int\n"
+            "    label: str = ''\n"
+            "    def grow(self):\n"
+            "        return Box(size=self.size + 1)\n"
+            "    @property\n"
+            "    def area(self):\n"
+            "        return self.size ** 2\n"
+            "    def _hidden(self):\n"
+            "        return 0\n"
+            "class _Private:\n"
+            "    value: int = 0\n"
+        ),
+    }
+    bench = "from m import Box\nBox(1).grow()\n"
+    # a test module reads helper, label and area; tests are not readers
+    test = "from m import helper, Box\nhelper(2)\nBox(1).label, Box(1).area\n"
+    want = ["m.Box.area", "m.Box.label", "m.UNUSED_LIMIT", "m.helper"]
+    assert unreached_names(package, [bench]) == want
+    assert unreached_names(package, [bench, test]) == ["m.UNUSED_LIMIT"]

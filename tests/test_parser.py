@@ -93,7 +93,11 @@ class TestDiagnostics:
 
     def test_second_frame_directive_for_one_spin(self):
         text = "frame b offset -1/2piJ\nframe a offset 100Hz\nframe b offset -1/2piJ\n"
-        self.assert_fails_at(text, 1, 1, "spin b has more than one frame directive")
+        self.assert_fails_at(text, 3, 1, "spin b has more than one frame directive")
+
+    def test_frame_offset_beyond_bound(self):
+        text = "delay 1/2/J\n  frame a offset 30piJ\n"
+        self.assert_fails_at(text, 2, 3, "exceeds the 10*2piJ sanity bound")
 
     def test_unknown_statement(self):
         self.assert_fails_at("pulse b x 60deg\nwobble z", 2, 1, "unknown statement")

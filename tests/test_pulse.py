@@ -72,7 +72,7 @@ def delay_reference(params, start, t, iz_sign):
     izb = iz_sign * np.kron(np.eye(2), np.diag([0.5, -0.5]))
     h = np.diag(
         params.omega_a * iza + params.omega_b * izb
-        + 2 * math.pi * params.j_coupling * iza @ izb
+        + 2 * math.pi * J * iza @ izb
     )
     u = np.exp(-1j * h * t)
     return u[:, None] * start * u.conj()[None, :]
@@ -82,11 +82,7 @@ class TestSpinSystemParams:
     def test_default_offsets_vanish(self):
         p = SpinSystemParams()
         assert p.omega_a == 0.0 and p.omega_b == 0.0
-        assert p.j_coupling == J
-
-    def test_rejects_nonpositive_j(self):
-        with pytest.raises(DomainError):
-            SpinSystemParams(j_coupling=0.0)
+        assert pulse.DEFAULT_J == J
 
     def test_rejects_oversized_offset(self):
         with pytest.raises(DomainError):
@@ -126,10 +122,6 @@ class TestEvents:
             Delay(seconds=0.1, per_j=Fraction(1))
         with pytest.raises(DomainError):
             Delay(seconds=-0.1)
-
-    def test_gradient_axis_restricted(self):
-        with pytest.raises(DomainError):
-            Gradient(axis="x")
 
     def test_total_duration_exact_for_j_multiples(self):
         prog = make_program([Delay(per_j=Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
@@ -311,6 +303,22 @@ class TestRunSequence:
         _, recorded = run_sequence(rho, make_program([]), record=True)
         assert len(recorded) == 1 and recorded[0][0] == 0.0 and recorded[0][1] is rho
 
+    def test_sign_conventions_checked_when_no_event_reads_them(self):
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        crusher_only = make_program([Gradient()])
+        pulses_only = make_program([Rotation("b", "x", Fraction(1, 2))])
+        with pytest.raises(DomainError, match="pulse sense must be"):
+            run_sequence(rho, crusher_only, pulse_sense=0)
+        with pytest.raises(DomainError, match="iz_sign must be"):
+            run_sequence(rho, crusher_only, iz_sign=7)
+        with pytest.raises(DomainError, match="iz_sign must be"):
+            run_sequence(rho, pulses_only, iz_sign=7)
+        for prog in (crusher_only, make_program([])):
+            with pytest.raises(DomainError, match="must be \\+1 or -1"):
+                run_sequence(rho, prog, record=True, pulse_sense=5, iz_sign=7)
+        with pytest.raises(DomainError, match="must be \\+1 or -1"):
+            branch_propagators(make_program([]), pulse_sense=5, iz_sign=7)
+
     def test_pi_pulse_flips_spin_b(self):
         rho = DensityOperator(tensor(np.diag([1, 0]), np.diag([1, 0])))
         final, _ = run_sequence(rho, make_program([Rotation("b", "x", Fraction(1))]))
@@ -369,7 +377,7 @@ class TestRunSequence:
         t, want, k = 0.0, rho.matrix, 1
         for ev in events:
             if isinstance(ev, Delay):
-                dt = ev.duration(J)
+                dt = ev.duration()
                 for i in range(1, samples):
                     time, state = traj[k]
                     assert time == t + dt * i / samples

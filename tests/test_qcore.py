@@ -10,8 +10,6 @@ from lunephase.errors import DomainError
 from lunephase.policy import POLICY
 from lunephase.qcore import (
     DensityOperator,
-    bloch_to_density,
-    density_to_bloch,
     evolve,
     is_unitary,
     partial_trace,
@@ -23,10 +21,20 @@ from lunephase.qcore import (
 X, Y, Z, I2 = qcore.pauli_x, qcore.pauli_y, qcore.pauli_z, qcore.identity2
 
 
+def bloch_state(v):
+    """Single-spin state (1 + v.sigma)/2 of a Bloch vector v."""
+    return DensityOperator(0.5 * (I2 + qcore.sigma_dot(v)))
+
+
+def bloch_vector(rho):
+    """Bloch components tr(rho sigma_k) of a single-spin state."""
+    return np.array([np.trace(rho.matrix @ s).real for s in (X, Y, Z)])
+
+
 def random_qubit_state(rng):
     v = rng.normal(size=3)
     v *= rng.uniform(0, 1) / np.linalg.norm(v)
-    return bloch_to_density(v)
+    return bloch_state(v)
 
 
 def random_unitary(rng, dim=2):
@@ -67,7 +75,7 @@ class TestDensityOperator:
         assert dev.dim == 4
 
     def test_matrix_is_read_only(self):
-        rho = bloch_to_density([0, 0, 1])
+        rho = bloch_state([0, 0, 1])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
@@ -115,37 +123,6 @@ class TestPartialTrace:
             partial_trace(joint, "c")
 
 
-class TestBlochConversions:
-    def test_origin_is_maximally_mixed(self):
-        assert np.allclose(bloch_to_density([0, 0, 0]).matrix, I2 / 2)
-
-    def test_north_pole(self):
-        assert np.allclose(bloch_to_density([0, 0, 1]).matrix, np.diag([1, 0]))
-
-    def test_x_polarized_partial_mixture(self):
-        r = math.cos(math.pi / 12)
-        rho = bloch_to_density([r, 0, 0])
-        assert np.allclose(rho.matrix, 0.5 * (I2 + r * X), atol=1e-15)
-        assert np.allclose(sorted(np.linalg.eigvalsh(rho.matrix)), [0.5 * (1 - r), 0.5 * (1 + r)])
-
-    def test_simple_reads(self):
-        assert np.allclose(density_to_bloch(DensityOperator(0.5 * (I2 + Y))), [0, 1, 0])
-        assert np.allclose(
-            density_to_bloch(DensityOperator(0.5 * (I2 + 0.5 * X + 0.5 * Z))), [0.5, 0, 0.5]
-        )
-
-    def test_round_trip_on_unit_ball(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            v = rng.normal(size=3)
-            v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            assert np.allclose(density_to_bloch(bloch_to_density(v)), v, atol=1e-12)
-
-    def test_rejects_vector_outside_ball(self):
-        with pytest.raises(DomainError):
-            bloch_to_density([1.0, 1.0, 0.0])
-
-
 class TestRotationUnitary:
     def test_zero_angle(self):
         assert np.allclose(rotation_unitary([1, 0, 0], 0.0), I2)
@@ -188,7 +165,7 @@ class TestRotationUnitary:
             alpha = rng.uniform(-2 * math.pi, 2 * math.pi)
             v = rng.normal(size=3)
             v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            rotated = density_to_bloch(evolve(bloch_to_density(v), rotation_unitary(n, alpha)))
+            rotated = bloch_vector(evolve(bloch_state(v), rotation_unitary(n, alpha)))
             # Rodrigues formula for rotation by alpha about n
             expected = (
                 v * math.cos(alpha)
@@ -200,11 +177,11 @@ class TestRotationUnitary:
 
 class TestEvolve:
     def test_identity(self):
-        rho = bloch_to_density([0.3, 0.2, -0.4])
+        rho = bloch_state([0.3, 0.2, -0.4])
         assert np.allclose(evolve(rho, np.eye(2)).matrix, rho.matrix)
 
     def test_spin_flip(self):
-        up = bloch_to_density([0, 0, 1])
+        up = bloch_state([0, 0, 1])
         down = evolve(up, rotation_unitary([1, 0, 0], math.pi))
         assert np.allclose(down.matrix, np.diag([0, 1]), atol=1e-15)
 
@@ -215,7 +192,7 @@ class TestEvolve:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
-            evolve(bloch_to_density([0, 0, 1]), np.diag([1.0, 0.5]))
+            evolve(bloch_state([0, 0, 1]), np.diag([1.0, 0.5]))
 
     def test_preserves_spectrum_and_purity(self):
         rng = np.random.default_rng(23)
@@ -228,7 +205,7 @@ class TestEvolve:
                 np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
             )
             assert abs(
-                np.linalg.norm(density_to_bloch(out)) - np.linalg.norm(density_to_bloch(rho))
+                np.linalg.norm(bloch_vector(out)) - np.linalg.norm(bloch_vector(rho))
             ) <= 1e-10
 
     def test_stack_gives_each_state_of_its_slice(self):
