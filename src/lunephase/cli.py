@@ -10,7 +10,6 @@ or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -27,6 +26,7 @@ from .experiment import (
     record_values,
     records_to_csv,
     records_to_json,
+    render_table,
     run_single,
     run_sweep,
 )
@@ -141,10 +141,6 @@ def _convention(text: str) -> Conventions:
     return Conventions(pulse_sense=sense, active_branch_up=active_up)
 
 
-def _f(value: float) -> str:
-    return repr(float(value))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lunephase",
@@ -224,28 +220,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args) -> tuple[str, int]:
-    rows = theory_curve(args.omega, sign=args.convention.orientation)
-    if args.format == "csv":
-        lines = ["n,r,gamma_rad,visibility"]
-        for row in rows:
-            gamma = _f(row.gamma) if row.defined else "nan"
-            lines.append(f"{row.n},{_f(row.r)},{gamma},{_f(row.visibility)}")
-        return "\n".join(lines) + "\n", 0
+    table = theory_curve(args.omega, sign=args.convention.orientation)
+    rows = [
+        {
+            "n": row.n,
+            "r": row.r,
+            "gamma_rad": row.gamma if row.defined else None,
+            "visibility": row.visibility,
+        }
+        for row in table
+    ]
     payload = {
         "omega_rad": args.omega,
         "rows": [
-            {
-                "n": row.n,
-                "r": row.r,
-                "gamma_rad": row.gamma if row.defined else None,
-                "visibility": row.visibility,
-                "defined": row.defined,
-                "flipped": row.flipped,
-            }
-            for row in rows
+            dict(cells, defined=row.defined, flipped=row.flipped)
+            for cells, row in zip(rows, table)
         ],
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    return render_table(args.format, rows, {}, payload), 0
 
 
 def _gate(records, args) -> int:
@@ -304,17 +296,12 @@ def cmd_simulate(args) -> tuple[str, int]:
             for t, state in (record.snapshots or ())
         ],
     }
-    return json.dumps(payload, indent=2) + "\n", code
+    return render_table("json", [], {}, payload), code
 
 
-def _loop_segments(path: StatePath, per_segment: int):
-    cuts = ((0, per_segment + 1), (per_segment, 2 * per_segment + 1))
-    for lo, hi in cuts:
-        yield StatePath(path.times[lo:hi], path.states[lo:hi], path.generators[lo:hi])
-
-
-def _build_path(args, eigen_sign: int, perturb: float = 0.0):
-    """The idealized loop at --samples total samples, and its per-segment count."""
+def _loop_reports(args, eigen_sign: int, perturb: float = 0.0):
+    """The idealized loop at --samples total samples, and for each of its two
+    geodesic segments the report check-transport prints."""
     per_segment = args.samples // 2
     path = idealized_eigenvector_path(
         args.theta,
@@ -323,51 +310,12 @@ def _build_path(args, eigen_sign: int, perturb: float = 0.0):
         samples_per_segment=per_segment,
         perturb=perturb,
     )
-    return path, per_segment
-
-
-def cmd_trace_path(args) -> tuple[str, int]:
-    eigen_sign = 1 if args.branch == "plus" else -1
-    path, per_segment = _build_path(args, eigen_sign)
-    bloch = path.to_bloch_path()
-    area = solid_angle(bloch)
-    deviations = [
-        check_geodesic(BlochPath(seg.times, seg.bloch_points()))
-        for seg in _loop_segments(path, per_segment)
-    ]
-    pan = pancharatnam_phase(path)
-    dyn = dynamical_phase(path)
-    if args.format == "csv":
-        lines = ["time_s,x,y,z,branch"]
-        for t, (x, y, z) in zip(path.times, bloch.points):
-            lines.append(f"{_f(t)},{_f(x)},{_f(y)},{_f(z)},{args.branch}")
-        lines.append(f"# solid_angle_rad = {_f(area)}")
-        for k, dev in enumerate(deviations, start=1):
-            lines.append(f"# geodesic_deviation_seg{k} = {_f(dev)}")
-        lines.append(f"# pancharatnam_rad = {_f(pan)}")
-        lines.append(f"# dynamical_rad = {_f(dyn)}")
-        return "\n".join(lines) + "\n", 0
-    payload = {
-        "theta_rad": args.theta,
-        "branch": args.branch,
-        "points": [
-            {"time_s": float(t), "x": float(x), "y": float(y), "z": float(z)}
-            for t, (x, y, z) in zip(path.times, bloch.points)
-        ],
-        "solid_angle_rad": area,
-        "geodesic_deviation_rad": deviations,
-        "pancharatnam_rad": pan,
-        "dynamical_rad": dyn,
-    }
-    return json.dumps(payload, indent=2) + "\n", 0
-
-
-def cmd_check_transport(args) -> tuple[str, int]:
-    path, per_segment = _build_path(args, 1, perturb=args.perturb)
     reports = []
-    for k, seg in enumerate(_loop_segments(path, per_segment), start=1):
-        dyn = dynamical_phase(seg)
+    for k, lo in enumerate((0, per_segment), start=1):
+        cut = slice(lo, lo + per_segment + 1)
+        seg = StatePath(path.times[cut], path.states[cut], path.generators[cut])
         dev = check_geodesic(BlochPath(seg.times, seg.bloch_points()))
+        dyn = dynamical_phase(seg)
         reports.append(
             {
                 "segment": k,
@@ -376,19 +324,45 @@ def cmd_check_transport(args) -> tuple[str, int]:
                 "pass": dev <= GEODESIC_TOL and abs(dyn) <= DYNAMICAL_TOL,
             }
         )
+    return path, reports
+
+
+def cmd_trace_path(args) -> tuple[str, int]:
+    path, reports = _loop_reports(args, 1 if args.branch == "plus" else -1)
+    bloch = path.to_bloch_path()
+    points = [
+        {"time_s": float(t), "x": float(x), "y": float(y), "z": float(z)}
+        for t, (x, y, z) in zip(path.times, bloch.points)
+    ]
+    area = solid_angle(bloch)
+    pan = pancharatnam_phase(path)
+    dyn = dynamical_phase(path)
+    deviations = [r["geodesic_deviation"] for r in reports]
+    footer = {
+        "solid_angle_rad": area,
+        **{f"geodesic_deviation_seg{k}": dev for k, dev in enumerate(deviations, 1)},
+        "pancharatnam_rad": pan,
+        "dynamical_rad": dyn,
+    }
+    payload = {
+        "theta_rad": args.theta,
+        "branch": args.branch,
+        "points": points,
+        "solid_angle_rad": area,
+        "geodesic_deviation_rad": deviations,
+        "pancharatnam_rad": pan,
+        "dynamical_rad": dyn,
+    }
+    rows = [dict(point, branch=args.branch) for point in points]
+    return render_table(args.format, rows, footer, payload), 0
+
+
+def cmd_check_transport(args) -> tuple[str, int]:
+    _, reports = _loop_reports(args, 1, perturb=args.perturb)
     ok = all(r["pass"] for r in reports)
-    if args.format == "csv":
-        lines = ["segment,geodesic_deviation,dynamical_phase_rad,pass"]
-        for r in reports:
-            lines.append(
-                f"{r['segment']},{_f(r['geodesic_deviation'])},"
-                f"{_f(r['dynamical_phase_rad'])},{'true' if r['pass'] else 'false'}"
-            )
-        lines.append(f"# transport = {'pass' if ok else 'fail'}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps({"segments": reports, "pass": ok}, indent=2) + "\n"
-    return text, 0 if ok else 1
+    footer = {"transport": "pass" if ok else "fail"}
+    payload = {"segments": reports, "pass": ok}
+    return render_table(args.format, reports, footer, payload), 0 if ok else 1
 
 
 def cmd_parse(args) -> tuple[str, int]:
@@ -400,19 +374,15 @@ def cmd_parse(args) -> tuple[str, int]:
         raise ValueError(f"{args.file}:{exc}") from exc
     rendered = render_sequence(prog)
     duration = float(prog.total_duration)
-    if args.format == "csv":
-        text = (
-            rendered
-            + f"# events = {len(prog.events)}\n"
-            + f"# total_duration_s = {_f(duration)}\n"
-        )
-        return text, 0
+    footer = {"events": len(prog.events), "total_duration_s": duration}
     payload = {
         "events": rendered.strip().split("\n"),
         "event_count": len(prog.events),
         "total_duration_s": duration,
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    text = render_table(args.format, [], footer, payload)
+    # the CSV form is the normalized program itself, ahead of the footer
+    return (rendered + text if args.format == "csv" else text), 0
 
 
 _HANDLERS = {

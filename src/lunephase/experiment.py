@@ -24,6 +24,7 @@ from .geometry import StatePath, check_inclination, lune_axes
 from .phases import (
     PURITY_STEPS,
     PhaseResult,
+    _from_complex,
     check_purity_index,
     ladder_purity,
     qubit_mixed_phase,
@@ -353,13 +354,7 @@ def readout_phase(rho_ab: DensityOperator, reference: complex) -> PhaseResult:
     if abs(ref) < POLICY.visibility_floor:
         raise DomainError("reference coherence is zero; prepare the state first")
     c = spin_a_coherence(rho_ab)
-    visibility = abs(c) / abs(ref)
-    if visibility < POLICY.visibility_floor:
-        return PhaseResult(0.0, visibility, False)
-    ratio = c / ref
-    return PhaseResult(
-        principal_angle(math.atan2(ratio.imag, ratio.real)), visibility, True
-    )
+    return _from_complex(c / ref, abs(c) / abs(ref))
 
 
 def _run_grid(
@@ -464,20 +459,6 @@ def sweep_summary(records: list[RunRecord]) -> dict:
     }
 
 
-SWEEP_COLUMNS = (
-    "omega_rad",
-    "theta_rad",
-    "n",
-    "r",
-    "gamma_sim_rad",
-    "gamma_theory_rad",
-    "visibility_sim",
-    "visibility_theory",
-    "residual_rad",
-    "defined",
-)
-
-
 def record_values(record: RunRecord) -> dict:
     """Flatten one record into the sweep schema; phase fields of undefined
     rows become None."""
@@ -497,26 +478,39 @@ def record_values(record: RunRecord) -> dict:
     }
 
 
-def _csv_cell(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return "nan"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # float() first: numpy scalars repr with their type name
+        return repr(float(value))
     return str(value)
+
+
+def render_table(fmt: str, rows: list[dict], footer: dict, payload) -> str:
+    """The one table format of every command.
+
+    CSV ("csv"): a header naming the first row's keys, one line per row dict,
+    then one '# key = value' line per footer entry; None (an undefined phase)
+    prints as nan, bools as true/false, floats as their round-trip repr.
+    JSON ("json"): payload at indent 2, None as null; rows and footer unused.
+    Either ends with a newline.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(rows[0])] if rows else []
+    lines += [",".join(map(_cell, row.values())) for row in rows]
+    lines += [f"# {key} = {_cell(value)}" for key, value in footer.items()]
+    return "\n".join(lines) + "\n"
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
     """Render sweep records as deterministic CSV with a '#' summary footer."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for record in records:
-        values = record_values(record)
-        lines.append(",".join(_csv_cell(values[col]) for col in SWEEP_COLUMNS))
     summary = sweep_summary(records)
-    lines.append(f"# max_abs_residual_rad = {repr(summary['max_abs_residual_rad'])}")
-    lines.append(f"# rms_residual_rad = {repr(summary['rms_residual_rad'])}")
-    return "\n".join(lines) + "\n"
+    footer = {k: summary[k] for k in ("max_abs_residual_rad", "rms_residual_rad")}
+    return render_table("csv", [record_values(r) for r in records], footer, None)
 
 
 def records_to_json(records: list[RunRecord]) -> str:
@@ -525,4 +519,4 @@ def records_to_json(records: list[RunRecord]) -> str:
         "rows": [record_values(r) for r in records],
         "summary": sweep_summary(records),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return render_table("json", [], {}, payload)

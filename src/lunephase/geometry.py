@@ -68,7 +68,6 @@ class BlochPath:
 
     times: np.ndarray
     points: np.ndarray
-    closed: bool = False
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -82,13 +81,17 @@ class BlochPath:
         norms = np.linalg.norm(points, axis=1)
         if np.max(np.abs(norms - 1.0)) > POLICY.path_unit_tol:
             raise DomainError("path points must be unit vectors")
-        if self.closed and np.linalg.norm(points[0] - points[-1]) > POLICY.path_closure_tol:
-            raise DomainError("closed path endpoints do not coincide")
         object.__setattr__(self, "times", _read_only(times))
         object.__setattr__(self, "points", _read_only(points))
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def closed(self) -> bool:
+        """Whether the endpoints coincide within the closure tolerance."""
+        gap = np.linalg.norm(self.points[0] - self.points[-1])
+        return bool(gap <= POLICY.path_closure_tol)
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ class StatePath:
         return np.column_stack([x, y, z])
 
     def to_bloch_path(self) -> BlochPath:
-        pts = self.bloch_points()
-        closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= POLICY.path_closure_tol)
-        return BlochPath(self.times, pts, closed)
+        return BlochPath(self.times, self.bloch_points())
 
 
 def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
@@ -170,7 +171,7 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     points = np.vstack([rotate(n1, phis[:-1], _X_AXIS), rotate(-n2, phis, -_X_AXIS)])
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])
-    return BlochPath(times, points, closed=True)
+    return BlochPath(times, points)
 
 
 _FALLBACK_FAN_POINTS = [
@@ -209,8 +210,7 @@ def solid_angle(path: BlochPath) -> float:
     points = path.points
     if np.max(np.linalg.norm(points - points[0], axis=1)) <= 1e-9:
         return 0.0
-    if np.linalg.norm(points[0] - points[-1]) <= POLICY.path_closure_tol:
-        points = points[:-1]
+    points = points[:-1]
     fan = _fan_point(points)
     p = points
     q = np.roll(points, -1, axis=0)

@@ -52,11 +52,13 @@ class PhaseResult:
             raise DomainError("visibility must lie in [0, 1]")
 
 
-def _from_complex(re: float, im: float) -> PhaseResult:
-    v = math.hypot(re, im)
-    if v < POLICY.visibility_floor:
-        return PhaseResult(0.0, v, False)
-    return PhaseResult(principal_angle(math.atan2(im, re)), v, True)
+def _from_complex(z: complex, visibility: float) -> PhaseResult:
+    """The result v e^{i gamma} = z; callers pass v = |z| computed their own
+    way, which fixes its last bit. Below the visibility floor the phase is
+    undefined."""
+    if visibility < POLICY.visibility_floor:
+        return PhaseResult(0.0, visibility, False)
+    return PhaseResult(principal_angle(math.atan2(z.imag, z.real)), visibility, True)
 
 
 def sjoqvist_average(probabilities, phases) -> PhaseResult:
@@ -76,7 +78,7 @@ def sjoqvist_average(probabilities, phases) -> PhaseResult:
     if abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise DomainError("weights must sum to 1")
     z = complex(np.sum(p * np.exp(1j * g)))
-    return _from_complex(z.real, z.imag)
+    return _from_complex(z, math.hypot(z.real, z.imag))
 
 
 def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
@@ -95,7 +97,8 @@ def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     if sign not in (1, -1):
         raise DomainError("orientation sign must be +1 or -1")
     half = 0.5 * omega
-    return _from_complex(math.cos(half), sign * r * math.sin(half))
+    z = complex(math.cos(half), sign * r * math.sin(half))
+    return _from_complex(z, math.hypot(z.real, z.imag))
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,97 @@ class TestParseCommand:
         assert payload["events"][0].startswith("pulse b x")
 
 
+def csv_table(text):
+    """Rows (dicts of cell text keyed by the header) and '#' footer of a CSV
+    table."""
+    lines = text.rstrip("\n").split("\n")
+    body = [line for line in lines if not line.startswith("#")]
+    footer = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
+    header = body[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in body[1:]], footer
+
+
+def cell_agrees(cell, value):
+    """A CSV cell against the JSON value of the same quantity: floats must
+    round-trip exactly, an undefined (null) value prints as nan."""
+    if value is None:
+        return cell == "nan"
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
+
+
+def _trace_path_json(payload):
+    rows = [dict(point, branch=payload["branch"]) for point in payload["points"]]
+    footer = {
+        key: payload[key]
+        for key in ("solid_angle_rad", "pancharatnam_rad", "dynamical_rad")
+    }
+    for k, dev in enumerate(payload["geodesic_deviation_rad"], start=1):
+        footer[f"geodesic_deviation_seg{k}"] = dev
+    return rows, footer
+
+
+def _simulate_json(payload):
+    # the one row's residual statistics; JSON carries no summary object
+    residual = payload["result"]["residual_rad"]
+    stat = 0.0 if residual is None else abs(residual)
+    return [payload["result"]], {"max_abs_residual_rad": stat, "rms_residual_rad": stat}
+
+
+def _sweep_json(payload):
+    summary = payload["summary"]
+    footer = {k: summary[k] for k in ("max_abs_residual_rad", "rms_residual_rad")}
+    return payload["rows"], footer
+
+
+def _transport_json(payload):
+    return payload["segments"], {"transport": "pass" if payload["pass"] else "fail"}
+
+
+class TestCsvJsonAgreement:
+    """Each command's CSV cells and footer equal the JSON values of the same
+    invocation; the JSON side is mapped to (rows, footer) per command."""
+
+    @pytest.mark.parametrize(
+        "argv, from_json",
+        [
+            (["theory", "--omega", "pi"], lambda p: (p["rows"], {})),
+            (["sweep", "--theta", "pi/4,0.3", "--relaxation", "0.3,0.4"], _sweep_json),
+            (["simulate", "--theta", "pi/8", "--n", "3"], _simulate_json),
+            (["simulate", "--theta", "pi/4", "--n", "6"], _simulate_json),
+            (["trace-path", "--theta", "0.3", "--samples", "64"], _trace_path_json),
+            (
+                ["trace-path", "--theta", "pi/4", "--samples", "65", "--branch", "minus"],
+                _trace_path_json,
+            ),
+            (["check-transport", "--theta", "pi/8"], _transport_json),
+            (["check-transport", "--theta", "pi/8", "--perturb", "0.01"], _transport_json),
+        ],
+    )
+    def test_csv_cells_equal_json_values(self, argv, from_json):
+        csv_code, csv_out, _ = invoke(argv)
+        json_code, json_out, _ = invoke(argv + ["--format", "json"])
+        assert csv_code == json_code
+        csv_rows, csv_footer = csv_table(csv_out)
+        json_rows, json_footer = from_json(json.loads(json_out))
+        assert len(csv_rows) == len(json_rows) > 0
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert set(csv_row) <= set(json_row)
+            for key, cell in csv_row.items():
+                assert cell_agrees(cell, json_row[key]), (key, cell, json_row[key])
+        assert set(csv_footer) == set(json_footer)
+        for key, cell in csv_footer.items():
+            assert cell_agrees(cell, json_footer[key]), (key, cell, json_footer[key])
+
+    def test_cell_comparison_is_strict(self):
+        assert cell_agrees("nan", None) and not cell_agrees("0.0", None)
+        assert cell_agrees("false", False) and not cell_agrees("0", False)
+        assert cell_agrees("0.1", 0.1) and not cell_agrees("0.1", math.nextafter(0.1, 1.0))
+
+
 class TestExitCodeContract:
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["spectrometer"])

@@ -15,7 +15,6 @@ import lunephase.experiment as experiment
 from lunephase.experiment import (
     DEFAULT_THETAS,
     MODELS,
-    SWEEP_COLUMNS,
     ExperimentConfig,
     RunRecord,
     cycle_program,
@@ -638,6 +637,20 @@ class TestReadoutIdentity:
             assert abs(z - measured) <= 1e-12
         else:
             assert abs(z) < 1e-9
+
+
+SWEEP_COLUMNS = (
+    "omega_rad",
+    "theta_rad",
+    "n",
+    "r",
+    "gamma_sim_rad",
+    "gamma_theory_rad",
+    "visibility_sim",
+    "visibility_theory",
+    "residual_rad",
+    "defined",
+)
 
 
 class TestSerializers:

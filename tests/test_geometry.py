@@ -34,7 +34,7 @@ def circle_path(axis_angle, n, start_phi=0.0, span=2 * math.pi):
     phis = start_phi + np.linspace(0.0, span, n + 1)
     s, c = math.sin(axis_angle), math.cos(axis_angle)
     pts = np.column_stack([s * np.cos(phis), s * np.sin(phis), np.full(n + 1, c)])
-    return BlochPath(np.linspace(0, span, n + 1), pts, closed=abs(span - 2 * math.pi) < 1e-12)
+    return BlochPath(np.linspace(0, span, n + 1), pts)
 
 
 def arc_length(path):
@@ -46,7 +46,7 @@ def arc_length(path):
 
 def reversed_path(path):
     """The same samples traversed in the opposite order."""
-    return BlochPath(path.times, path.points[::-1], path.closed)
+    return BlochPath(path.times, path.points[::-1])
 
 
 def geodesic_arc(p, q, n):
@@ -91,7 +91,7 @@ def turned_lune(theta, vertex, samples):
         points = rotate(cross / s, math.atan2(s, vertex[0]), points)
     elif vertex[0] < 0.0:  # antipodal vertex: half turn about z
         points = rotate(np.array([0.0, 0.0, 1.0]), math.pi, points)
-    return BlochPath(lune.times, points, closed=True)
+    return BlochPath(lune.times, points)
 
 
 unit_vectors = (
@@ -109,10 +109,6 @@ class TestBlochPath:
     def test_rejects_decreasing_times(self):
         with pytest.raises(DomainError):
             BlochPath([1.0, 0.0], [[1, 0, 0], [0, 1, 0]])
-
-    def test_rejects_open_marked_closed(self):
-        with pytest.raises(DomainError):
-            BlochPath([0.0, 1.0], [[1, 0, 0], [0, 1, 0]], closed=True)
 
     def test_arc_length_of_equator(self):
         assert arc_length(circle_path(math.pi / 2, 4096)) == pytest.approx(
@@ -245,7 +241,7 @@ class TestSolidAngle:
 
     def test_degenerate_loop_is_zero(self):
         pts = np.tile([0.0, 0.0, 1.0], (10, 1))
-        assert solid_angle(BlochPath(np.linspace(0, 1, 10), pts, closed=True)) == 0.0
+        assert solid_angle(BlochPath(np.linspace(0, 1, 10), pts)) == 0.0
 
     def test_equator_gives_hemisphere(self):
         assert solid_angle(circle_path(math.pi / 2, 2048)) == pytest.approx(
@@ -257,7 +253,7 @@ class TestSolidAngle:
         pts = np.vstack(
             [geodesic_arc(x, y, 200)[:-1], geodesic_arc(y, z, 200)[:-1], geodesic_arc(z, x, 200)]
         )
-        path = BlochPath(np.linspace(0, 1, len(pts)), pts, closed=True)
+        path = BlochPath(np.linspace(0, 1, len(pts)), pts)
         assert solid_angle(path) == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_lune_signed_areas(self):

@@ -98,6 +98,55 @@ def test_checker_flags_unread_parameters():
     ]
 
 
+def json_dumps_calls(source: str) -> list[int]:
+    """Line numbers of the calls to json.dumps, also under an alias of the
+    module or a name imported from it."""
+    tree = ast.parse(source)
+    modules, functions = {"json"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "json" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {a.asname or a.name for a in node.names if a.name == "dumps"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute) and f.attr == "dumps"
+            and isinstance(f.value, ast.Name) and f.value.id in modules
+        ) or (isinstance(f, ast.Name) and f.id in functions):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_json_writer():
+    # every command's JSON goes through experiment.render_table
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in json_dumps_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_checker_finds_json_dumps_calls():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps, dumps as d, loads\n"
+        "json.dumps({})\n"
+        "j.dumps([])\n"
+        "dumps(1)\n"
+        "d(2)\n"
+        "loads('1')\n"
+        "text.dumps()\n"
+        "print(json.dumps(None))\n"
+    )
+    assert json_dumps_calls(source) == [4, 5, 6, 7, 10]
+
+
 def _public(name: str) -> bool:
     return not name.startswith("_")
 
