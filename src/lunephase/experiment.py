@@ -366,7 +366,10 @@ def _run_grid(
     effective-pure preparation once per call, purity mixing and the
     reference coherence once per distinct n.  Each point then runs its
     cycle under the selected model, the optional transverse relaxation over
-    the cycle duration and the phase readout against the closed form.
+    the cycle duration and the phase readout against the closed form.  The
+    cycle program depends on theta alone, and each distinct program
+    compiles once in the bounded cache of pulse._compile, so a sweep
+    compiles one cycle per theta.
     """
     conv = configs[0].conventions
     pure = prepare_effective_pure(thermal_state(), conv)

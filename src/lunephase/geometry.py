@@ -255,6 +255,6 @@ def check_geodesic(path: BlochPath) -> float:
     points = path.points
     if len(points) < 3:
         raise DomainError("geodesic check needs at least 3 samples")
-    _, _, vt = np.linalg.svd(points, full_matrices=True)
+    _, _, vt = np.linalg.svd(points, full_matrices=False)
     normal = vt[-1]
     return float(np.max(np.abs(points @ normal)))

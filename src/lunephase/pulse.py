@@ -7,9 +7,11 @@ are diagonal in the Zeeman product basis.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,6 +44,19 @@ def _check_offset(omega: float) -> float:
     return omega
 
 
+def _store_reals(obj, *names: str) -> None:
+    """Store each named value field of obj as a float, unless it already is
+    one, is rational (a Fraction flip counts half turns), a label or None.
+    The conversion is exact and makes numpy scalars and 0-d arrays
+    hashable, as the compile cache needs."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) not in (float, Fraction, str, type(None)) and not isinstance(
+            value, numbers.Rational
+        ):
+            object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class SpinSystemParams:
     """Two-spin rotating-frame offsets in rad/s; the coupling is DEFAULT_J.
@@ -58,6 +73,7 @@ class SpinSystemParams:
     def __post_init__(self) -> None:
         _check_offset(self.omega_a)
         _check_offset(self.omega_b)
+        _store_reals(self, "omega_a", "omega_b")
 
 
 def _flip_radians(flip: Fraction | float) -> float:
@@ -82,6 +98,7 @@ class Rotation:
             raise DomainError(f"unknown spin label {self.spin!r}")
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
+        _store_reals(self, "axis", "flip")
         angle = self.flip_radians
         if not -2 * math.pi < angle <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
@@ -115,6 +132,7 @@ class Delay:
             raise DomainError("delay duration must be nonnegative")
         if self.per_j is not None and self.per_j < 0:
             raise DomainError("delay duration must be nonnegative")
+        _store_reals(self, "seconds", "per_j")
 
     def duration(self) -> float:
         if self.per_j is not None:
@@ -146,6 +164,7 @@ class FrameOffset:
             raise DomainError(f"unknown spin label {self.spin!r}")
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
+        _store_reals(self, "value")
 
     def angular(self) -> float:
         if self.unit == "piJ":
@@ -155,11 +174,41 @@ class FrameOffset:
 
 @dataclass(frozen=True)
 class SequenceProgram:
-    """Ordered pulse-program events plus the frame they execute in."""
+    """Ordered pulse-program events plus the frame they execute in.
+
+    Two programs compare equal only when they compile to the same bits.
+    Equal events and offsets can differ in what == overlooks but a
+    propagator reads, so equality also compares the form of each value
+    field: the sign of a float, which tells 0.0 from -0.0, and the type of
+    anything else, which tells a Fraction flip (a multiple of pi) from as
+    many radians. The hash is that of the flat tuple of value fields and
+    forms, which spares a compile-cache lookup the nested hashes of every
+    event.
+    """
 
     events: tuple[PulseEvent, ...]
     params: SpinSystemParams
     frames: tuple[FrameOffset, ...] = ()
+    _key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # tuples, so that the key built below cannot go stale
+        if type(self.events) is not tuple or type(self.frames) is not tuple:
+            object.__setattr__(self, "events", tuple(self.events))
+            object.__setattr__(self, "frames", tuple(self.frames))
+        values = [self.params.omega_a, self.params.omega_b]
+        for ev in self.events:
+            if isinstance(ev, Rotation):
+                values += (ev.spin, ev.axis, ev.flip)
+            elif isinstance(ev, Delay):
+                values += (ev.seconds, ev.per_j)
+            else:
+                values.append(None)
+        forms = [math.copysign(1.0, v) if type(v) is float else type(v) for v in values]
+        object.__setattr__(self, "_key", (*values, *forms))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def total_duration(self) -> float:
@@ -297,15 +346,24 @@ class _Step(NamedTuple):
     product: np.ndarray
 
 
+# A grid point keeps three entries live (preparation, latest mixing, cycle);
+# a sweep runs theta in its outer loop, so one cycle entry per theta suffices.
+@functools.lru_cache(maxsize=16)
 def _compile(
     prog: SequenceProgram, pulse_sense: int = 1, iz_sign: int = 1
-) -> list[Gradient | list[_Step]]:
+) -> tuple[Gradient | tuple[_Step, ...], ...]:
     """Split a program at its crushers into stretches of unitary events.
 
-    Crushers stay in the list as themselves; a stretch's last step carries
+    Crushers stay in the tuple as themselves; a stretch's last step carries
     its whole propagator. Every event propagator passes one stacked
     unitarity check. Both sign conventions are checked up front, whether or
     not an event reads them.
+
+    A program compiles once per distinct (program, pulse_sense, iz_sign):
+    the result is kept in a small least-recently-used cache, immutable
+    (tuples, read-only products) so that every caller can share it. A
+    program that fails a check raises on every call, since an exception is
+    never cached.
     """
     _check_sign(pulse_sense, "pulse sense")
     _check_sign(iz_sign, "iz_sign")
@@ -328,10 +386,11 @@ def _compile(
         else:
             product = u
             compiled.append([])
+        product.setflags(write=False)
         compiled[-1].append(_Step(ev, dt, product))
     if factors and not is_unitary(np.array(factors)):
         raise DomainError("event propagator is not unitary within tolerance")
-    return compiled
+    return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
 
 
 def run_sequence(
@@ -346,7 +405,9 @@ def run_sequence(
 
     Crushers split the program into stretches of pulses and delays; the
     propagator of each stretch is the product of its events' closed-form
-    propagators, each of which is checked for unitarity. A stretch then
+    propagators, each of which is checked for unitarity. The program
+    compiles once per distinct (program, pulse_sense, iz_sign), in a
+    bounded cache shared with branch_propagators (see _compile). A stretch then
     costs one conjugation of the state it starts in, with one unitarity
     check of the product and one state check of the result.
 

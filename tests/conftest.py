@@ -1,5 +1,7 @@
 import pytest
 
+from lunephase import pulse
+
 _ACCEPTANCE_LINES: list[str] = []
 
 
@@ -17,6 +19,14 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+@pytest.fixture(autouse=True)
+def empty_compile_cache():
+    """Start every test with an empty pulse-program compile cache, so that a
+    test that patches a propagator builder sees its program compiled anew
+    rather than served from an earlier test's entry."""
+    pulse._compile.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):

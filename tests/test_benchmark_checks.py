@@ -32,6 +32,26 @@ def test_requests_pass_the_benchmark_checks(workloads, name, count):
         assert check(request, None) == []
 
 
+def test_repeated_chain_requests_pass_and_repeat_bit_for_bit(workloads):
+    # within a request every point after the first takes its preparation
+    # and cycle from the compile cache, and the second pass starts from
+    # the cache the first one left
+    stream = workloads.chain_requests(random.Random(17))
+    requests = [next(stream) for _ in range(8)]
+    passes = []
+    for _ in range(2):
+        bits = []
+        for request in requests:
+            workloads.run_chain(pulse, qcore, request)
+            assert workloads.check_chain(request, None) == []
+            for point in request.outcome["points"]:
+                bits += [point[key].tobytes() for key in ("prepared", "mixed", "cycled", "reduced")]
+                bits += [u.tobytes() for u in point["branches"]]
+        passes.append(bits)
+    assert passes[0] == passes[1]
+    assert pulse._compile.cache_info().hits > 0
+
+
 @pytest.mark.parametrize("samples", [1, 2, 1000])
 def test_any_sample_count_passes_the_trajectory_check(workloads, samples):
     request = next(workloads.trajectory_requests(random.Random(13)))

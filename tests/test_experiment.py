@@ -12,6 +12,7 @@ import oracle_brute as oracle
 from lunephase.conventions import DEFAULT_CONVENTIONS, Conventions
 from lunephase.errors import ConventionError, DomainError
 import lunephase.experiment as experiment
+from lunephase import pulse
 from lunephase.experiment import (
     DEFAULT_THETAS,
     MODELS,
@@ -580,6 +581,16 @@ class TestGridPipeline:
         records = run_sweep(thetas=(0.1, 0.4, 0.9, 1.3), n_values=(0, 5, 9))
         assert len(records) == 12
         assert calls == {"pure": 1, "mixed": [0, 5, 9]}
+
+    def test_sweep_compiles_each_distinct_program_once(self):
+        # the compile cache starts empty in every test (conftest.py)
+        records = run_sweep(thetas=(0.1, 0.4, 0.9, 1.3), n_values=(0, 5, 9))
+        # one preparation, three mixings and one cycle per theta
+        assert pulse._compile.cache_info().misses == 1 + 3 + 4
+        for rec in records:
+            single = run_single(rec.config)
+            for field in dataclasses.fields(RunRecord):
+                assert same_value(getattr(rec, field.name), getattr(single, field.name))
 
     def test_single_record_keeps_its_config(self):
         config = ExperimentConfig(0.3, 4, "idealized-controlled-U")

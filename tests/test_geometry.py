@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,3 +416,16 @@ class TestCheckGeodesic:
     def test_needs_three_samples(self):
         with pytest.raises(DomainError):
             check_geodesic(BlochPath([0, 1], [[1, 0, 0], [0, 1, 0]]))
+
+    def test_memory_stays_linear_in_the_sample_count(self):
+        # one loop segment at 5000 samples; an (N, N) SVD factor of it would
+        # take about 191 MiB
+        pts = geodesic_arc([1, 0, 0], [0, 1, 0], 5000)  # 5001 points
+        path = BlochPath(np.linspace(0, 1, len(pts)), pts)
+        tracemalloc.start()
+        try:
+            check_geodesic(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20

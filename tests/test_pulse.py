@@ -527,3 +527,119 @@ class TestBranchPropagators:
         final, _ = run_sequence(rho, prog, pulse_sense=-1)
         full = np.block([[up, np.zeros((2, 2))], [np.zeros((2, 2)), down]])
         assert np.allclose(full @ rho.matrix @ full.conj().T, final.matrix, atol=1e-12)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+signed_zero_events = st.one_of(
+    st.builds(
+        Rotation,
+        st.sampled_from("ab"),
+        st.one_of(st.just("y"), signed_zeros),
+        st.one_of(st.just(Fraction(1, 2)), signed_zeros),
+    ),
+    signed_zeros.map(lambda sec: Delay(seconds=sec)),
+)
+cache_offsets = st.one_of(signed_zeros, st.floats(-OFFSET_BOUND, OFFSET_BOUND))
+cache_programs = st.builds(
+    make_program,
+    st.lists(
+        st.one_of(pulse_events, delay_events, st.just(Gradient()), signed_zero_events),
+        max_size=8,
+    ),
+    st.builds(SpinSystemParams, cache_offsets, cache_offsets),
+)
+
+
+def remade(prog, value):
+    """prog rebuilt with value() applied to every numeric field."""
+    events = []
+    for ev in prog.events:
+        if isinstance(ev, Rotation):
+            axis = ev.axis if isinstance(ev.axis, str) else value(ev.axis)
+            ev = Rotation(ev.spin, axis, value(ev.flip))
+        elif isinstance(ev, Delay):
+            ev = (Delay(per_j=value(ev.per_j)) if ev.seconds is None
+                  else Delay(seconds=value(ev.seconds)))
+        events.append(ev)
+    params = SpinSystemParams(value(prog.params.omega_a), value(prog.params.omega_b))
+    return make_program(events, params)
+
+
+def negated_zero(x):
+    return -x if isinstance(x, float) and x == 0 else x
+
+
+def in_radians(x):
+    return float(x) if isinstance(x, Fraction) else x
+
+
+def compiled_bits(compiled):
+    return tuple(
+        None if isinstance(stretch, Gradient)
+        else tuple((step.duration.hex(), step.product.tobytes()) for step in stretch)
+        for stretch in compiled
+    )
+
+
+class TestCompileCache:
+    @settings(max_examples=60, deadline=None)
+    @given(prog=cache_programs, sense=st.sampled_from((1, -1)), iz_sign=st.sampled_from((1, -1)))
+    def test_hits_are_bit_identical_to_a_fresh_compile(self, prog, sense, iz_sign):
+        # twins compare equal event by event, but a signed zero or a flip
+        # in radians instead of half turns changes the propagators' bits
+        for twin in (remade(prog, negated_zero), remade(prog, in_radians)):
+            for first, second in ((prog, twin), (twin, prog)):
+                pulse._compile.cache_clear()
+                for p in (first, second, first, second):
+                    fresh = pulse._compile.__wrapped__(p, sense, iz_sign)
+                    got = pulse._compile(p, sense, iz_sign)
+                    assert compiled_bits(got) == compiled_bits(fresh)
+                assert pulse._compile.cache_info().hits >= 2
+
+    def test_cached_products_are_read_only(self):
+        prog = make_program([Rotation("b", "x", Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
+        for compiled in (pulse._compile(prog), pulse._compile(prog)):
+            for step in compiled[0]:
+                with pytest.raises(ValueError):
+                    step.product[0, 0] = 0
+        assert pulse._compile.cache_info().hits == 1
+
+    def test_a_failing_program_raises_on_every_call(self, monkeypatch):
+        built = []
+
+        def doubled(ev, sense=1):
+            built.append(ev)
+            return 2 * np.eye(4, dtype=complex)
+
+        monkeypatch.setattr(pulse, "pulse_unitary", doubled)
+        prog = make_program([Rotation("b", "x", Fraction(1, 2))])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        for calls in (1, 2, 3):
+            with pytest.raises(DomainError, match="not unitary"):
+                run_sequence(rho, prog)
+            assert len(built) == calls
+        assert pulse._compile.cache_info().currsize == 0
+
+    def test_numpy_fields_compile_as_their_floats(self):
+        rho = random_two_spin_state(np.random.default_rng(29))
+        numpy_prog = make_program(
+            [Rotation("b", np.array(0.3), np.float64(1.0)), Delay(seconds=np.array(1e-3)),
+             Rotation("a", "x", np.array(0.5)), Delay(per_j=Fraction(1, 2))],
+            SpinSystemParams(omega_a=np.array(5.0)),
+            (FrameOffset("b", np.float64(-0.25), "piJ"),),
+        )
+        float_prog = make_program(
+            [Rotation("b", 0.3, 1.0), Delay(seconds=1e-3),
+             Rotation("a", "x", 0.5), Delay(per_j=Fraction(1, 2))],
+            SpinSystemParams(omega_a=5.0),
+            (FrameOffset("b", -0.25, "piJ"),),
+        )
+        assert numpy_prog == float_prog and hash(numpy_prog) == hash(float_prog)
+        assert type(numpy_prog.events[0].axis) is float
+        assert type(numpy_prog.params.omega_a) is float
+        runs = []
+        for prog in (numpy_prog, float_prog):
+            pulse._compile.cache_clear()
+            final, path = run_sequence(rho, prog, record=True, samples_per_delay=4)
+            runs.append([final.matrix.tobytes()] + [s.matrix.tobytes() for _, s in path])
+        assert runs[0] == runs[1]
