@@ -20,7 +20,7 @@ import numpy as np
 
 from .conventions import DEFAULT_CONVENTIONS, Conventions
 from .errors import ConventionError, DomainError
-from .geometry import StatePath, check_inclination, lune_axes
+from .geometry import StatePath, _loop_axes, check_inclination
 from .phases import (
     PURITY_STEPS,
     PhaseResult,
@@ -45,6 +45,7 @@ from .pulse import (
 from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
+    _check_sign,
     evolve,
     identity2,
     partial_trace,
@@ -245,20 +246,6 @@ def prepare_mixed(
     return _run_stage(rho_pure, prog, conventions, target, "purity preparation")
 
 
-def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axes of the loop's two half turns in traversal order.
-
-    At sense -1 the first half turn is about n2 (carrying +x through the
-    lower vertex) and the second about -n1; at sense +1 the mirrored order.
-    """
-    n1, n2 = lune_axes(theta)
-    if sense == -1:
-        return n2, -n1
-    if sense == 1:
-        return n1, -n2
-    raise DomainError("traversal sense must be +1 or -1")
-
-
 def lune_holonomy(theta: float, sense: int) -> np.ndarray:
     """Net spin-b unitary of the two-geodesic loop: exp(i*sense*2*theta*sx).
 
@@ -309,8 +296,7 @@ def idealized_eigenvector_path(
     verification hook that breaks both the geodesic and parallel-transport
     properties.
     """
-    if eigen_sign not in (-1, 1):
-        raise DomainError("eigenvector label must be +1 or -1")
+    _check_sign(eigen_sign, "eigenvector label")
     if samples_per_segment < 2:
         raise DomainError("need at least two samples per segment")
     axes = _loop_axes(theta, conventions.pulse_sense)

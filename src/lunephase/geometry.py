@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import principal_angle
+from .qcore import _check_sign, principal_angle
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])
 # pi/2 plus roundoff slack, so that computed quarter turns are accepted
@@ -39,6 +39,17 @@ def lune_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.array([0.0, -math.sin(theta), math.cos(theta)])
     n2 = np.array([0.0, math.sin(theta), math.cos(theta)])
     return n1, n2
+
+
+def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axes of the loop's two half turns in traversal order.
+
+    At sense -1 the first half turn is about n2 (carrying +x through the
+    lower vertex) and the second about -n1; at sense +1 the mirrored order.
+    """
+    n1, n2 = lune_axes(theta)
+    _check_sign(sense, "traversal sense")
+    return (n2, -n1) if sense == -1 else (n1, -n2)
 
 
 def rotate(axis: np.ndarray, angle, v: np.ndarray) -> np.ndarray:
@@ -166,9 +177,9 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     """
     if n_samples < 8:
         raise DomainError("lune sampling needs at least 8 points")
-    n1, n2 = lune_axes(spec.theta)
+    first, second = _loop_axes(spec.theta, 1)
     phis = np.linspace(0.0, math.pi, n_samples // 2 + 1)
-    points = np.vstack([rotate(n1, phis[:-1], _X_AXIS), rotate(-n2, phis, -_X_AXIS)])
+    points = np.vstack([rotate(first, phis[:-1], _X_AXIS), rotate(second, phis, -_X_AXIS)])
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])
     return BlochPath(times, points)

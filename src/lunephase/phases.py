@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import principal_angle
+from .qcore import _check_sign, principal_angle
 
 # Purity ladder granularity: r = cos(n*pi/PURITY_STEPS) for n = 0..PURITY_STEPS-1.
 PURITY_STEPS = 12
@@ -94,8 +94,7 @@ def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     """
     if not -1.0 <= r <= 1.0:
         raise DomainError("purity must lie in [-1, 1]")
-    if sign not in (1, -1):
-        raise DomainError("orientation sign must be +1 or -1")
+    _check_sign(sign, "orientation sign")
     half = 0.5 * omega
     z = complex(math.cos(half), sign * r * math.sin(half))
     return _from_complex(z, math.hypot(z.real, z.imag))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .qcore import DensityOperator, evolve, identity4, is_unitary, rotation_unitary
+from .qcore import DensityOperator, _check_sign, evolve, identity4, is_unitary, rotation_unitary
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
 DEFAULT_J = 214.5
@@ -48,13 +48,16 @@ def _store_reals(obj, *names: str) -> None:
     """Store each named value field of obj as a float, unless it already is
     one, is rational (a Fraction flip counts half turns), a label or None.
     The conversion is exact and makes numpy scalars and 0-d arrays
-    hashable, as the compile cache needs."""
+    hashable, as the compile cache needs. A float must be finite."""
     for name in names:
         value = getattr(obj, name)
         if type(value) not in (float, Fraction, str, type(None)) and not isinstance(
             value, numbers.Rational
         ):
-            object.__setattr__(obj, name, float(value))
+            value = float(value)
+            object.__setattr__(obj, name, value)
+        if type(value) is float and not math.isfinite(value):
+            raise DomainError(f"{type(obj).__name__}.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,7 @@ class Delay:
     def __post_init__(self) -> None:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
-        if self.seconds is not None and self.seconds < 0:
-            raise DomainError("delay duration must be nonnegative")
-        if self.per_j is not None and self.per_j < 0:
+        if (self.per_j if self.seconds is None else self.seconds) < 0:
             raise DomainError("delay duration must be nonnegative")
         _store_reals(self, "seconds", "per_j")
 
@@ -248,11 +249,6 @@ def _add_frame(offsets: dict[str, float], frame: FrameOffset) -> None:
     if field in offsets:
         raise DomainError(f"spin {frame.spin} has more than one frame directive")
     offsets[field] = _check_offset(-frame.angular())
-
-
-def _check_sign(value: int, name: str) -> None:
-    if value not in (1, -1):
-        raise DomainError(f"{name} must be +1 or -1")
 
 
 def free_evolution_unitary(

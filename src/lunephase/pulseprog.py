@@ -13,6 +13,7 @@ parse(render(prog)) reproduces the event list bit for bit.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError, SequenceSyntaxError
@@ -32,23 +33,18 @@ _TIME_SCALES = {"s": Fraction(1), "ms": Fraction(1, 1000), "us": Fraction(1, 100
 
 def _tokenize(line: str) -> list[tuple[int, str]]:
     """(column, token) pairs, columns 1-based, comment stripped."""
-    code = line.split("#", 1)[0]
-    out = []
-    i = 0
-    while i < len(code):
-        if code[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(code) and not code[i].isspace():
-            i += 1
-        out.append((start + 1, code[start:i]))
-    return out
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
 
 
 def _rational(text: str) -> Fraction:
-    # Fraction accepts "3", "2.5", "45/2"; anything else is a caller error
-    return Fraction(text)
+    # Fraction accepts "3", "2.5", "45/2"; anything else is a caller error,
+    # and so is a value too large for a float
+    value = Fraction(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
+    return value
 
 
 class _LineParser:
@@ -191,13 +187,9 @@ def parse_sequence(text: str) -> SequenceProgram:
     return make_program(events, frames=tuple(frames))
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value)  # Fraction renders as "n" or "n/d"
-
-
 def _render_angle(flip: Fraction | float) -> str:
     if isinstance(flip, Fraction):
-        return f"{_format_rational(flip * 180)}deg"
+        return f"{flip * 180!s}deg"
     return f"{flip!r}rad"
 
 
@@ -206,7 +198,7 @@ def render_sequence(prog: SequenceProgram) -> str:
     at the event-list level."""
     lines = []
     for fr in prog.frames:
-        value = _format_rational(fr.value) if isinstance(fr.value, Fraction) else repr(fr.value)
+        value = str(fr.value) if isinstance(fr.value, Fraction) else repr(fr.value)
         lines.append(f"frame {fr.spin} offset {value}{fr.unit}")
     for ev in prog.events:
         if isinstance(ev, Rotation):
@@ -214,7 +206,7 @@ def render_sequence(prog: SequenceProgram) -> str:
             lines.append(f"pulse {ev.spin} {axis} {_render_angle(ev.flip)}")
         elif isinstance(ev, Delay):
             if ev.per_j is not None:
-                lines.append(f"delay {_format_rational(ev.per_j)}/J")
+                lines.append(f"delay {ev.per_j!s}/J")
             else:
                 lines.append(f"delay {ev.seconds!r}s")
         elif isinstance(ev, Gradient):

@@ -31,6 +31,11 @@ def principal_angle(x: float) -> float:
     return w
 
 
+def _check_sign(value: int, name: str) -> None:
+    if value not in (1, -1):
+        raise DomainError(f"{name} must be +1 or -1")
+
+
 def _as_square(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):

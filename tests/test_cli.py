@@ -330,6 +330,17 @@ class TestParseCommand:
         assert "spin" in err
         assert "1:7" in err
 
+    @pytest.mark.parametrize(
+        "line, position",
+        [("delay 1e400/J", "1:7"), ("pulse b phase:nan 90deg", "1:1")],
+    )
+    def test_number_beyond_a_float_is_an_input_error(self, tmp_path, line, position):
+        bad = tmp_path / "bad.seq"
+        bad.write_text(line + "\n")
+        code, _, err = invoke(["parse", str(bad)])
+        assert code == 2
+        assert f"bad.seq:{position}:" in err
+
     def test_round_trip_is_identity(self, tmp_path):
         with resources.as_file(bundled_program_path()) as path:
             _, first, _ = invoke(["parse", str(path)])

@@ -21,7 +21,6 @@ from lunephase.experiment import (
     cycle_program,
     idealized_controlled_cycle,
     idealized_eigenvector_path,
-    lune_axes,
     lune_holonomy,
     mixing_program,
     prepare_effective_pure,
@@ -42,6 +41,7 @@ from lunephase.geometry import (
     StatePath,
     check_geodesic,
     dynamical_phase,
+    lune_axes,
     pancharatnam_phase,
     solid_angle,
 )

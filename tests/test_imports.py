@@ -1,5 +1,5 @@
-"""Unused-import, unread-parameter and unreached-name checks on the package
-source, written against the standard library `ast` module so they run
+"""Unused-import, unread-parameter, pass-through-wrapper and unreached-name
+checks on the package source, written against the standard library `ast` module so they run
 wherever the test suite does."""
 import ast
 from pathlib import Path
@@ -95,6 +95,67 @@ def test_checker_flags_unread_parameters():
         "inner.x (line 3)",
         "m.args (line 2)",
         "m.unused (line 2)",
+    ]
+
+
+def pass_through_wrappers(source: str) -> list[str]:
+    """Functions whose body, after an optional docstring, is only
+    `return g(p1, ..., pn)` on their own parameters in order: a second name
+    for g that callers could use directly."""
+    wrappers = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        if (
+            isinstance(call, ast.Call) and not call.keywords
+            and not (args.vararg or args.kwarg or args.kwonlyargs)
+            and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params
+        ):
+            wrappers.append(f"{node.name} (line {node.lineno})")
+    return wrappers
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_pass_through_wrappers(module):
+    assert pass_through_wrappers((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_pass_through_wrappers():
+    source = (
+        "def plain(x):\n"
+        "    return float(x)\n"
+        "def documented(a, b):\n"
+        "    \"\"\"Docstring.\"\"\"\n"
+        "    return pow(a, b)\n"
+        "class C:\n"
+        "    def method(self, v):\n"
+        "        return helper(self, v)\n"
+        "def swapped(a, b):\n"
+        "    return pow(b, a)\n"
+        "def extra(a):\n"
+        "    return pow(a, 2)\n"
+        "def keyword(a):\n"
+        "    return g(a, base=2)\n"
+        "def star(*args):\n"
+        "    return g(*args)\n"
+        "def two_steps(x):\n"
+        "    y = x\n"
+        "    return f(y)\n"
+        "def attribute(x):\n"
+        "    return x.real\n"
+        "def docstring_only(x):\n"
+        "    \"\"\"x\"\"\"\n"
+        "def nothing():\n"
+        "    return\n"
+    )
+    assert pass_through_wrappers(source) == [
+        "plain (line 1)", "documented (line 3)", "method (line 7)",
     ]
 
 

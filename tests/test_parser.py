@@ -129,6 +129,45 @@ class TestDiagnostics:
     def test_column_accounts_for_indentation(self):
         self.assert_fails_at("   pulse q", 1, 10, "spin label")
 
+    @pytest.mark.parametrize(
+        "text, line, column, fragment",
+        [
+            ("pulse\tq", 1, 7, "spin label"),
+            ("pulse\xa0b\xa0x\xa060", 1, 11, "deg or rad"),
+            ("\u3000pulse b q 60deg", 1, 10, "axis"),
+            ("pulse b\t\tx\xa0\u3000q", 1, 13, "deg or rad"),
+            ("\tgrad\u3000z\xa0now", 1, 9, "trailing"),
+            # \x1c is whitespace to the tokenizer but a line break to splitlines
+            ("pulse\x1cb x 60deg", 1, 6, "end of line"),
+            ("pulse b x 60deg\x1cwobble z", 2, 1, "unknown statement"),
+        ],
+        ids=["tab", "nbsp", "ideographic-space", "mixed", "grad-mixed", "x1c-eol", "x1c-line"],
+    )
+    def test_columns_across_unicode_whitespace(self, text, line, column, fragment):
+        self.assert_fails_at(text, line, column, fragment)
+
+    @pytest.mark.parametrize("axis", ["phase:nan", "phase:inf", "phase:-inf", "phase:1e400"])
+    def test_phase_angle_must_be_finite(self, axis):
+        self.assert_fails_at(f"pulse b {axis} 90deg", 1, 1, "Rotation.axis must be finite")
+
+    @pytest.mark.parametrize(
+        "text, column, fragment",
+        [
+            ("delay 1e400s", 7, "invalid duration value"),
+            ("delay 1e400/J", 7, "invalid rational multiple"),
+            ("pulse b x 1e400rad", 11, "invalid angle value"),
+            ("pulse b x 1e400deg", 11, "invalid angle value"),
+            ("frame b offset 1e400Hz", 16, "invalid offset value"),
+            ("frame b offset 1e400piJ", 16, "invalid offset value"),
+        ],
+    )
+    def test_number_too_large_for_a_float(self, text, column, fragment):
+        self.assert_fails_at(text, 1, column, fragment)
+
+    def test_largest_float_is_accepted(self):
+        (ev,) = events_of("delay 1.7e308/J")
+        assert ev == Delay(per_j=Fraction(17 * 10**307))
+
 
 class TestRoundTrip:
     def test_mixed_program(self):

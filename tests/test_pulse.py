@@ -122,6 +122,27 @@ class TestEvents:
             Delay(seconds=0.1, per_j=Fraction(1))
         with pytest.raises(DomainError):
             Delay(seconds=-0.1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            Delay(per_j=Fraction(-1, 2))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: SpinSystemParams(omega_a=math.nan), "SpinSystemParams.omega_a"),
+            (lambda: SpinSystemParams(omega_b=np.float64(math.nan)), "SpinSystemParams.omega_b"),
+            (lambda: Delay(seconds=math.nan), "Delay.seconds"),
+            (lambda: Delay(seconds=math.inf), "Delay.seconds"),
+            (lambda: FrameOffset("b", math.nan, "Hz"), "FrameOffset.value"),
+            (lambda: Rotation("b", math.nan, 1.0), "Rotation.axis"),
+            (lambda: Rotation("b", math.inf, 1.0), "Rotation.axis"),
+            (lambda: Rotation("b", "x", math.nan), "Rotation.flip"),
+        ],
+        ids=["nan-omega", "nan-numpy-omega", "nan-delay", "inf-delay", "nan-hz-frame",
+             "nan-axis", "inf-axis", "nan-flip"],
+    )
+    def test_non_finite_value_fails_on_construction(self, build, field):
+        with pytest.raises(DomainError, match=rf"^{field} must be finite$"):
+            build()
 
     def test_total_duration_exact_for_j_multiples(self):
         prog = make_program([Delay(per_j=Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
