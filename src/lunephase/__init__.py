@@ -7,6 +7,8 @@ and interferometric readout of the resulting mixed-state phase, together
 with the spherical geometry and closed-form phase theory needed to check
 every step.
 """
+from types import ModuleType as _ModuleType
+
 from .conventions import DEFAULT_CONVENTIONS, Conventions
 from .errors import ConventionError, DomainError, SequenceSyntaxError
 from .experiment import (
@@ -74,65 +76,8 @@ from .qcore import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochPath",
-    "Conventions",
-    "ConventionError",
-    "DEFAULT_CONVENTIONS",
-    "DEFAULT_THETAS",
-    "Delay",
-    "DensityOperator",
-    "DomainError",
-    "ExperimentConfig",
-    "FrameOffset",
-    "Gradient",
-    "LuneSpec",
-    "MODELS",
-    "NumericPolicy",
-    "POLICY",
-    "PhaseResult",
-    "Rotation",
-    "RunRecord",
-    "SequenceProgram",
-    "SequenceSyntaxError",
-    "SpinSystemParams",
-    "StatePath",
-    "TheoryRow",
-    "apply_t2_relaxation",
-    "branch_propagators",
-    "check_geodesic",
-    "cycle_program",
-    "dynamical_phase",
-    "evolve",
-    "gradient_crusher",
-    "idealized_controlled_cycle",
-    "idealized_eigenvector_path",
-    "lune_holonomy",
-    "lune_path",
-    "make_program",
-    "mixing_program",
-    "pancharatnam_phase",
-    "parse_sequence",
-    "partial_trace",
-    "prepare_effective_pure",
-    "prepare_mixed",
-    "prepare_pure_program",
-    "principal_angle",
-    "qubit_mixed_phase",
-    "readout_phase",
-    "records_to_csv",
-    "records_to_json",
-    "render_sequence",
-    "rotation_unitary",
-    "run_sequence",
-    "run_single",
-    "run_sweep",
-    "sjoqvist_average",
-    "solid_angle",
-    "spin_a_coherence",
-    "sweep_summary",
-    "tensor",
-    "theory_curve",
-    "thermal_state",
-    "__version__",
-]
+# every public name imported above, and the version
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

@@ -10,6 +10,7 @@ or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -174,11 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_theory = sub.add_parser("theory", help="closed-form phase/visibility ladder")
+    p_theory.set_defaults(run=cmd_theory)
     p_theory.add_argument("--omega", type=parse_angle, required=True,
                           help="loop solid angle in rad (symbolic pi forms ok)")
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
+    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--theta", type=_inclination_list, default=DEFAULT_THETAS,
                          help="comma-separated inclination angles")
     p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
@@ -188,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="one grid point with state snapshots")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--theta", type=_inclination, required=True)
     p_sim.add_argument("--n", type=_purity_index, required=True,
                        help=f"purity index 0..{PURITY_STEPS - 1}")
@@ -197,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
 
     p_trace = sub.add_parser("trace-path", help="idealized active-branch Bloch path")
+    p_trace.set_defaults(run=cmd_trace_path)
     p_trace.add_argument("--theta", type=_inclination, required=True)
     p_trace.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p_trace.add_argument("--samples", type=_samples, default=4096,
@@ -205,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-transport",
                              help="verify geodesic segments and parallel transport")
+    p_check.set_defaults(run=cmd_check_transport)
     p_check.add_argument("--theta", type=_inclination, required=True)
     p_check.add_argument("--samples", type=_samples, default=1024,
                          help="total samples along the loop (at least 4)")
@@ -213,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_check)
 
     p_parse = sub.add_parser("parse", help="validate and normalize a pulse program")
+    p_parse.set_defaults(run=cmd_parse)
     p_parse.add_argument("file", help="pulse-program file")
     add_output(p_parse)
 
@@ -285,10 +292,7 @@ def cmd_simulate(args) -> tuple[str, int]:
             "n": config.n,
             "model": config.model,
             "relaxation": list(config.relaxation) if config.relaxation else None,
-            "conventions": {
-                "pulse_sense": config.conventions.pulse_sense,
-                "active_branch_up": config.conventions.active_branch_up,
-            },
+            "conventions": dataclasses.asdict(config.conventions),
         },
         "result": record_values(record),
         "snapshots": [
@@ -385,16 +389,6 @@ def cmd_parse(args) -> tuple[str, int]:
     return (rendered + text if args.format == "csv" else text), 0
 
 
-_HANDLERS = {
-    "theory": cmd_theory,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "trace-path": cmd_trace_path,
-    "check-transport": cmd_check_transport,
-    "parse": cmd_parse,
-}
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -410,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text, code = _HANDLERS[args.command](args)
+        text, code = args.run(args)
         _emit(text, args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,10 +202,10 @@ def _run_stage(
     )
     got = out.matrix.reshape(-1)
     norm = float(np.linalg.norm(got))
-    if norm < 1e-12:
+    if not norm >= 1e-12:
         raise DomainError("deviation vanishes; no direction to compare")
     want = target.reshape(-1) / np.linalg.norm(target)
-    if float(np.linalg.norm(got / norm - want)) > POLICY.direction_tol:
+    if not float(np.linalg.norm(got / norm - want)) <= POLICY.direction_tol:
         raise ConventionError(
             f"{stage} missed its target state: the configured rotation sense "
             "or branch assignment is inconsistent with the pulse labels (see "
@@ -337,7 +337,7 @@ def readout_phase(rho_ab: DensityOperator, reference: complex) -> PhaseResult:
     an undefined result, a vanishing reference is a usage error.
     """
     ref = complex(reference)
-    if abs(ref) < POLICY.visibility_floor:
+    if not abs(ref) >= POLICY.visibility_floor:
         raise DomainError("reference coherence is zero; prepare the state first")
     c = spin_a_coherence(rho_ab)
     return _from_complex(c / ref, abs(c) / abs(ref))
@@ -485,10 +485,11 @@ def render_table(fmt: str, rows: list[dict], footer: dict, payload) -> str:
     then one '# key = value' line per footer entry; None (an undefined phase)
     prints as nan, bools as true/false, floats as their round-trip repr.
     JSON ("json"): payload at indent 2, None as null; rows and footer unused.
+    A NaN or infinite float raises ValueError, since JSON has no such value.
     Either ends with a newline.
     """
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = [",".join(rows[0])] if rows else []
     lines += [",".join(map(_cell, row.values())) for row in rows]
     lines += [f"# {key} = {_cell(value)}" for key, value in footer.items()]

@@ -87,10 +87,10 @@ class BlochPath:
             raise DomainError("path needs matching (N,) times and (N,3) points")
         if len(points) < 1:
             raise DomainError("path must contain at least one sample")
-        if np.any(np.diff(times) < 0):
+        if not np.all(np.diff(times) >= 0):
             raise DomainError("sample times must be nondecreasing")
         norms = np.linalg.norm(points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > POLICY.path_unit_tol:
+        if not np.max(np.abs(norms - 1.0)) <= POLICY.path_unit_tol:
             raise DomainError("path points must be unit vectors")
         object.__setattr__(self, "times", _read_only(times))
         object.__setattr__(self, "points", _read_only(points))
@@ -132,13 +132,13 @@ class StatePath:
             raise DomainError("state path needs matching (N,) times and (N,2) states")
         if len(states) < 1:
             raise DomainError("state path must contain at least one sample")
-        if np.any(np.diff(times) < 0):
+        if not np.all(np.diff(times) >= 0):
             raise DomainError("sample times must be nondecreasing")
         norms = np.linalg.norm(states, axis=1)
-        if np.max(np.abs(norms - 1.0)) > POLICY.state_norm_tol:
+        if not np.max(np.abs(norms - 1.0)) <= POLICY.state_norm_tol:
             raise DomainError("states must be normalized")
         overlaps = np.abs(np.sum(states[:-1].conj() * states[1:], axis=1))
-        if len(overlaps) and np.min(overlaps) <= POLICY.overlap_floor:
+        if len(overlaps) and not np.min(overlaps) > POLICY.overlap_floor:
             raise DomainError(
                 "consecutive samples nearly antipodal; refine the sampling density"
             )
@@ -239,9 +239,9 @@ def pancharatnam_phase(path: StatePath) -> float:
     included; gauge-invariant and defined for projectively closed paths."""
     states = path.states
     closing = np.vdot(states[-1], states[0])
-    if abs(abs(np.vdot(states[0], states[-1])) - 1.0) > 1e-9:
+    if not abs(abs(np.vdot(states[0], states[-1])) - 1.0) <= 1e-9:
         raise DomainError("path is not closed up to phase")
-    if abs(closing) <= POLICY.overlap_floor:
+    if not abs(closing) > POLICY.overlap_floor:
         raise DomainError("closing overlap too small; refine the sampling density")
     overlaps = np.sum(states[:-1].conj() * states[1:], axis=1)
     # sum of arguments rather than product of overlaps: immune to magnitude

@@ -73,9 +73,9 @@ def sjoqvist_average(probabilities, phases) -> PhaseResult:
         raise DomainError("weights and phases must be 1-d and of equal length")
     if p.size == 0:
         raise DomainError("need at least one weighted branch")
-    if np.any(p < 0):
+    if not np.all(p >= 0):
         raise DomainError("weights must be nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > 1e-9:
+    if not abs(float(np.sum(p)) - 1.0) <= 1e-9:
         raise DomainError("weights must sum to 1")
     z = complex(np.sum(p * np.exp(1j * g)))
     return _from_complex(z, math.hypot(z.real, z.imag))

@@ -1,7 +1,8 @@
 """Global numeric policy record.
 
 All validation thresholds in the package read from one module-level record,
-so each tolerance is defined in one place.
+so each tolerance is defined in one place. A guard states the passing case
+and negates it (`if not dev <= tol: raise`), so that a NaN fails it.
 """
 from __future__ import annotations
 

@@ -48,7 +48,13 @@ def _store_reals(obj, *names: str) -> None:
     """Store each named value field of obj as a float, unless it already is
     one, is rational (a Fraction flip counts half turns), a label or None.
     The conversion is exact and makes numpy scalars and 0-d arrays
-    hashable, as the compile cache needs. A float must be finite."""
+    hashable, as the compile cache needs. A float must be finite.
+
+    obj._forms, which == and hash compare too, gets each field's form: the
+    sign of a float (0.0 against -0.0) and the type of anything else (a
+    Fraction flip, in half turns, against as many radians). Equal value
+    objects therefore compile to the same bits."""
+    forms = []
     for name in names:
         value = getattr(obj, name)
         if type(value) not in (float, Fraction, str, type(None)) and not isinstance(
@@ -58,6 +64,8 @@ def _store_reals(obj, *names: str) -> None:
             object.__setattr__(obj, name, value)
         if type(value) is float and not math.isfinite(value):
             raise DomainError(f"{type(obj).__name__}.{name} must be finite")
+        forms.append(math.copysign(1.0, value) if type(value) is float else type(value))
+    object.__setattr__(obj, "_forms", tuple(forms))
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,7 @@ class SpinSystemParams:
 
     omega_a: float = 0.0
     omega_b: float = 0.0
+    _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_offset(self.omega_a)
@@ -95,6 +104,7 @@ class Rotation:
     spin: str
     axis: str | float
     flip: Fraction | float
+    _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.spin not in ("a", "b"):
@@ -127,6 +137,7 @@ class Delay:
 
     seconds: float | None = None
     per_j: Fraction | None = None
+    _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.seconds is None) == (self.per_j is None):
@@ -159,6 +170,7 @@ class FrameOffset:
     spin: str
     value: Fraction | float
     unit: str
+    _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.spin not in ("a", "b"):
@@ -177,43 +189,23 @@ class FrameOffset:
 class SequenceProgram:
     """Ordered pulse-program events plus the frame they execute in.
 
-    Two programs compare equal only when they compile to the same bits.
-    Equal events and offsets can differ in what == overlooks but a
-    propagator reads, so equality also compares the form of each value
-    field: the sign of a float, which tells 0.0 from -0.0, and the type of
-    anything else, which tells a Fraction flip (a multiple of pi) from as
-    many radians. The hash is that of the flat tuple of value fields and
-    forms, which spares a compile-cache lookup the nested hashes of every
-    event.
+    Two programs compare equal only when they compile to the same bits,
+    since their events, parameters and frames do (see _store_reals).
     """
 
     events: tuple[PulseEvent, ...]
     params: SpinSystemParams
     frames: tuple[FrameOffset, ...] = ()
-    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # tuples, so that the key built below cannot go stale
-        if type(self.events) is not tuple or type(self.frames) is not tuple:
-            object.__setattr__(self, "events", tuple(self.events))
-            object.__setattr__(self, "frames", tuple(self.frames))
-        values = [self.params.omega_a, self.params.omega_b]
-        for ev in self.events:
-            if isinstance(ev, Rotation):
-                values += (ev.spin, ev.axis, ev.flip)
-            elif isinstance(ev, Delay):
-                values += (ev.seconds, ev.per_j)
-            else:
-                values.append(None)
-        forms = [math.copysign(1.0, v) if type(v) is float else type(v) for v in values]
-        object.__setattr__(self, "_key", (*values, *forms))
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+        # tuples, so that a program hashes and cannot change under the cache
+        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "frames", tuple(self.frames))
 
     @property
     def total_duration(self) -> float:
-        """Sum of delay durations in seconds; k/J delays summed exactly."""
+        """Sum of delay durations in seconds; k/J delays summed exactly. A
+        sum too large for a float is a DomainError."""
         per_j = Fraction(0)
         seconds = 0.0
         for ev in self.events:
@@ -222,7 +214,13 @@ class SequenceProgram:
                     per_j += ev.per_j
                 else:
                     seconds += ev.seconds
-        return float(per_j) / DEFAULT_J + seconds
+        try:
+            total = float(per_j) / DEFAULT_J + seconds
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise DomainError("total duration is too large for a float")
+        return total
 
 
 def make_program(
@@ -238,7 +236,7 @@ def make_program(
         _add_frame(offsets, fr)
     if offsets:
         params = replace(params, **offsets)
-    return SequenceProgram(tuple(events), params, tuple(frames))
+    return SequenceProgram(events, params, frames)
 
 
 def _add_frame(offsets: dict[str, float], frame: FrameOffset) -> None:

@@ -13,6 +13,7 @@ parse(render(prog)) reproduces the event list bit for bit.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from .pulse import (
     make_program,
 )
 
-_TIME_SCALES = {"s": Fraction(1), "ms": Fraction(1, 1000), "us": Fraction(1, 1000000)}
+# longest suffix first: "s" also ends the other two
+_TIME_SCALES = {"us": Fraction(1, 1000000), "ms": Fraction(1, 1000), "s": Fraction(1)}
 
 
 def _tokenize(line: str) -> list[tuple[int, str]]:
@@ -45,6 +47,12 @@ def _rational(text: str) -> Fraction:
     except OverflowError:
         raise ValueError(f"{text!r} is too large for a float") from None
     return value
+
+
+def _float(value: Fraction, text: str) -> float:
+    """value as a float with the sign its literal text shows: "-0" gives
+    -0.0, which a propagator tells from 0.0 (see pulse._store_reals)."""
+    return math.copysign(float(value), -1.0 if text.startswith("-") else 1.0)
 
 
 class _LineParser:
@@ -99,7 +107,7 @@ class _LineParser:
         except (ValueError, ZeroDivisionError):
             self.fail(col, f"invalid angle value {body!r}")
         # degrees become exact multiples of pi; radians stay floating point
-        return value / 180 if exact else float(value)
+        return value / 180 if exact else _float(value, body)
 
     def delay(self) -> Delay:
         col, tok = self.take("duration with unit s, ms, us, or k/J")
@@ -111,7 +119,7 @@ class _LineParser:
             if k < 0:
                 self.fail(col, "delay duration must be nonnegative")
             return Delay(per_j=k)
-        for unit in ("us", "ms", "s"):
+        for unit, scale in _TIME_SCALES.items():
             if tok.endswith(unit):
                 try:
                     value = _rational(tok[: -len(unit)])
@@ -119,7 +127,7 @@ class _LineParser:
                     self.fail(col, f"invalid duration value in {tok!r}")
                 if value < 0:
                     self.fail(col, "delay duration must be nonnegative")
-                return Delay(seconds=float(value * _TIME_SCALES[unit]))
+                return Delay(seconds=_float(value * scale, tok))
         self.fail(col, f"duration {tok!r} is missing a unit (s, ms, us, or /J)")
 
     def frame_offset(self, spin: str) -> FrameOffset:
@@ -134,7 +142,7 @@ class _LineParser:
             value = _rational(body)
         except (ValueError, ZeroDivisionError):
             self.fail(col, f"invalid offset value {body!r}")
-        return FrameOffset(spin, value if unit == "piJ" else float(value), unit)
+        return FrameOffset(spin, value if unit == "piJ" else _float(value, body), unit)
 
 
 def parse_sequence(text: str) -> SequenceProgram:

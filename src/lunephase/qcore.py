@@ -53,13 +53,13 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     matrix's own does.
     """
     adjoint = m.conj().swapaxes(-1, -2)
-    if np.abs(m - adjoint).max() > POLICY.hermiticity_tol:
+    if not np.abs(m - adjoint).max() <= POLICY.hermiticity_tol:
         raise DomainError("density matrix is not Hermitian within tolerance")
     m = 0.5 * (m + adjoint)
     if normalized:
-        if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() > POLICY.trace_tol:
+        if not abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= POLICY.trace_tol:
             raise DomainError("normalized state must have unit trace")
-        if np.linalg.eigvalsh(m).min() < POLICY.eigenvalue_floor:
+        if not np.linalg.eigvalsh(m).min() >= POLICY.eigenvalue_floor:
             raise DomainError("normalized state has a negative eigenvalue")
     m.setflags(write=False)
     return m
@@ -123,7 +123,7 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
     for a unit axis, filled entry by entry."""
     nx, ny, nz = map(float, axis)
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > POLICY.axis_unit_tol:
+    if not abs(norm - 1.0) <= POLICY.axis_unit_tol:
         raise DomainError("rotation axis must be a unit vector")
     nx, ny, nz = nx / norm, ny / norm, nz / norm
     half = 0.5 * angle

@@ -341,6 +341,16 @@ class TestParseCommand:
         assert code == 2
         assert f"bad.seq:{position}:" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("line", ["delay 1.7e308/J", "delay 1.7e308s"])
+    def test_total_duration_beyond_a_float_is_an_input_error(self, tmp_path, line, fmt):
+        # each line alone fits a float, the sum of two does not
+        long = tmp_path / "long.seq"
+        long.write_text(f"{line}\n{line}\n")
+        code, out, err = invoke(["parse", str(long), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == "error: total duration is too large for a float\n"
+
     def test_round_trip_is_identity(self, tmp_path):
         with resources.as_file(bundled_program_path()) as path:
             _, first, _ = invoke(["parse", str(path)])

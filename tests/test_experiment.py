@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from lunephase.geometry import (
     solid_angle,
 )
 from lunephase.phases import qubit_mixed_phase, sjoqvist_average
-from lunephase.pulse import branch_propagators, gradient_crusher, run_sequence
+from lunephase.pulse import branch_propagators, gradient_crusher, make_program, run_sequence
 from lunephase.qcore import (
     DensityOperator,
     evolve,
@@ -55,6 +56,7 @@ from lunephase.qcore import (
     pauli_x,
     pauli_z,
     principal_angle,
+    rotation_unitary,
     tensor,
 )
 
@@ -696,6 +698,11 @@ class TestSerializers:
         assert payload["rows"][1]["defined"] is False
         assert payload["summary"]["defined_rows"] == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_has_no_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            experiment.render_table("json", [], {}, {"x": value})
+
     def test_serialization_is_deterministic(self):
         records = run_sweep(thetas=(math.pi / 8,), n_values=(0, 3))
         again = run_sweep(thetas=(math.pi / 8,), n_values=(0, 3))
@@ -705,3 +712,67 @@ class TestSerializers:
     def test_record_values_keys(self):
         rec = run_single(ExperimentConfig(math.pi / 8, 0))
         assert tuple(record_values(rec)) == SWEEP_COLUMNS
+
+
+# A guard `if deviation > tol: raise` passes NaN, since every comparison with
+# NaN is false; each guard below must fail on it with its own message.
+NAN_GUARDS = {
+    "density-hermitian": (
+        lambda: DensityOperator(np.full((2, 2), math.nan), normalized=False),
+        "density matrix is not Hermitian within tolerance",
+    ),
+    "normalized-density-hermitian": (
+        lambda: DensityOperator(np.full((4, 4), math.nan)),
+        "density matrix is not Hermitian within tolerance",
+    ),
+    "rotation-axis": (
+        lambda: rotation_unitary([math.nan, 0.0, 0.0], 1.0),
+        "rotation axis must be a unit vector",
+    ),
+    "bloch-path-times": (
+        lambda: BlochPath([0.0, math.nan], [[0, 0, 1], [0, 0, 1]]),
+        "sample times must be nondecreasing",
+    ),
+    "bloch-path-points": (
+        lambda: BlochPath([0.0, 1.0], [[0, 0, math.nan], [0, 0, 1]]),
+        "path points must be unit vectors",
+    ),
+    "state-path-times": (
+        lambda: StatePath([0.0, math.nan], [[1, 0], [1, 0]]),
+        "sample times must be nondecreasing",
+    ),
+    "state-path-states": (
+        lambda: StatePath([0.0, 1.0], [[math.nan, 0], [1, 0]]),
+        "states must be normalized",
+    ),
+    # a StatePath cannot hold NaN, but the phase reads only .states
+    "pancharatnam-closure": (
+        lambda: pancharatnam_phase(
+            SimpleNamespace(states=np.array([[math.nan, 0], [1, 0]]))
+        ),
+        "path is not closed up to phase",
+    ),
+    "stage-direction": (
+        lambda: experiment._run_stage(
+            DensityOperator(np.diag([1.0, -1.0, 0.0, 0.0]), normalized=False),
+            make_program([]), DEFAULT_CONVENTIONS, np.full((4, 4), math.nan), "stage",
+        ),
+        "stage missed its target state",
+    ),
+    "readout-reference": (
+        lambda: readout_phase(thermal_state(), math.nan),
+        "reference coherence is zero; prepare the state first",
+    ),
+    "weights-sign": (
+        lambda: sjoqvist_average([0.5, math.nan], [0.0, 1.0]),
+        "weights must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(NAN_GUARDS))
+def test_nan_fails_the_guard(guard):
+    build, message = NAN_GUARDS[guard]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value).startswith(message)

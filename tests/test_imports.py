@@ -1,7 +1,8 @@
 """Unused-import, unread-parameter, pass-through-wrapper and unreached-name
 checks on the package source, written against the standard library `ast` module so they run
-wherever the test suite does."""
+wherever the test suite does, and a check of the names the package exports."""
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -311,3 +312,16 @@ def test_checker_flags_unreached_names():
     want = ["m.Box.area", "m.Box.label", "m.UNUSED_LIMIT", "m.helper"]
     assert unreached_names(package, [bench]) == want
     assert unreached_names(package, [bench, test]) == ["m.UNUSED_LIMIT"]
+
+
+def test_star_import_binds_the_public_names():
+    import lunephase
+
+    namespace = {}
+    exec("from lunephase import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(lunephase.__all__)
+    assert len(set(lunephase.__all__)) == len(lunephase.__all__)
+    assert namespace["__version__"] == lunephase.__version__
+    assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert {"run_sequence", "SequenceProgram", "DomainError", "parse_sequence"} <= set(namespace)

@@ -22,6 +22,19 @@ class TestParseStatements:
         assert ev == Rotation("b", "x", Fraction(1, 3))
         assert ev.flip_radians == pytest.approx(math.pi / 3)
 
+    def test_pulse_degrees_are_half_turns_not_radians(self):
+        (ev,) = events_of("pulse b x 180deg")
+        assert ev == Rotation("b", "x", Fraction(1))
+        assert ev != Rotation("b", "x", 1.0)
+
+    def test_negative_zero_keeps_its_sign(self):
+        prog = parse_sequence("frame a offset -0.0Hz\npulse b x -0rad\ndelay -0.0ms\n")
+        assert prog.frames == (FrameOffset("a", -0.0, "Hz"),)
+        assert prog.frames != (FrameOffset("a", 0.0, "Hz"),)
+        assert prog.events == (Rotation("b", "x", -0.0), Delay(seconds=-0.0))
+        assert prog.events[0] != Rotation("b", "x", 0.0)
+        assert prog.events[1] != Delay(seconds=0.0)
+
     def test_pulse_decimal_degrees_exact(self):
         (ev,) = events_of("pulse a -y 22.5deg")
         assert ev.flip == Fraction(1, 8)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lunephase import pulse
@@ -147,6 +147,55 @@ class TestEvents:
     def test_total_duration_exact_for_j_multiples(self):
         prog = make_program([Delay(per_j=Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
         assert prog.total_duration == 1 / J
+
+    @pytest.mark.parametrize(
+        "delay",
+        [Delay(per_j=Fraction(17 * 10**307)), Delay(seconds=1.7e308)],
+        ids=["per-j", "seconds"],
+    )
+    def test_total_duration_beyond_a_float_raises(self, delay):
+        # each delay alone fits a float, the sum of two does not
+        prog = make_program([delay, delay])
+        with pytest.raises(DomainError, match="^total duration is too large for a float$"):
+            prog.total_duration
+
+
+# one builder per value field of the four value classes
+VALUE_FIELDS = {
+    "SpinSystemParams.omega_a": lambda x: SpinSystemParams(omega_a=x),
+    "SpinSystemParams.omega_b": lambda x: SpinSystemParams(omega_b=x),
+    "Rotation.axis": lambda x: Rotation("a", x, Fraction(1, 2)),
+    "Rotation.flip": lambda x: Rotation("b", "y", x),
+    "Delay.seconds": lambda x: Delay(seconds=x),
+    "Delay.per_j": lambda x: Delay(per_j=x),
+    "FrameOffset.value": lambda x: FrameOffset("b", x, "piJ"),
+}
+field_values = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 16).map(lambda k: Fraction(k, 16)),  # each exact as a float
+)
+
+
+def twins(x):
+    """Values equal to x in another form: the other signed zero, a float's
+    exact Fraction, a Fraction's float."""
+    if isinstance(x, Fraction):
+        return [float(x)]
+    return [Fraction(x)] + ([-x] if x == 0 else [])
+
+
+class TestValueIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(VALUE_FIELDS)), x=field_values)
+    @example(name="Rotation.flip", x=Fraction(1))  # pi, not 1 rad
+    def test_equal_only_in_the_same_form(self, name, x):
+        build = VALUE_FIELDS[name]
+        one, again = build(x), build(x)
+        assert one == again and hash(one) == hash(again)
+        for twin in twins(x):
+            assert twin == x
+            assert build(twin) != one, (name, x, twin)
 
 
 class TestFreeEvolution:
