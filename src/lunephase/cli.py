@@ -272,10 +272,7 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 
 def _matrix_payload(matrix: np.ndarray) -> dict:
-    return {
-        "re": [[float(x.real) for x in row] for row in matrix],
-        "im": [[float(x.imag) for x in row] for row in matrix],
-    }
+    return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
 def cmd_simulate(args) -> tuple[str, int]:
@@ -335,8 +332,8 @@ def cmd_trace_path(args) -> tuple[str, int]:
     path, reports = _loop_reports(args, 1 if args.branch == "plus" else -1)
     bloch = path.to_bloch_path()
     points = [
-        {"time_s": float(t), "x": float(x), "y": float(y), "z": float(z)}
-        for t, (x, y, z) in zip(path.times, bloch.points)
+        {"time_s": t, "x": x, "y": y, "z": z}
+        for t, (x, y, z) in zip(path.times.tolist(), bloch.points.tolist())
     ]
     area = solid_angle(bloch)
     pan = pancharatnam_phase(path)

@@ -71,6 +71,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _store_samples(path, name: str, field: str, width: int, dtype, unit_tol: float,
+                   not_unit: str) -> None:
+    """Check path.times and the samples in path.<field>, and store both
+    read-only: N >= 1 samples of the given width and dtype, one finite time
+    each in nondecreasing order, and unit norms within unit_tol (not_unit is
+    the message when they are not). name is the path's name in messages."""
+    times = np.asarray(path.times, dtype=float)
+    samples = np.asarray(getattr(path, field), dtype=dtype)
+    if samples.ndim != 2 or samples.shape[1] != width or len(times) != len(samples):
+        raise DomainError(f"{name} needs matching (N,) times and (N,{width}) {field}")
+    if len(samples) < 1:
+        raise DomainError(f"{name} must contain at least one sample")
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0)):
+        raise DomainError("sample times must be nondecreasing and finite")
+    if not np.max(np.abs(np.linalg.norm(samples, axis=1) - 1.0)) <= unit_tol:
+        raise DomainError(not_unit)
+    object.__setattr__(path, "times", _read_only(times))
+    object.__setattr__(path, field, _read_only(samples))
+
+
 @dataclass(frozen=True)
 class BlochPath:
     """Sampled curve of unit Bloch vectors; times may be any monotone
@@ -81,22 +101,8 @@ class BlochPath:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3 or len(times) != len(points):
-            raise DomainError("path needs matching (N,) times and (N,3) points")
-        if len(points) < 1:
-            raise DomainError("path must contain at least one sample")
-        if not np.all(np.diff(times) >= 0):
-            raise DomainError("sample times must be nondecreasing")
-        norms = np.linalg.norm(points, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= POLICY.path_unit_tol:
-            raise DomainError("path points must be unit vectors")
-        object.__setattr__(self, "times", _read_only(times))
-        object.__setattr__(self, "points", _read_only(points))
-
-    def __len__(self) -> int:
-        return len(self.points)
+        _store_samples(self, "path", "points", 3, float, POLICY.path_unit_tol,
+                       "path points must be unit vectors")
 
     @property
     def closed(self) -> bool:
@@ -126,17 +132,9 @@ class StatePath:
     generators: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
-        if states.ndim != 2 or states.shape[1] != 2 or len(times) != len(states):
-            raise DomainError("state path needs matching (N,) times and (N,2) states")
-        if len(states) < 1:
-            raise DomainError("state path must contain at least one sample")
-        if not np.all(np.diff(times) >= 0):
-            raise DomainError("sample times must be nondecreasing")
-        norms = np.linalg.norm(states, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= POLICY.state_norm_tol:
-            raise DomainError("states must be normalized")
+        _store_samples(self, "state path", "states", 2, complex, POLICY.state_norm_tol,
+                       "states must be normalized")
+        states = self.states
         overlaps = np.abs(np.sum(states[:-1].conj() * states[1:], axis=1))
         if len(overlaps) and not np.min(overlaps) > POLICY.overlap_floor:
             raise DomainError(
@@ -148,12 +146,7 @@ class StatePath:
             if generators.shape != (len(states), 2, 2):
                 raise DomainError("generators must be one 2x2 operator per sample")
             generators = _read_only(generators)
-        object.__setattr__(self, "times", _read_only(times))
-        object.__setattr__(self, "states", _read_only(states))
         object.__setattr__(self, "generators", generators)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def bloch_points(self) -> np.ndarray:
         s = self.states
@@ -239,10 +232,8 @@ def pancharatnam_phase(path: StatePath) -> float:
     included; gauge-invariant and defined for projectively closed paths."""
     states = path.states
     closing = np.vdot(states[-1], states[0])
-    if not abs(abs(np.vdot(states[0], states[-1])) - 1.0) <= 1e-9:
+    if not abs(abs(closing) - 1.0) <= 1e-9:
         raise DomainError("path is not closed up to phase")
-    if not abs(closing) > POLICY.overlap_floor:
-        raise DomainError("closing overlap too small; refine the sampling density")
     overlaps = np.sum(states[:-1].conj() * states[1:], axis=1)
     # sum of arguments rather than product of overlaps: immune to magnitude
     # underflow on long paths, identical modulo 2pi

@@ -77,6 +77,8 @@ def sjoqvist_average(probabilities, phases) -> PhaseResult:
         raise DomainError("weights must be nonnegative")
     if not abs(float(np.sum(p)) - 1.0) <= 1e-9:
         raise DomainError("weights must sum to 1")
+    if not np.all(np.isfinite(g)):
+        raise DomainError("phases must be finite")
     z = complex(np.sum(p * np.exp(1j * g)))
     return _from_complex(z, math.hypot(z.real, z.imag))
 
@@ -94,6 +96,8 @@ def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     """
     if not -1.0 <= r <= 1.0:
         raise DomainError("purity must lie in [-1, 1]")
+    if not math.isfinite(omega):
+        raise DomainError("solid angle omega must be finite")
     _check_sign(sign, "orientation sign")
     half = 0.5 * omega
     z = complex(math.cos(half), sign * r * math.sin(half))

@@ -38,17 +38,6 @@ def _tokenize(line: str) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
 
 
-def _rational(text: str) -> Fraction:
-    # Fraction accepts "3", "2.5", "45/2"; anything else is a caller error,
-    # and so is a value too large for a float
-    value = Fraction(text)
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{text!r} is too large for a float") from None
-    return value
-
-
 def _float(value: Fraction, text: str) -> float:
     """value as a float with the sign its literal text shows: "-0" gives
     -0.0, which a propagator tells from 0.0 (see pulse._store_reals)."""
@@ -94,53 +83,59 @@ class _LineParser:
                 self.fail(col, f"invalid phase angle in {tok!r}")
         self.fail(col, f"expected axis x, -x, y, -y, or phase:<radians>, found {tok!r}")
 
-    def angle(self) -> Fraction | float:
-        col, tok = self.take("angle with unit deg or rad")
-        if tok.endswith("deg"):
-            body, exact = tok[:-3], True
-        elif tok.endswith("rad"):
-            body, exact = tok[:-3], False
-        else:
-            self.fail(col, f"angle {tok!r} is missing a deg or rad unit")
+    def call_at(self, column: int, make, *args, **kwargs):
+        """make(*args, **kwargs), its DomainError reported at column."""
         try:
-            value = _rational(body)
-        except (ValueError, ZeroDivisionError):
+            return make(*args, **kwargs)
+        except DomainError as exc:
+            self.fail(column, str(exc))
+
+    def quantity(
+        self, expected: str, units: tuple[str, ...]
+    ) -> tuple[int, str, str | None, str, Fraction | None]:
+        """The next token as a number with a unit suffix: (column, token,
+        unit, number text, value). unit is the first of units that ends the
+        token, or None. value is the number as an exact rational, or None
+        when the text is not a rational literal ("3", "2.5", "45/2") or is
+        too large for a float."""
+        col, tok = self.take(expected)
+        unit = next((u for u in units if tok.endswith(u)), None)
+        body = tok[: -len(unit)] if unit else tok
+        try:
+            value = Fraction(body)
+            float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            value = None
+        return col, tok, unit, body, value
+
+    def angle(self) -> Fraction | float:
+        col, tok, unit, body, value = self.quantity("angle with unit deg or rad", ("deg", "rad"))
+        if unit is None:
+            self.fail(col, f"angle {tok!r} is missing a deg or rad unit")
+        if value is None:
             self.fail(col, f"invalid angle value {body!r}")
         # degrees become exact multiples of pi; radians stay floating point
-        return value / 180 if exact else _float(value, body)
+        return value / 180 if unit == "deg" else _float(value, body)
 
     def delay(self) -> Delay:
-        col, tok = self.take("duration with unit s, ms, us, or k/J")
-        if tok.endswith("/J"):
-            try:
-                k = _rational(tok[:-2])
-            except (ValueError, ZeroDivisionError):
-                self.fail(col, f"invalid rational multiple in {tok!r}")
-            if k < 0:
-                self.fail(col, "delay duration must be nonnegative")
-            return Delay(per_j=k)
-        for unit, scale in _TIME_SCALES.items():
-            if tok.endswith(unit):
-                try:
-                    value = _rational(tok[: -len(unit)])
-                except (ValueError, ZeroDivisionError):
-                    self.fail(col, f"invalid duration value in {tok!r}")
-                if value < 0:
-                    self.fail(col, "delay duration must be nonnegative")
-                return Delay(seconds=_float(value * scale, tok))
-        self.fail(col, f"duration {tok!r} is missing a unit (s, ms, us, or /J)")
+        col, tok, unit, body, value = self.quantity(
+            "duration with unit s, ms, us, or k/J", ("/J", *_TIME_SCALES)
+        )
+        if unit is None:
+            self.fail(col, f"duration {tok!r} is missing a unit (s, ms, us, or /J)")
+        if value is None and unit == "/J":
+            self.fail(col, f"invalid rational multiple in {tok!r}")
+        if value is None:
+            self.fail(col, f"invalid duration value in {tok!r}")
+        if unit == "/J":
+            return self.call_at(col, Delay, per_j=value)
+        return self.call_at(col, Delay, seconds=_float(value * _TIME_SCALES[unit], body))
 
     def frame_offset(self, spin: str) -> FrameOffset:
-        col, tok = self.take("offset with unit Hz or piJ")
-        if tok.endswith("piJ"):
-            body, unit = tok[:-3], "piJ"
-        elif tok.endswith("Hz"):
-            body, unit = tok[:-2], "Hz"
-        else:
+        col, tok, unit, body, value = self.quantity("offset with unit Hz or piJ", ("piJ", "Hz"))
+        if unit is None:
             self.fail(col, f"offset {tok!r} is missing a Hz or piJ unit")
-        try:
-            value = _rational(body)
-        except (ValueError, ZeroDivisionError):
+        if value is None:
             self.fail(col, f"invalid offset value {body!r}")
         return FrameOffset(spin, value if unit == "piJ" else _float(value, body), unit)
 
@@ -165,10 +160,7 @@ def parse_sequence(text: str) -> SequenceProgram:
             axis = lp.axis()
             flip = lp.angle()
             lp.done()
-            try:
-                events.append(Rotation(spin, axis, flip))
-            except DomainError as exc:
-                lp.fail(col, str(exc))
+            events.append(lp.call_at(col, Rotation, spin, axis, flip))
         elif head == "delay":
             events.append(lp.delay())
             lp.done()
@@ -185,10 +177,7 @@ def parse_sequence(text: str) -> SequenceProgram:
                 lp.fail(kcol, f"expected keyword 'offset', found {keyword!r}")
             frame = lp.frame_offset(spin)
             lp.done()
-            try:
-                _add_frame(offsets, frame)
-            except DomainError as exc:
-                lp.fail(col, str(exc))
+            lp.call_at(col, _add_frame, offsets, frame)
             frames.append(frame)
         else:
             lp.fail(col, f"unknown statement {head!r}")

@@ -92,6 +92,17 @@ class TestTheoryCommand:
         g1 = float(flipped_out.strip().split("\n")[1].split(",")[2])
         assert g0 == -g1 != 0.0
 
+    def test_sense_convention_flips_sign(self):
+        _, default_out, _ = invoke(["theory", "--omega", "pi/2"])
+        code, flipped_out, _ = invoke(
+            ["theory", "--omega", "pi/2", "--convention", "sense=1"]
+        )
+        assert code == 0
+        g0 = [float(line.split(",")[2]) for line in default_out.strip().split("\n")[1:]]
+        g1 = [float(line.split(",")[2]) for line in flipped_out.strip().split("\n")[1:]]
+        assert g0 == [-g for g in g1]
+        assert g0[0] != 0.0
+
     def test_bad_omega_is_usage_error(self):
         code, _, err = invoke(["theory", "--omega", "sideways"])
         assert code == 2
@@ -571,6 +582,23 @@ class TestNumericInputRejection:
         code, _, err = invoke(["sweep", "--theta", "pi/8", "--tolerance", "0"])
         assert code in (0, 1)
         assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--theta", ","], "--theta"),
+        (["sweep", "--relaxation", "1,2,3"], "--relaxation"),
+        (["theory", "--omega", "pi/2", "--convention", "active=sideways"], "--convention"),
+        (["theory", "--omega", "pi/2", "--convention", "bogus=1"], "--convention"),
+    ],
+    ids=["empty-theta-list", "three-relaxation-times", "active-value", "convention-key"],
+)
+def test_malformed_list_or_convention_is_usage_error(argv, flag):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

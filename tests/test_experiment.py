@@ -47,7 +47,18 @@ from lunephase.geometry import (
     solid_angle,
 )
 from lunephase.phases import qubit_mixed_phase, sjoqvist_average
-from lunephase.pulse import branch_propagators, gradient_crusher, make_program, run_sequence
+from lunephase.pulse import (
+    FrameOffset,
+    Rotation,
+    SpinSystemParams,
+    apply_t2_relaxation,
+    branch_propagators,
+    free_evolution_unitary,
+    gradient_crusher,
+    make_program,
+    run_sequence,
+)
+from lunephase.pulseprog import render_sequence
 from lunephase.qcore import (
     DensityOperator,
     evolve,
@@ -733,12 +744,21 @@ NAN_GUARDS = {
         lambda: BlochPath([0.0, math.nan], [[0, 0, 1], [0, 0, 1]]),
         "sample times must be nondecreasing",
     ),
+    # one sample has no successor to compare its time with
+    "bloch-path-single-time": (
+        lambda: BlochPath([math.nan], [[0, 0, 1]]),
+        "sample times must be nondecreasing",
+    ),
     "bloch-path-points": (
         lambda: BlochPath([0.0, 1.0], [[0, 0, math.nan], [0, 0, 1]]),
         "path points must be unit vectors",
     ),
     "state-path-times": (
         lambda: StatePath([0.0, math.nan], [[1, 0], [1, 0]]),
+        "sample times must be nondecreasing",
+    ),
+    "state-path-single-time": (
+        lambda: StatePath([math.nan], [[1, 0]]),
         "sample times must be nondecreasing",
     ),
     "state-path-states": (
@@ -767,12 +787,126 @@ NAN_GUARDS = {
         lambda: sjoqvist_average([0.5, math.nan], [0.0, 1.0]),
         "weights must be nonnegative",
     ),
+    "weighted-phases": (
+        lambda: sjoqvist_average([1.0], [math.nan]),
+        "phases must be finite",
+    ),
+    "mixed-phase-omega": (
+        lambda: qubit_mixed_phase(0.5, math.nan),
+        "solid angle omega must be finite",
+    ),
+    "free-evolution-time": (
+        lambda: free_evolution_unitary(SpinSystemParams(), math.nan),
+        "evolution time must be finite and nonnegative",
+    ),
+    "relaxation-time": (
+        lambda: apply_t2_relaxation(thermal_state(), math.nan, 0.3, 0.4),
+        "relaxation time must be finite and nonnegative",
+    ),
 }
 
 
 @pytest.mark.parametrize("guard", sorted(NAN_GUARDS))
 def test_nan_fails_the_guard(guard):
     build, message = NAN_GUARDS[guard]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value).startswith(message)
+
+
+QUBIT = DensityOperator(np.eye(2) / 2)
+NO_DEVIATION = DensityOperator(np.zeros((4, 4)), normalized=False)
+
+# Input guards of the API, one case each: the call and the start of the
+# message it must raise.
+REJECTIONS = {
+    "convention-sense": (
+        lambda: Conventions(pulse_sense=2), "pulse_sense must be +1 or -1",
+    ),
+    "density-shape": (
+        lambda: DensityOperator(np.zeros((3, 3))), "expected a 2x2 or 4x4 matrix",
+    ),
+    "partial-trace-qubit": (
+        lambda: partial_trace(QUBIT, "a"), "partial_trace expects a two-spin state",
+    ),
+    "crusher-qubit": (
+        lambda: gradient_crusher(QUBIT), "crusher model is defined for the two-spin system",
+    ),
+    "relaxation-qubit": (
+        lambda: apply_t2_relaxation(QUBIT, 0.1, 0.3, 0.4),
+        "relaxation model is defined for the two-spin system",
+    ),
+    "sequence-qubit": (
+        lambda: run_sequence(QUBIT, make_program([])), "sequences act on the two-spin system",
+    ),
+    "relaxation-time-negative": (
+        lambda: apply_t2_relaxation(thermal_state(), -1.0, 0.3, 0.4),
+        "relaxation time must be finite and nonnegative",
+    ),
+    "relaxation-time-infinite": (
+        lambda: apply_t2_relaxation(thermal_state(), math.inf, 0.3, 0.4),
+        "relaxation time must be finite and nonnegative",
+    ),
+    "evolution-time-infinite": (
+        lambda: free_evolution_unitary(SpinSystemParams(), math.inf),
+        "evolution time must be finite and nonnegative",
+    ),
+    "samples-per-delay": (
+        lambda: run_sequence(thermal_state(), cycle_program(0.3), record=True,
+                             samples_per_delay=0),
+        "samples_per_delay must be at least 1",
+    ),
+    "compile-event-type": (
+        lambda: pulse._compile(make_program(["bogus"])), "unknown event type str",
+    ),
+    "render-event-type": (
+        lambda: render_sequence(make_program(["bogus"])), "cannot render event type str",
+    ),
+    "rotation-spin": (lambda: Rotation("c", "x", 1.0), "unknown spin label 'c'"),
+    "rotation-axis-label": (lambda: Rotation("a", "z", 1.0), "unknown axis label 'z'"),
+    "frame-spin": (lambda: FrameOffset("c", 1.0, "Hz"), "unknown spin label 'c'"),
+    "frame-unit": (
+        lambda: FrameOffset("a", 1.0, "kHz"), "unknown frame offset unit 'kHz'",
+    ),
+    "prepare-zero-deviation": (
+        lambda: prepare_effective_pure(NO_DEVIATION),
+        "deviation vanishes; no direction to compare",
+    ),
+    "bloch-path-shape": (
+        lambda: BlochPath([0.0], [[0, 0, 1], [0, 0, 1]]),
+        "path needs matching (N,) times and (N,3) points",
+    ),
+    "bloch-path-width": (
+        lambda: BlochPath([0.0], [[0, 1]]), "path needs matching (N,) times and (N,3) points",
+    ),
+    "bloch-path-empty": (
+        lambda: BlochPath([], np.zeros((0, 3))), "path must contain at least one sample",
+    ),
+    "state-path-shape": (
+        lambda: StatePath([0.0, 1.0], [[1, 0]]),
+        "state path needs matching (N,) times and (N,2) states",
+    ),
+    "state-path-width": (
+        lambda: StatePath([0.0], [[1, 0, 0]]),
+        "state path needs matching (N,) times and (N,2) states",
+    ),
+    "state-path-empty": (
+        lambda: StatePath([], np.zeros((0, 2))), "state path must contain at least one sample",
+    ),
+    "state-path-generators": (
+        lambda: StatePath([0.0, 1.0], [[1, 0], [1, 0]], np.zeros((1, 2, 2))),
+        "generators must be one 2x2 operator per sample",
+    ),
+    "state-path-generator-shape": (
+        lambda: StatePath([0.0, 1.0], [[1, 0], [1, 0]], np.zeros((2, 3, 3))),
+        "generators must be one 2x2 operator per sample",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_input_guard_rejects(case):
+    build, message = REJECTIONS[case]
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value).startswith(message)

@@ -360,7 +360,7 @@ class TestPancharatnam:
 class TestDynamicalPhase:
     def test_zero_hamiltonian(self):
         path = spinor_circle(0.8, 200)
-        gens = np.zeros((len(path), 2, 2), dtype=complex)
+        gens = np.zeros((len(path.states), 2, 2), dtype=complex)
         withgens = StatePath(path.times, path.states, gens)
         assert dynamical_phase(withgens) == 0.0
 

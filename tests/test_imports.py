@@ -1,5 +1,5 @@
-"""Unused-import, unread-parameter, pass-through-wrapper and unreached-name
-checks on the package source, written against the standard library `ast` module so they run
+"""Unused-import, unread-parameter, pass-through-wrapper, unreached-name and
+repeated-guard-message checks on the package source, written against the standard library `ast` module so they run
 wherever the test suite does, and a check of the names the package exports."""
 import ast
 import types
@@ -325,3 +325,78 @@ def test_star_import_binds_the_public_names():
     assert namespace["__version__"] == lunephase.__version__
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert {"run_sequence", "SequenceProgram", "DomainError", "parse_sequence"} <= set(namespace)
+
+
+def _message_text(node: ast.AST) -> str | None:
+    """A string literal's text, or an f-string's with each field as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            v.value if isinstance(v, ast.Constant) else "{}" for v in node.values
+        )
+    return None
+
+
+def guard_messages(source: str) -> list[tuple[str, int]]:
+    """(message, line) of each exception constructed with a literal message
+    in a raise statement, and of each `.fail(column, message)` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            args = node.exc.args[:1]
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fail" and len(node.args) == 2
+        ):
+            args = node.args[1:]
+        else:
+            continue
+        found += [(text, node.lineno) for text in map(_message_text, args) if text is not None]
+    return found
+
+
+def repeated_messages(package: dict[str, str]) -> dict[str, list[str]]:
+    """Guard messages raised at more than one site, each with its sites as
+    file:line; package maps file names to source."""
+    sites: dict[str, list[str]] = {}
+    for name, source in sorted(package.items()):
+        for text, line in guard_messages(source):
+            sites.setdefault(text, []).append(f"{name}:{line}")
+    return {text: where for text, where in sites.items() if len(where) > 1}
+
+
+def test_each_guard_message_has_one_raise_site():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert repeated_messages(package) == {}
+
+
+def test_checker_flags_repeated_messages():
+    package = {
+        "a.py": (
+            "def f(x, spin):\n"
+            "    if x < 0:\n"
+            "        raise ValueError('x must be nonnegative')\n"
+            "    if spin not in 'ab':\n"
+            "        raise KeyError(f'unknown spin {spin!r}')\n"
+            "    raise ValueError(str(x))\n"
+            "class P:\n"
+            "    def run(self, col, tok):\n"
+            "        self.fail(col, 'x must be nonnegative')\n"
+            "        self.fail(col, f'bad token {tok!r}')\n"
+            "        self.fail(col)\n"
+        ),
+        "b.py": (
+            "def g(other, exc):\n"
+            "    if other:\n"
+            "        raise KeyError(f'unknown spin {other}')\n"
+            "    raise\n"
+            "def h(col, tok):\n"
+            "    fail(col, f'bad token {tok!r}')\n"
+            "    raise ValueError(f'bad token {tok!r} here') from None\n"
+        ),
+    }
+    assert repeated_messages(package) == {
+        "x must be nonnegative": ["a.py:3", "a.py:9"],
+        "unknown spin {}": ["a.py:5", "b.py:3"],
+    }

@@ -130,6 +130,20 @@ class TestDiagnostics:
     def test_negative_j_delay(self):
         self.assert_fails_at("delay -1/2/J", 1, 7, "nonnegative")
 
+    @pytest.mark.parametrize(
+        "text, column, fragment",
+        [
+            ("pulse b phase:abc 90deg", 9, "invalid phase angle in 'phase:abc'"),
+            ("delay 5", 7, "duration '5' is missing a unit"),
+            ("frame b offset 5", 16, "offset '5' is missing a Hz or piJ unit"),
+            ("grad x", 6, "expected gradient axis 'z', found 'x'"),
+            ("frame b shift 1Hz", 9, "expected keyword 'offset', found 'shift'"),
+        ],
+        ids=["phase-literal", "delay-unit", "offset-unit", "grad-axis", "frame-keyword"],
+    )
+    def test_malformed_statement(self, text, column, fragment):
+        self.assert_fails_at(text, 1, column, fragment)
+
     def test_missing_token_reports_end_of_line(self):
         self.assert_fails_at("pulse b x", 1, 10, "end of line")
 
