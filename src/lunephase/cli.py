@@ -105,7 +105,7 @@ def _purity_index(text: str) -> int:
 
 
 def _samples(text: str) -> int:
-    """Total loop samples: at least two per geodesic segment."""
+    """Loop sampling N: N//2 steps, at least two, per geodesic half turn."""
     value = int(text)
     if value < 4:
         raise argparse.ArgumentTypeError(f"need at least 4 samples, got {value}")
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--theta", type=_inclination, required=True)
     p_trace.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p_trace.add_argument("--samples", type=_samples, default=4096,
-                         help="total samples along the loop (at least 4)")
+                         help="N >= 4: N//2 steps per half turn, 2*(N//2)+1 samples")
     add_common(p_trace)
 
     p_check = sub.add_parser("check-transport",
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=cmd_check_transport)
     p_check.add_argument("--theta", type=_inclination, required=True)
     p_check.add_argument("--samples", type=_samples, default=1024,
-                         help="total samples along the loop (at least 4)")
+                         help="N >= 4: N//2 steps per half turn, 2*(N//2)+1 samples")
     p_check.add_argument("--perturb", type=_finite, default=0.0,
                          help="verification hook: tilt segment axes by this amount")
     add_common(p_check)
@@ -301,8 +301,8 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def _loop_reports(args, eigen_sign: int, perturb: float = 0.0):
-    """The idealized loop at --samples total samples, and for each of its two
-    geodesic segments the report check-transport prints."""
+    """The idealized loop at --samples // 2 steps per half turn, and for each
+    of its two geodesic segments the report check-transport prints."""
     per_segment = args.samples // 2
     path = idealized_eigenvector_path(
         args.theta,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .conventions import DEFAULT_CONVENTIONS, Conventions
 from .errors import ConventionError, DomainError
-from .geometry import StatePath, _loop_axes, check_inclination
+from .geometry import StatePath, _half_turns, _loop_axes, check_inclination
 from .phases import (
     PURITY_STEPS,
     PhaseResult,
@@ -304,24 +304,18 @@ def idealized_eigenvector_path(
         vertex = np.array([1.0, 0.0, 0.0])
         tilted = [axis + float(perturb) * vertex for axis in axes]
         axes = tuple(v / np.linalg.norm(v) for v in tilted)
-    sigma1, sigma2 = (sigma_dot(axis) for axis in axes)
 
     m = samples_per_segment
     k = np.arange(m + 1)
     seg_time = 1.0 / (2.0 * DEFAULT_J)
     rate = 2.0 * math.pi * DEFAULT_J  # half turn per segment at angle pi
-    # sample k of a segment is exp(-i phi n.sigma/2) psi at phi = pi k/m
-    half = 0.5 * (math.pi * k / m)
-    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
     start = np.array([1.0, float(eigen_sign)], dtype=complex) / math.sqrt(2.0)
-    seg1 = cos * start - 1j * sin * (sigma1 @ start)
-    seg2 = cos[1:] * seg1[-1] - 1j * sin[1:] * (sigma2 @ seg1[-1])
     times = np.concatenate([seg_time * k / m, seg_time + seg_time * k[1:] / m])
     generators = np.concatenate([
-        np.broadcast_to(0.5 * rate * sigma1, (m + 1, 2, 2)),
-        np.broadcast_to(0.5 * rate * sigma2, (m, 2, 2)),
+        np.broadcast_to(0.5 * rate * sigma_dot(axes[0]), (m + 1, 2, 2)),
+        np.broadcast_to(0.5 * rate * sigma_dot(axes[1]), (m, 2, 2)),
     ])
-    return StatePath(times, np.vstack([seg1, seg2]), generators)
+    return StatePath(times, _half_turns(axes, m, start), generators)
 
 
 def spin_a_coherence(rho: DensityOperator) -> complex:
@@ -473,8 +467,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        # float() first: numpy scalars repr with their type name
-        return repr(float(value))
+        return repr(value)
     return str(value)
 
 

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import _check_sign, principal_angle
+from .qcore import _check_sign, principal_angle, sigma_dot
 
-_X_AXIS = np.array([1.0, 0.0, 0.0])
 # pi/2 plus roundoff slack, so that computed quarter turns are accepted
 _MAX_INCLINATION = math.pi / 2 + 1e-12
 
@@ -29,40 +28,37 @@ def check_inclination(theta: float) -> float:
     return theta
 
 
-def lune_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation axes of the two geodesic half turns at inclination theta.
-
-    Both lie in the y-z plane at +-theta from +z; each half turn about one of
-    them maps +x to -x (and back) along a great-circle arc.
-    """
+def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axes of the loop's two half turns at inclination theta, in traversal
+    order. n1 = (0, -sin t, cos t) and n2 = (0, sin t, cos t) lie at -+theta
+    from +z; a half turn about either maps +x to -x along a great circle. At
+    sense -1 the first half turn is about n2 (carrying +x through the lower
+    vertex) and the second about -n1; at sense +1 the mirrored order."""
     theta = check_inclination(theta)
+    _check_sign(sense, "traversal sense")
     n1 = np.array([0.0, -math.sin(theta), math.cos(theta)])
     n2 = np.array([0.0, math.sin(theta), math.cos(theta)])
-    return n1, n2
-
-
-def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axes of the loop's two half turns in traversal order.
-
-    At sense -1 the first half turn is about n2 (carrying +x through the
-    lower vertex) and the second about -n1; at sense +1 the mirrored order.
-    """
-    n1, n2 = lune_axes(theta)
-    _check_sign(sense, "traversal sense")
     return (n2, -n1) if sense == -1 else (n1, -n2)
 
 
-def rotate(axis: np.ndarray, angle, v: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of v right-handedly by angle about the unit axis.
+def _half_turns(axes: tuple[np.ndarray, np.ndarray], m: int, start: np.ndarray) -> np.ndarray:
+    """Spinor samples of start turned by pi about axes[0], then by pi about
+    axes[1]: m + 1 samples on the first turn, m more on the second, evenly
+    spaced in angle. Sample k of a turn is exp(-i phi n.sigma/2) psi at
+    phi = pi k/m."""
+    sigma1, sigma2 = (sigma_dot(axis) for axis in axes)
+    half = 0.5 * (math.pi * np.arange(m + 1) / m)
+    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
+    seg1 = cos * start - 1j * sin * (sigma1 @ start)
+    seg2 = cos[1:] * seg1[-1] - 1j * sin[1:] * (sigma2 @ seg1[-1])
+    return np.vstack([seg1, seg2])
 
-    angle and v broadcast against each other: an (N,) angle array sweeps one
-    vector along an arc, an (N, 3) array of vectors turns as a rigid body.
-    """
-    k = np.asarray(axis, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    return v * c + np.cross(k, v) * s + k * (v @ k)[..., None] * (1.0 - c)
+
+def _bloch_points(states: np.ndarray) -> np.ndarray:
+    """Bloch vectors of an (N, 2) array of unit spinors."""
+    cross = 2.0 * states[:, 0].conj() * states[:, 1]
+    z = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
+    return np.column_stack([cross.real, cross.imag, z])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -149,11 +145,7 @@ class StatePath:
         object.__setattr__(self, "generators", generators)
 
     def bloch_points(self) -> np.ndarray:
-        s = self.states
-        x = 2.0 * np.real(s[:, 0].conj() * s[:, 1])
-        y = 2.0 * np.imag(s[:, 0].conj() * s[:, 1])
-        z = np.abs(s[:, 0]) ** 2 - np.abs(s[:, 1]) ** 2
-        return np.column_stack([x, y, z])
+        return _bloch_points(self.states)
 
     def to_bloch_path(self) -> BlochPath:
         return BlochPath(self.times, self.bloch_points())
@@ -170,9 +162,10 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     """
     if n_samples < 8:
         raise DomainError("lune sampling needs at least 8 points")
-    first, second = _loop_axes(spec.theta, 1)
-    phis = np.linspace(0.0, math.pi, n_samples // 2 + 1)
-    points = np.vstack([rotate(first, phis[:-1], _X_AXIS), rotate(second, phis, -_X_AXIS)])
+    m = n_samples // 2
+    plus_x = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    points = _bloch_points(_half_turns(_loop_axes(spec.theta, 1), m, plus_x))
+    phis = np.linspace(0.0, math.pi, m + 1)
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])
     return BlochPath(times, points)

@@ -44,11 +44,13 @@ def _check_offset(omega: float) -> float:
     return omega
 
 
-def _store_reals(obj, *names: str) -> None:
+def _store_reals(obj, *names: str, labels: tuple[str, ...] = ()) -> None:
     """Store each named value field of obj as a float, unless it already is
-    one, is rational (a Fraction flip counts half turns), a label or None.
-    The conversion is exact and makes numpy scalars and 0-d arrays
-    hashable, as the compile cache needs. A float must be finite.
+    one or is rational (a Fraction flip counts half turns). The conversion is
+    exact and makes numpy scalars and 0-d arrays hashable, as the compile
+    cache needs. A float must be finite, and a str or None is no number,
+    except that a field named in labels may hold a str label, which the
+    class checks itself.
 
     obj._forms, which == and hash compare too, gets each field's form: the
     sign of a float (0.0 against -0.0) and the type of anything else (a
@@ -57,9 +59,9 @@ def _store_reals(obj, *names: str) -> None:
     forms = []
     for name in names:
         value = getattr(obj, name)
-        if type(value) not in (float, Fraction, str, type(None)) and not isinstance(
-            value, numbers.Rational
-        ):
+        if value is None or (isinstance(value, str) and name not in labels):
+            raise DomainError(f"{type(obj).__name__}.{name} must be a real number")
+        if type(value) not in (float, Fraction, str) and not isinstance(value, numbers.Rational):
             value = float(value)
             object.__setattr__(obj, name, value)
         if type(value) is float and not math.isfinite(value):
@@ -83,9 +85,9 @@ class SpinSystemParams:
     _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _store_reals(self, "omega_a", "omega_b")
         _check_offset(self.omega_a)
         _check_offset(self.omega_b)
-        _store_reals(self, "omega_a", "omega_b")
 
 
 def _check_spin(spin: str) -> None:
@@ -111,7 +113,7 @@ class Rotation:
         _check_spin(self.spin)
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
-        _store_reals(self, "axis", "flip")
+        _store_reals(self, "axis", "flip", labels=("axis",))
         angle = self.flip_radians
         if not -2 * math.pi < angle <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
@@ -143,9 +145,10 @@ class Delay:
     def __post_init__(self) -> None:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
-        if (self.per_j if self.seconds is None else self.seconds) < 0:
+        name = "per_j" if self.seconds is None else "seconds"
+        _store_reals(self, name)
+        if getattr(self, name) < 0:
             raise DomainError("delay duration must be nonnegative")
-        _store_reals(self, "seconds", "per_j")
 
     def duration(self) -> float:
         if self.per_j is not None:

@@ -1,6 +1,8 @@
-"""The benchmark's pulse-level workloads, run through the package and held
-to the benchmark's own checks (an independent numpy model, 1e-9 per matrix
-element). The benchmark modules are imported read-only from perfbench/."""
+"""The benchmark's workloads, run through the package and held to the
+benchmark's own checks: an independent numpy model (1e-9 per matrix element)
+for the pulse-level chain and trajectory requests, the closed form and
+spherical geometry for the grid and loop requests. The benchmark modules are
+imported read-only from perfbench/."""
 import importlib
 import random
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import lunephase
 from lunephase import pulse, qcore
+from lunephase.errors import ConventionError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,6 +34,30 @@ def test_requests_pass_the_benchmark_checks(workloads, name, count):
         request = next(stream)
         run(pulse, qcore, request)
         assert check(request, None) == []
+
+
+def test_loop_requests_pass_the_benchmark_checks(workloads):
+    stream = workloads.loop_requests(random.Random(19))
+    for _ in range(5):
+        request = next(stream)
+        workloads.run_loop(lunephase, request)
+        assert workloads.check_loop(request, None) == []
+
+
+def test_grid_requests_pass_the_benchmark_checks(workloads):
+    # three calibrated sweeps, and one under a miscalibrated convention set,
+    # which the package must refuse
+    calibrated, refused = [], []
+    for request in workloads.grid_requests(random.Random(23)):
+        (refused if request.args["refused"] else calibrated).append(request)
+        if len(calibrated) >= 3 and refused:
+            break
+    for request in calibrated[:3]:
+        workloads.run_grid(lunephase, request)
+        assert workloads.check_grid(request, None) == []
+    with pytest.raises(ConventionError) as err:
+        workloads.run_grid(lunephase, refused[0])
+    assert workloads.check_grid(refused[0], err.value) == []
 
 
 def test_repeated_chain_requests_pass_and_repeat_bit_for_bit(workloads):

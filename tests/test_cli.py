@@ -103,6 +103,11 @@ class TestTheoryCommand:
         assert g0 == [-g for g in g1]
         assert g0[0] != 0.0
 
+    def test_empty_convention_item_is_skipped(self):
+        plain = invoke(["theory", "--omega", "pi/2", "--convention", "sense=-1"])
+        trailing = invoke(["theory", "--omega", "pi/2", "--convention", "sense=-1,"])
+        assert trailing == plain and plain[0] == 0
+
     def test_bad_omega_is_usage_error(self):
         code, _, err = invoke(["theory", "--omega", "sideways"])
         assert code == 2

@@ -40,14 +40,15 @@ from lunephase.experiment import (
 from lunephase.geometry import (
     BlochPath,
     StatePath,
+    _loop_axes,
     check_geodesic,
     dynamical_phase,
-    lune_axes,
     pancharatnam_phase,
     solid_angle,
 )
 from lunephase.phases import qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import (
+    Delay,
     FrameOffset,
     Rotation,
     SpinSystemParams,
@@ -526,7 +527,7 @@ class TestIdealizedPath:
         with pytest.raises(DomainError):
             idealized_eigenvector_path(0.3, 1, samples_per_segment=1)
         with pytest.raises(DomainError):
-            lune_axes(2.0)
+            _loop_axes(2.0, 1)
 
 
 class TestSweep:
@@ -865,6 +866,19 @@ REJECTIONS = {
     "rotation-spin": (lambda: Rotation("c", "x", 1.0), "unknown spin label 'c'"),
     "rotation-axis-label": (lambda: Rotation("a", "z", 1.0), "unknown axis label 'z'"),
     "frame-spin": (lambda: FrameOffset("c", 1.0, "Hz"), "unknown spin label 'c'"),
+    "rotation-flip-str": (
+        lambda: Rotation("a", "x", "1"), "Rotation.flip must be a real number",
+    ),
+    "rotation-axis-none": (
+        lambda: Rotation("a", None, 1.0), "Rotation.axis must be a real number",
+    ),
+    "frame-value-str": (
+        lambda: FrameOffset("b", "1", "Hz"), "FrameOffset.value must be a real number",
+    ),
+    "delay-seconds-str": (lambda: Delay(seconds="1"), "Delay.seconds must be a real number"),
+    "params-omega-str": (
+        lambda: SpinSystemParams(omega_a="1"), "SpinSystemParams.omega_a must be a real number",
+    ),
     "frame-unit": (
         lambda: FrameOffset("a", 1.0, "kHz"), "unknown frame offset unit 'kHz'",
     ),

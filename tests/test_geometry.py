@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from lunephase.errors import DomainError
 from lunephase.experiment import ExperimentConfig, cycle_program
@@ -12,17 +13,16 @@ from lunephase.geometry import (
     BlochPath,
     LuneSpec,
     StatePath,
+    _FALLBACK_FAN_POINTS,
+    _half_turns,
+    _loop_axes,
     check_geodesic,
     dynamical_phase,
-    lune_axes,
     lune_path,
     pancharatnam_phase,
-    rotate,
     solid_angle,
 )
 from lunephase.qcore import (
-    DensityOperator,
-    evolve,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -85,13 +85,13 @@ def turned_lune(theta, vertex, samples):
     """The x-hat lune turned rigidly so that its first vertex lands on the
     unit vector vertex."""
     lune = lune_path(LuneSpec(theta), samples)
-    points, vertex = lune.points, np.array(vertex)
+    points, vertex = np.array(lune.points), np.array(vertex)
     cross = np.cross([1.0, 0.0, 0.0], vertex)
     s = float(np.linalg.norm(cross))
     if s >= 1e-12:
-        points = rotate(cross / s, math.atan2(s, vertex[0]), points)
+        points = Rotation.from_rotvec(cross / s * math.atan2(s, vertex[0])).apply(points)
     elif vertex[0] < 0.0:  # antipodal vertex: half turn about z
-        points = rotate(np.array([0.0, 0.0, 1.0]), math.pi, points)
+        points = Rotation.from_rotvec([0.0, 0.0, math.pi]).apply(points)
     return BlochPath(lune.times, points)
 
 
@@ -185,32 +185,23 @@ class TestLunePath:
             lune_path(LuneSpec(0.3), 7)
 
 
-class TestRotate:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        axis=unit_vectors,
-        angle=st.floats(-2 * math.pi, 2 * math.pi),
-        direction=unit_vectors,
-        length=st.floats(0.0, 1.0),
-    )
-    def test_matches_su2_conjugation(self, axis, angle, direction, length):
-        v = length * np.array(direction)
-        u = rotation_unitary(axis, angle)
-        paulis = (pauli_x, pauli_y, pauli_z)
-        rho = DensityOperator(0.5 * (np.eye(2) + sum(c * s for c, s in zip(v, paulis))))
-        want = [np.trace(evolve(rho, u).matrix @ s).real for s in paulis]
-        assert np.allclose(rotate(axis, angle, v), want, rtol=0.0, atol=1e-12)
+unit_spinors = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]]) / np.linalg.norm(v))
+)
 
-    def test_broadcasts_angles_and_points(self):
-        axis = np.array([0.0, 0.6, 0.8])
-        angles = np.linspace(-3.0, 3.0, 7)
-        v = np.array([0.2, -0.5, 0.7])
-        arc = rotate(axis, angles, v)
-        assert arc.shape == (7, 3)
-        for a, p in zip(angles, arc):
-            assert np.allclose(rotate(axis, a, v), p, rtol=0.0, atol=1e-15)
-        turned = rotate(axis, 1.1, arc)
-        assert np.allclose(turned, rotate(axis, angles + 1.1, v), rtol=0.0, atol=1e-14)
+
+class TestHalfTurns:
+    @settings(deadline=None)
+    @given(first=unit_vectors, second=unit_vectors, start=unit_spinors, m=st.integers(1, 64))
+    def test_samples_are_rotations_of_the_start(self, first, second, start, m):
+        samples = _half_turns((np.array(first), np.array(second)), m, start)
+        assert samples.shape == (2 * m + 1, 2)
+        turned = rotation_unitary(first, math.pi) @ start
+        want = [rotation_unitary(first, math.pi * k / m) @ start for k in range(m + 1)]
+        want += [rotation_unitary(second, math.pi * k / m) @ turned for k in range(1, m + 1)]
+        assert np.allclose(samples, want, rtol=0.0, atol=1e-14)
 
 
 class TestInclinationBound:
@@ -219,7 +210,7 @@ class TestInclinationBound:
 
     ENTRY_POINTS = pytest.mark.parametrize(
         "build",
-        (LuneSpec, lambda t: ExperimentConfig(t, 0), cycle_program, lune_axes),
+        (LuneSpec, lambda t: ExperimentConfig(t, 0), cycle_program, lambda t: _loop_axes(t, 1)),
         ids=("LuneSpec", "ExperimentConfig", "cycle_program", "lune_axes"),
     )
 
@@ -239,6 +230,15 @@ class TestSolidAngle:
     def test_requires_closed(self):
         with pytest.raises(DomainError):
             solid_angle(circle_path(math.pi / 2, 64, span=math.pi))
+
+    def test_no_stable_fan_point_raises(self):
+        # the antipodes of the fallback candidates sum to zero, so the
+        # centroid drops out and every candidate meets its own antipode
+        antipodes = -np.array(_FALLBACK_FAN_POINTS)
+        antipodes /= np.linalg.norm(antipodes, axis=1)[:, None]
+        pts = np.vstack([antipodes, antipodes[:1]])
+        with pytest.raises(DomainError, match="^could not find a stable fan point"):
+            solid_angle(BlochPath(np.arange(len(pts)), pts))
 
     def test_degenerate_loop_is_zero(self):
         pts = np.tile([0.0, 0.0, 1.0], (10, 1))
