@@ -17,7 +17,6 @@ from .experiment import (
     ExperimentConfig,
     RunRecord,
     cycle_program,
-    idealized_controlled_cycle,
     idealized_eigenvector_path,
     lune_holonomy,
     mixing_program,

@@ -279,7 +279,7 @@ def cmd_simulate(args) -> tuple[str, int]:
     config = ExperimentConfig(
         args.theta, args.n, args.model, args.relaxation, args.convention
     )
-    record = run_single(config, record_snapshots=True)
+    record = run_single(config, record_snapshots=args.format == "json")
     code = _gate([record], args)
     if args.format == "csv":
         return records_to_csv([record]), code

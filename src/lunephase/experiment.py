@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import groupby
 
 import numpy as np
 
@@ -255,29 +256,20 @@ def lune_holonomy(theta: float, sense: int) -> np.ndarray:
     return rotation_unitary(second, math.pi) @ rotation_unitary(first, math.pi)
 
 
-def idealized_controlled_cycle(
-    rho: DensityOperator,
-    theta: float,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
-) -> DensityOperator:
-    """Branch-controlled form of the cycle: identity on the passive spin-a
-    branch, the lune holonomy on the active one.
+def _controlled_cycle(theta: float, conventions: Conventions) -> np.ndarray:
+    """Two-spin unitary of the branch-controlled cycle: identity on the
+    passive spin-a branch, the lune holonomy on the active one.
 
     The loop traversal sense equals the pulse rotation sense; the branch
     assignment then fixes which interferometer arm carries it, so the
     observable phase matches the literal sequence under any convention set.
     """
-    if rho.matrix.shape != (4, 4):
-        raise DomainError("expected a two-spin state")
     u_loop = lune_holonomy(theta, conventions.pulse_sense)
     w = np.zeros((4, 4), dtype=complex)
-    if conventions.active_branch_up:
-        w[:2, :2] = u_loop
-        w[2:, 2:] = identity2
-    else:
-        w[:2, :2] = identity2
-        w[2:, 2:] = u_loop
-    return evolve(rho, w)
+    w[:2, :2], w[2:, 2:] = (
+        (u_loop, identity2) if conventions.active_branch_up else (identity2, u_loop)
+    )
+    return w
 
 
 def idealized_eigenvector_path(
@@ -309,13 +301,12 @@ def idealized_eigenvector_path(
     k = np.arange(m + 1)
     seg_time = 1.0 / (2.0 * DEFAULT_J)
     rate = 2.0 * math.pi * DEFAULT_J  # half turn per segment at angle pi
-    start = np.array([1.0, float(eigen_sign)], dtype=complex) / math.sqrt(2.0)
     times = np.concatenate([seg_time * k / m, seg_time + seg_time * k[1:] / m])
     generators = np.concatenate([
         np.broadcast_to(0.5 * rate * sigma_dot(axes[0]), (m + 1, 2, 2)),
         np.broadcast_to(0.5 * rate * sigma_dot(axes[1]), (m, 2, 2)),
     ])
-    return StatePath(times, _half_turns(axes, m, start), generators)
+    return StatePath(times, _half_turns(axes, m, eigen_sign), generators)
 
 
 def spin_a_coherence(rho: DensityOperator) -> complex:
@@ -342,59 +333,57 @@ def _run_grid(
 ) -> list[RunRecord]:
     """Run grid points that share one convention set, in order.
 
-    The theta-independent stages run once: thermal deviation and
-    effective-pure preparation once per call, purity mixing and the
-    reference coherence once per distinct n.  Each point then runs its
-    cycle under the selected model, the optional transverse relaxation over
-    the cycle duration and the phase readout against the closed form.  The
-    cycle program depends on theta alone, and each distinct program
-    compiles once in the bounded cache of pulse._compile, so a sweep
-    compiles one cycle per theta.
+    The thermal deviation and effective-pure preparation run once per
+    call, the purity mixing and reference coherence once per distinct n.
+    Each run of consecutive points with equal theta and model (a
+    theta-major sweep is one run per theta) builds its cycle program, its
+    duration and, under the idealized model, its controlled unitary once.
+    Each point then runs its cycle, the optional transverse relaxation over
+    the cycle duration and the phase readout against the closed form.
     """
     conv = configs[0].conventions
     pure = prepare_effective_pure(thermal_state(), conv)
     mixed: dict[int, tuple[DensityOperator, complex]] = {}
     records = []
-    for config in configs:
-        if config.n not in mixed:
-            rho = prepare_mixed(pure, config.n, conv)
-            mixed[config.n] = (rho, spin_a_coherence(rho))
-        rho, reference = mixed[config.n]
-
-        prog = cycle_program(config.theta)
+    for (theta, model), group in groupby(configs, key=lambda c: (c.theta, c.model)):
+        prog = cycle_program(theta)
         duration = prog.total_duration
-        if config.model == "literal-sequence":
-            out, trajectory = run_sequence(
-                rho,
-                prog,
-                record=record_snapshots,
-                pulse_sense=conv.pulse_sense,
-                iz_sign=conv.iz_sign,
+        u_cycle = None if model == "literal-sequence" else _controlled_cycle(theta, conv)
+        for config in group:
+            if config.n not in mixed:
+                rho = prepare_mixed(pure, config.n, conv)
+                mixed[config.n] = (rho, spin_a_coherence(rho))
+            rho, reference = mixed[config.n]
+
+            if u_cycle is None:
+                out, trajectory = run_sequence(
+                    rho, prog, record=record_snapshots,
+                    pulse_sense=conv.pulse_sense, iz_sign=conv.iz_sign,
+                )
+            else:
+                out = evolve(rho, u_cycle)
+                trajectory = [(0.0, rho), (duration, out)]
+
+            if config.relaxation is not None:
+                t2a, t2b = config.relaxation
+                out = apply_t2_relaxation(out, duration, t2a, t2b)
+
+            measured = readout_phase(out, reference)
+            theory = qubit_mixed_phase(config.purity, config.omega, conv.orientation)
+            defined = measured.defined and theory.defined
+            residual = (
+                principal_angle(measured.gamma - theory.gamma) if defined else math.nan
             )
-        else:
-            out = idealized_controlled_cycle(rho, config.theta, conv)
-            trajectory = [(0.0, rho), (duration, out)]
-
-        if config.relaxation is not None:
-            t2a, t2b = config.relaxation
-            out = apply_t2_relaxation(out, duration, t2a, t2b)
-
-        measured = readout_phase(out, reference)
-        theory = qubit_mixed_phase(config.purity, config.omega, conv.orientation)
-        defined = measured.defined and theory.defined
-        residual = (
-            principal_angle(measured.gamma - theory.gamma) if defined else math.nan
-        )
-        records.append(RunRecord(
-            config=config,
-            gamma_measured=measured.gamma,
-            visibility_measured=measured.visibility,
-            gamma_theory=theory.gamma,
-            visibility_theory=theory.visibility,
-            residual=residual,
-            defined=defined,
-            snapshots=tuple(trajectory) if record_snapshots else None,
-        ))
+            records.append(RunRecord(
+                config=config,
+                gamma_measured=measured.gamma,
+                visibility_measured=measured.visibility,
+                gamma_theory=theory.gamma,
+                visibility_theory=theory.visibility,
+                residual=residual,
+                defined=defined,
+                snapshots=tuple(trajectory) if record_snapshots else None,
+            ))
     return records
 
 
@@ -412,7 +401,8 @@ def run_sweep(
     relaxation: tuple[float, float] | None = None,
     conventions: Conventions = DEFAULT_CONVENTIONS,
 ) -> list[RunRecord]:
-    """Run the full grid, theta-major and purity-minor.
+    """Run the full grid, theta-major and purity-minor, building each
+    angle's cycle once for all its purities.
 
     Undefined-contrast rows are flagged in their records rather than raised;
     configuration problems surface before any simulation starts.

@@ -41,11 +41,12 @@ def _loop_axes(theta: float, sense: int) -> tuple[np.ndarray, np.ndarray]:
     return (n2, -n1) if sense == -1 else (n1, -n2)
 
 
-def _half_turns(axes: tuple[np.ndarray, np.ndarray], m: int, start: np.ndarray) -> np.ndarray:
-    """Spinor samples of start turned by pi about axes[0], then by pi about
-    axes[1]: m + 1 samples on the first turn, m more on the second, evenly
-    spaced in angle. Sample k of a turn is exp(-i phi n.sigma/2) psi at
-    phi = pi k/m."""
+def _half_turns(axes: tuple[np.ndarray, np.ndarray], m: int, eigen_sign: int) -> np.ndarray:
+    """Spinor samples of the +x (eigen_sign +1) or -x (eigen_sign -1)
+    eigenvector turned by pi about axes[0], then by pi about axes[1]: m + 1
+    samples on the first turn, m more on the second, evenly spaced in angle.
+    Sample k of a turn is exp(-i phi n.sigma/2) psi at phi = pi k/m."""
+    start = np.array([1.0, eigen_sign], dtype=complex) / math.sqrt(2.0)
     sigma1, sigma2 = (sigma_dot(axis) for axis in axes)
     half = 0.5 * (math.pi * np.arange(m + 1) / m)
     cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
@@ -55,10 +56,13 @@ def _half_turns(axes: tuple[np.ndarray, np.ndarray], m: int, start: np.ndarray) 
 
 
 def _bloch_points(states: np.ndarray) -> np.ndarray:
-    """Bloch vectors of an (N, 2) array of unit spinors."""
+    """Bloch vectors of an (N, 2) array of spinors, each divided by its
+    |psi|^2: no float spinor squares to exactly 1, and the division puts
+    the start of a loop at exactly +-x."""
+    up, down = np.abs(states[:, 0]) ** 2, np.abs(states[:, 1]) ** 2
+    norm = up + down
     cross = 2.0 * states[:, 0].conj() * states[:, 1]
-    z = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
-    return np.column_stack([cross.real, cross.imag, z])
+    return np.column_stack([cross.real / norm, cross.imag / norm, (up - down) / norm])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -163,8 +167,7 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     if n_samples < 8:
         raise DomainError("lune sampling needs at least 8 points")
     m = n_samples // 2
-    plus_x = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    points = _bloch_points(_half_turns(_loop_axes(spec.theta, 1), m, plus_x))
+    points = _bloch_points(_half_turns(_loop_axes(spec.theta, 1), m, 1))
     phis = np.linspace(0.0, math.pi, m + 1)
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol
     times = np.concatenate([phis[:-1], math.pi + phis])

@@ -20,7 +20,6 @@ from lunephase.experiment import (
     ExperimentConfig,
     RunRecord,
     cycle_program,
-    idealized_controlled_cycle,
     idealized_eigenvector_path,
     lune_holonomy,
     mixing_program,
@@ -257,8 +256,10 @@ class TestIdealizedCycle:
 
     def test_degenerate_lune_is_identity(self):
         rho = prepared_state(0)
-        out = idealized_controlled_cycle(rho, 0.0)
-        assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
+        for active_branch_up in (True, False):
+            w = experiment._controlled_cycle(0.0, Conventions(-1, active_branch_up))
+            assert np.allclose(w, np.eye(4), rtol=0.0, atol=1e-12)
+            assert np.allclose(evolve(rho, w).matrix, rho.matrix, atol=1e-12)
 
     def test_model_equivalence_default_conventions(self):
         # Same observable phase and visibility from the literal pulses and
@@ -287,11 +288,6 @@ class TestIdealizedCycle:
                 )
             )
             assert abs(principal_angle(lit.gamma_measured - ide.gamma_measured)) < 1e-12
-
-    def test_rejects_single_qubit_state(self):
-        rho = DensityOperator(0.5 * (identity2 + pauli_x))
-        with pytest.raises(DomainError):
-            idealized_controlled_cycle(rho, 0.3)
 
 
 class TestReadout:
@@ -596,6 +592,27 @@ class TestGridPipeline:
         assert len(records) == 12
         assert calls == {"pure": 1, "mixed": [0, 5, 9]}
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sweep_builds_each_cycle_once_per_theta(self, model, monkeypatch):
+        built = {"program": [], "unitary": []}
+        real_program, real_unitary = cycle_program, experiment._controlled_cycle
+
+        def counting_program(theta):
+            built["program"].append(theta)
+            return real_program(theta)
+
+        def counting_unitary(theta, conventions):
+            built["unitary"].append(theta)
+            return real_unitary(theta, conventions)
+
+        monkeypatch.setattr(experiment, "cycle_program", counting_program)
+        monkeypatch.setattr(experiment, "_controlled_cycle", counting_unitary)
+        thetas = (0.1, 0.4, 0.9, 1.3)
+        records = run_sweep(thetas=thetas, n_values=(0, 5, 9), model=model)
+        assert len(records) == 12
+        assert built["program"] == list(thetas)
+        assert built["unitary"] == ([] if model == "literal-sequence" else list(thetas))
+
     def test_sweep_compiles_each_distinct_program_once(self):
         # the compile cache starts empty in every test (conftest.py)
         records = run_sweep(thetas=(0.1, 0.4, 0.9, 1.3), n_values=(0, 5, 9))
@@ -615,6 +632,9 @@ class TestGridPipeline:
     @example(grid={"thetas": [math.pi / 4, 0.0, math.pi / 2], "n_values": [6, 0],
                    "model": "literal-sequence", "relaxation": (0.3, 0.4),
                    "conventions": CALIBRATED[1]})
+    @example(grid={"thetas": [0.3, 1.1, 0.3, 0.0, -0.0], "n_values": [3, 0],
+                   "model": "idealized-controlled-U", "relaxation": None,
+                   "conventions": CALIBRATED[0]})
     def test_sweep_properties(self, grid):
         records = run_sweep(**grid)
         other_model = next(m for m in MODELS if m != grid["model"])

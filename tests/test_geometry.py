@@ -14,6 +14,7 @@ from lunephase.geometry import (
     LuneSpec,
     StatePath,
     _FALLBACK_FAN_POINTS,
+    _bloch_points,
     _half_turns,
     _loop_axes,
     check_geodesic,
@@ -185,23 +186,26 @@ class TestLunePath:
             lune_path(LuneSpec(0.3), 7)
 
 
-unit_spinors = (
-    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
-    .filter(lambda v: np.linalg.norm(v) > 0.1)
-    .map(lambda v: np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]]) / np.linalg.norm(v))
-)
-
-
 class TestHalfTurns:
     @settings(deadline=None)
-    @given(first=unit_vectors, second=unit_vectors, start=unit_spinors, m=st.integers(1, 64))
-    def test_samples_are_rotations_of_the_start(self, first, second, start, m):
-        samples = _half_turns((np.array(first), np.array(second)), m, start)
+    @given(first=unit_vectors, second=unit_vectors, sign=st.sampled_from((1, -1)),
+           m=st.integers(1, 64))
+    def test_samples_are_rotations_of_the_start(self, first, second, sign, m):
+        samples = _half_turns((np.array(first), np.array(second)), m, sign)
         assert samples.shape == (2 * m + 1, 2)
+        start = np.array([1.0, sign]) / math.sqrt(2.0)
         turned = rotation_unitary(first, math.pi) @ start
         want = [rotation_unitary(first, math.pi * k / m) @ start for k in range(m + 1)]
         want += [rotation_unitary(second, math.pi * k / m) @ turned for k in range(1, m + 1)]
         assert np.allclose(samples, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta", (0.0, 0.3, math.pi / 4, math.pi / 2))
+    def test_loops_start_exactly_on_the_vertex(self, theta):
+        # |psi|^2 of the start reads 0.9999999999999998, not 1
+        for sign in (1, -1):
+            start = _bloch_points(_half_turns(_loop_axes(theta, 1), 8, sign))[0]
+            assert start.tolist() == [sign, 0.0, 0.0]
+        assert lune_path(LuneSpec(theta), 16).points[0].tolist() == [1.0, 0.0, 0.0]
 
 
 class TestInclinationBound:
