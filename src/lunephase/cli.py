@@ -109,6 +109,8 @@ def _samples(text: str) -> int:
     value = int(text)
     if value < 4:
         raise argparse.ArgumentTypeError(f"need at least 4 samples, got {value}")
+    if value > 1_000_000:
+        raise argparse.ArgumentTypeError(f"need at most 1000000 samples, got {value}")
     return value
 
 

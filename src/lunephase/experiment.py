@@ -293,9 +293,12 @@ def idealized_eigenvector_path(
         raise DomainError("need at least two samples per segment")
     axes = _loop_axes(theta, conventions.pulse_sense)
     if perturb != 0.0:
-        vertex = np.array([1.0, 0.0, 0.0])
-        tilted = [axis + float(perturb) * vertex for axis in axes]
-        axes = tuple(v / np.linalg.norm(v) for v in tilted)
+        tilted = [axis + float(perturb) * np.array([1.0, 0.0, 0.0]) for axis in axes]
+        with np.errstate(over="ignore"):
+            norms = [np.linalg.norm(v) for v in tilted]
+        if not all(0 < norm < math.inf for norm in norms):
+            raise DomainError("perturb tilts a loop axis past normalization")
+        axes = tuple(v / norm for v, norm in zip(tilted, norms))
 
     m = samples_per_segment
     k = np.arange(m + 1)

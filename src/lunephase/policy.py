@@ -1,8 +1,10 @@
 """Global numeric policy record.
 
-All validation thresholds in the package read from one module-level record,
-so each tolerance is defined in one place. A guard states the passing case
-and negates it (`if not dev <= tol: raise`), so that a NaN fails it.
+State, unitarity, axis and path guards read their thresholds from one
+module-level record. Nine one-off thresholds stay beside the one check that
+reads each: seven 1e-12 or 1e-9 slacks and floors, and the CLI's
+GEODESIC_TOL and DYNAMICAL_TOL gates. A guard states the passing case and
+negates it (`if not dev <= tol: raise`), so that a NaN fails it.
 """
 from __future__ import annotations
 

@@ -192,6 +192,8 @@ class FrameOffset:
 class SequenceProgram:
     """Ordered pulse-program events plus the frame they execute in.
 
+    Each frame directive sets its spin's offset in params (one per spin,
+    within the sanity bound), so a program compiles in the frame it renders.
     Two programs compare equal only when they compile to the same bits,
     since their events, parameters and frames do (see _store_reals).
     """
@@ -204,6 +206,14 @@ class SequenceProgram:
         # tuples, so that a program hashes and cannot change under the cache
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "frames", tuple(self.frames))
+        offsets = {}
+        for fr in self.frames:
+            name = f"omega_{fr.spin}"
+            if name in offsets:
+                raise DomainError(f"spin {fr.spin} has more than one frame directive")
+            offsets[name] = _check_offset(-fr.angular())
+        if offsets:
+            object.__setattr__(self, "params", replace(self.params, **offsets))
 
     @property
     def total_duration(self) -> float:
@@ -227,29 +237,10 @@ class SequenceProgram:
 
 
 def make_program(
-    events,
-    params: SpinSystemParams | None = None,
-    frames: tuple[FrameOffset, ...] = (),
+    events, params: SpinSystemParams | None = None, frames: tuple[FrameOffset, ...] = ()
 ) -> SequenceProgram:
-    """Assemble a program; each frame directive sets its spin's offset in
-    the base parameters, and a spin takes at most one directive."""
-    params = params if params is not None else SpinSystemParams()
-    offsets = {}
-    for fr in frames:
-        _add_frame(offsets, fr)
-    if offsets:
-        params = replace(params, **offsets)
-    return SequenceProgram(events, params, frames)
-
-
-def _add_frame(offsets: dict[str, float], frame: FrameOffset) -> None:
-    """Enter one frame directive's offset into offsets, keyed by its
-    SpinSystemParams field: a spin takes at most one directive, and the
-    offset must lie within the sanity bound."""
-    field = f"omega_{frame.spin}"
-    if field in offsets:
-        raise DomainError(f"spin {frame.spin} has more than one frame directive")
-    offsets[field] = _check_offset(-frame.angular())
+    """Assemble a program on params, or on the default parameters."""
+    return SequenceProgram(events, params if params is not None else SpinSystemParams(), frames)
 
 
 def free_evolution_unitary(
@@ -330,7 +321,9 @@ def apply_t2_relaxation(
     t2a, t2b = check_t2_times((t2a, t2b))
     dma = np.abs(_MA[:, None] - _MA[None, :])
     dmb = np.abs(_MB[:, None] - _MB[None, :])
-    factors = np.exp(-dma * (t / t2a)) * np.exp(-dmb * (t / t2b))
+    # t/T2 may overflow (subnormal T2): dm*t first, so 0*inf never makes a nan
+    with np.errstate(over="ignore"):
+        factors = np.exp(-(dma * t) / t2a) * np.exp(-(dmb * t) / t2b)
     return DensityOperator(rho.matrix * factors, normalized=rho.normalized)
 
 
@@ -410,7 +403,9 @@ def run_sequence(
 
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0). Unrecorded, the trajectory holds only that entry and the
-    closing (total delay time, final state) one. With record=True it gains
+    closing (total delay time, final state) one. That time is a float sum
+    of event durations and can sit an ulp off total_duration (17 of the
+    programs of k delays of 1/(kJ), k = 2..39). With record=True it gains
     one entry after each event, and each delay of duration dt first adds
     samples_per_delay - 1 samples at dt*i/samples_per_delay into it, for
     path tracing. A recorded stretch stacks one propagator per entry: the

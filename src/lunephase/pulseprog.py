@@ -25,7 +25,6 @@ from .pulse import (
     Gradient,
     Rotation,
     SequenceProgram,
-    _add_frame,
     make_program,
 )
 
@@ -148,7 +147,6 @@ def parse_sequence(text: str) -> SequenceProgram:
     """
     events = []
     frames = []
-    offsets = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line)
         if not tokens:
@@ -175,10 +173,9 @@ def parse_sequence(text: str) -> SequenceProgram:
             kcol, keyword = lp.take("keyword 'offset'")
             if keyword != "offset":
                 lp.fail(kcol, f"expected keyword 'offset', found {keyword!r}")
-            frame = lp.frame_offset(spin)
+            frames.append(lp.frame_offset(spin))
             lp.done()
-            lp.call_at(col, _add_frame, offsets, frame)
-            frames.append(frame)
+            lp.call_at(col, make_program, (), frames=tuple(frames))
         else:
             lp.fail(col, f"unknown statement {head!r}")
     return make_program(events, frames=tuple(frames))

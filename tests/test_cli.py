@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -577,6 +578,39 @@ class TestNumericInputRejection:
         self.assert_usage_error(
             ["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb"
         )
+
+    @staticmethod
+    def invoke_without_warning(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(argv)
+        assert not caught
+        return result
+
+    def test_sample_count_above_a_million(self):
+        # rejected in argparse, before any array is allocated
+        for command in ("trace-path", "check-transport"):
+            for value in ("1000001", "2000000000000000"):
+                argv = [command, "--theta", "pi/4", "--samples", value]
+                code, out, err = self.invoke_without_warning(argv)
+                assert (code, out) == (2, "")
+                assert f"argument --samples: need at most 1000000 samples, got {value}" in err
+
+    def test_perturb_past_axis_normalization(self):
+        for value in ("1e308", "-1e308"):
+            argv = ["check-transport", "--theta", "pi/4", f"--perturb={value}"]
+            code, out, err = self.invoke_without_warning(argv)
+            assert (code, out) == (2, "")
+            assert err == "error: perturb tilts a loop axis past normalization\n"
+
+    def test_subnormal_t2_dephases_fully(self):
+        # a gated, undefined row at zero visibility: exit 1, not a usage error
+        code, out, err = self.invoke_without_warning(
+            ["simulate", "--theta", "pi/4", "--n", "3", "--relaxation", "1e-320,0.3"]
+        )
+        assert (code, err) == (1, "")
+        row = out.split("\n")[1].split(",")
+        assert row[6] == "0.0" and row[-1] == "false"
 
     def test_zero_tolerance_stays_legal(self):
         code, _, err = invoke(

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,7 @@ from lunephase.pulse import (
     Delay,
     FrameOffset,
     Rotation,
+    SequenceProgram,
     SpinSystemParams,
     apply_t2_relaxation,
     branch_propagators,
@@ -837,6 +839,7 @@ def test_nan_fails_the_guard(guard):
 
 QUBIT = DensityOperator(np.eye(2) / 2)
 NO_DEVIATION = DensityOperator(np.zeros((4, 4)), normalized=False)
+FRAME_B = FrameOffset("b", Fraction(-1, 2), "piJ")
 
 # Input guards of the API, one case each: the call and the start of the
 # message it must raise.
@@ -901,6 +904,18 @@ REJECTIONS = {
     ),
     "frame-unit": (
         lambda: FrameOffset("a", 1.0, "kHz"), "unknown frame offset unit 'kHz'",
+    ),
+    "program-frame-twice": (
+        lambda: SequenceProgram((), SpinSystemParams(), (FRAME_B, FRAME_B)),
+        "spin b has more than one frame directive",
+    ),
+    "program-frame-bound": (
+        lambda: SequenceProgram((), SpinSystemParams(), (FrameOffset("a", 50, "piJ"),)),
+        "frame offset exceeds the 10*2piJ sanity bound",
+    ),
+    "path-perturb-overflow": (
+        lambda: idealized_eigenvector_path(math.pi / 4, perturb=1e308),
+        "perturb tilts a loop axis past normalization",
     ),
     "prepare-zero-deviation": (
         lambda: prepare_effective_pure(NO_DEVIATION),

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunephase.errors import SequenceSyntaxError
-from lunephase.pulse import Delay, FrameOffset, Gradient, Rotation, make_program
+from lunephase.pulse import (
+    Delay,
+    FrameOffset,
+    Gradient,
+    Rotation,
+    SequenceProgram,
+    SpinSystemParams,
+    make_program,
+)
 from lunephase.pulseprog import parse_sequence, render_sequence
 
 J = 214.5
@@ -241,3 +249,33 @@ class TestRoundTrip:
     def test_round_trip_random_programs(self, events):
         prog = make_program(events)
         assert parse_sequence(render_sequence(prog)).events == prog.events
+
+    @staticmethod
+    def frame_strategy():
+        # within the 10*2piJ bound: 10 piJ exactly, or 2000 Hz < 10*J Hz
+        value = st.one_of(
+            st.tuples(
+                st.fractions(min_value=-10, max_value=10, max_denominator=64), st.just("piJ")
+            ),
+            st.tuples(st.floats(-2000.0, 2000.0, allow_nan=False), st.just("Hz")),
+        )
+        return st.builds(lambda spin, vu: FrameOffset(spin, *vu), st.sampled_from("ab"), value)
+
+    @given(
+        st.lists(event_strategy(), max_size=8),
+        st.lists(frame_strategy(), max_size=2, unique_by=lambda fr: fr.spin),
+        st.builds(
+            SpinSystemParams,
+            st.floats(-1e4, 1e4, allow_nan=False),
+            st.floats(-1e4, 1e4, allow_nan=False),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_program_applies_its_own_frames(self, events, frames, params):
+        frames = tuple(frames)
+        prog = SequenceProgram(events, params, frames)
+        assert prog == make_program(events, params, frames)
+        for fr in frames:
+            assert getattr(prog.params, f"omega_{fr.spin}") == -fr.angular()
+        plain = SequenceProgram(events, SpinSystemParams(), frames)
+        assert parse_sequence(render_sequence(plain)) == plain

@@ -331,6 +331,16 @@ class TestRelaxation:
         assert np.allclose(applied.matrix, rho.matrix)
         assert np.allclose(out.matrix, rho.matrix)
 
+    def test_subnormal_t2_dephases_fully(self):
+        # t/T2 overflows to inf: the factor is exp(-inf) = 0 on every spin-a
+        # coherence, and populations keep exp(-0.0) = 1, never 0*inf = nan
+        rng = np.random.default_rng(73)
+        rho = random_two_spin_state(rng)
+        out = apply_t2_relaxation(rho, 0.05, 1e-320, math.inf).matrix
+        assert np.array_equal(np.diag(out), np.diag(rho.matrix))
+        assert not out[0, 2] and not out[1, 3] and not out[0, 3]
+        assert out[0, 1] == rho.matrix[0, 1]
+
     def test_rejects_nonpositive_t2(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DomainError):
