@@ -47,7 +47,8 @@ from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
     _check_sign,
-    evolve,
+    _checked_unitary,
+    _conjugate,
     identity2,
     partial_trace,
     pauli_x,
@@ -340,7 +341,8 @@ def _run_grid(
     call, the purity mixing and reference coherence once per distinct n.
     Each run of consecutive points with equal theta and model (a
     theta-major sweep is one run per theta) builds its cycle program, its
-    duration and, under the idealized model, its controlled unitary once.
+    duration and, under the idealized model, its controlled unitary once,
+    checked for unitarity once for all the run's points.
     Each point then runs its cycle, the optional transverse relaxation over
     the cycle duration and the phase readout against the closed form.
     """
@@ -351,7 +353,10 @@ def _run_grid(
     for (theta, model), group in groupby(configs, key=lambda c: (c.theta, c.model)):
         prog = cycle_program(theta)
         duration = prog.total_duration
-        u_cycle = None if model == "literal-sequence" else _controlled_cycle(theta, conv)
+        u_cycle = (
+            None if model == "literal-sequence"
+            else _checked_unitary(_controlled_cycle(theta, conv))
+        )
         for config in group:
             if config.n not in mixed:
                 rho = prepare_mixed(pure, config.n, conv)
@@ -364,7 +369,7 @@ def _run_grid(
                     pulse_sense=conv.pulse_sense, iz_sign=conv.iz_sign,
                 )
             else:
-                out = evolve(rho, u_cycle)
+                out = _conjugate(rho, *u_cycle)
                 trajectory = [(0.0, rho), (duration, out)]
 
             if config.relaxation is not None:

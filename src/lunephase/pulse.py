@@ -18,7 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .qcore import DensityOperator, _check_sign, evolve, identity4, is_unitary, rotation_unitary
+from .qcore import (
+    DensityOperator, _check_sign, _conjugate, _validated, evolve, identity4, is_unitary,
+    rotation_unitary,
+)
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
 DEFAULT_J = 214.5
@@ -298,7 +301,10 @@ def gradient_crusher(rho: DensityOperator) -> DensityOperator:
     heteronuclear pair: every nonzero coherence order dephases)."""
     if rho.dim != 4:
         raise DomainError("crusher model is defined for the two-spin system")
-    return DensityOperator(np.diag(np.diag(rho.matrix)), normalized=rho.normalized)
+    # the diagonal into zeros, so every off-diagonal entry is +0.0
+    m = np.zeros((4, 4), dtype=complex)
+    m.ravel()[::5] = rho.matrix.diagonal()
+    return DensityOperator._wrap(_validated(m, rho.normalized), rho.normalized)
 
 
 def check_t2_times(times) -> tuple[float, float]:
@@ -328,12 +334,14 @@ def apply_t2_relaxation(
 
 
 class _Step(NamedTuple):
-    """One unitary event of a stretch and the stretch's running propagator
-    up to and including it (latest factor leftmost)."""
+    """One unitary event of a stretch, the stretch's running propagator up
+    to and including it (latest factor leftmost) and that propagator's
+    conjugate transpose, both read-only."""
 
     event: Rotation | Delay
     duration: float
     product: np.ndarray
+    adjoint: np.ndarray
 
 
 # A grid point keeps three entries live (preparation, latest mixing, cycle);
@@ -345,9 +353,11 @@ def _compile(
     """Split a program at its crushers into stretches of unitary events.
 
     Crushers stay in the tuple as themselves; a stretch's last step carries
-    its whole propagator. Every event propagator passes one stacked
-    unitarity check. Both sign conventions are checked up front, whether or
-    not an event reads them.
+    its whole propagator and its adjoint, ready to conjugate a state. Every
+    event propagator and every stretch's whole propagator pass one stacked
+    unitarity check, so a run conjugates by the cached product without
+    checking it again. Both sign conventions are checked up front, whether
+    or not an event reads them.
 
     A program compiles once per distinct (program, pulse_sense, iz_sign):
     the result is kept in a small least-recently-used cache, immutable
@@ -377,8 +387,11 @@ def _compile(
             product = u
             compiled.append([])
         product.setflags(write=False)
-        compiled[-1].append(_Step(ev, dt, product))
-    if factors and not is_unitary(np.array(factors)):
+        adjoint = product.conj().T
+        adjoint.setflags(write=False)
+        compiled[-1].append(_Step(ev, dt, product, adjoint))
+    products = [s[-1].product for s in compiled if isinstance(s, list)]
+    if factors and not is_unitary(np.array(factors + products)):
         raise DomainError("event propagator is not unitary within tolerance")
     return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
 
@@ -397,9 +410,11 @@ def run_sequence(
     propagator of each stretch is the product of its events' closed-form
     propagators, each of which is checked for unitarity. The program
     compiles once per distinct (program, pulse_sense, iz_sign), in a
-    bounded cache shared with branch_propagators (see _compile). A stretch then
-    costs one conjugation of the state it starts in, with one unitarity
-    check of the product and one state check of the result.
+    bounded cache shared with branch_propagators (see _compile), which
+    also checks each stretch's whole propagator for unitarity. Unrecorded,
+    a stretch then costs one conjugation of the state it starts in by the
+    cached product and its adjoint, and one state check of the result; the
+    run does not check the cached product again.
 
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0). Unrecorded, the trajectory holds only that entry and the
@@ -440,10 +455,10 @@ def run_sequence(
         if not record:
             for step in stretch:
                 t += step.duration
-            rho = evolve(rho, stretch[-1].product)
+            rho = _conjugate(rho, stretch[-1].product, stretch[-1].adjoint)
             continue
         times, stack, before = [], [], identity4
-        for ev, dt, product in stretch:
+        for ev, dt, product, _ in stretch:
             if isinstance(ev, Delay):
                 elapsed = dt * np.arange(1, samples) / samples
                 times += (t + elapsed).tolist()

@@ -135,14 +135,38 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray) -> bool:
-    """Whether u, or every matrix of a nonempty stack u of shape (k, n, n),
-    is unitary within POLICY.unitarity_tol: the largest deviation over the
-    stack meets the tolerance exactly when each matrix's own does."""
+    """Whether u, a 2x2 or 4x4 matrix or a nonempty (k, n, n) stack of
+    them, is unitary within POLICY.unitarity_tol: the largest deviation over
+    the stack meets the tolerance exactly when each matrix's own does. The
+    Gram matrices are compared against the read-only identity2/identity4;
+    any other shape is not unitary."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2] or u.size == 0:
+    if u.ndim not in (2, 3) or u.shape[-2:] not in ((2, 2), (4, 4)) or u.size == 0:
         return False
     gram = u.conj().swapaxes(-1, -2) @ u
-    return bool(abs(gram - np.eye(u.shape[-1])).max() <= POLICY.unitarity_tol)
+    identity = identity4 if u.shape[-1] == 4 else identity2
+    return bool(abs(gram - identity).max() <= POLICY.unitarity_tol)
+
+
+def _conjugate(
+    rho: DensityOperator, u: np.ndarray, u_adjoint: np.ndarray
+) -> DensityOperator | list[DensityOperator]:
+    """u rho u^dagger for a propagator u, or a (k, n, n) stack, that its
+    caller has already checked for unitarity, with u_adjoint its conjugate
+    transpose. The result passes the same state check as a constructed
+    state; a stack gives the list of its k states."""
+    m = _validated(u @ rho.matrix @ u_adjoint, rho.normalized)
+    if m.ndim == 2:
+        return DensityOperator._wrap(m, rho.normalized)
+    return [DensityOperator._wrap(s, rho.normalized) for s in m]
+
+
+def _checked_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u^dagger) for a u that passes is_unitary; otherwise DomainError.
+    The pair is what _conjugate takes."""
+    if not is_unitary(u):
+        raise DomainError("propagator is not unitary within tolerance")
+    return u, u.conj().swapaxes(-1, -2)
 
 
 def evolve(
@@ -156,15 +180,12 @@ def evolve(
     state check of all k results against the same tolerances as a single
     state; each returned state is read-only, symmetrized and carries
     rho.normalized. A stack's slice i is bit-identical to evolve(rho, u[i]).
+    Every call checks u; callers that conjugate by an already checked
+    propagator (a compiled stretch, see pulse._compile) skip the check.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (rho.dim, rho.dim):
         raise DomainError("propagator dimension does not match the state")
     if u.size == 0:
         raise DomainError("propagator stack is empty")
-    if not is_unitary(u):
-        raise DomainError("propagator is not unitary within tolerance")
-    m = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
-    if u.ndim == 2:
-        return DensityOperator(m, normalized=rho.normalized)
-    return [DensityOperator._wrap(s, rho.normalized) for s in _validated(m, rho.normalized)]
+    return _conjugate(rho, *_checked_unitary(u))

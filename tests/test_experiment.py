@@ -615,6 +615,25 @@ class TestGridPipeline:
         assert built["program"] == list(thetas)
         assert built["unitary"] == ([] if model == "literal-sequence" else list(thetas))
 
+    def test_idealized_cycle_is_checked_once_per_theta(self, monkeypatch):
+        checked = []
+        real_check = experiment._checked_unitary
+
+        def counting_check(u):
+            checked.append(u)
+            return real_check(u)
+
+        monkeypatch.setattr(experiment, "_checked_unitary", counting_check)
+        thetas = (0.1, 0.4, 0.9, 1.3)
+        records = run_sweep(thetas=thetas, n_values=(0, 5, 9), model="idealized-controlled-U")
+        assert len(records) == 12 and len(checked) == len(thetas)
+        real_unitary = experiment._controlled_cycle
+        monkeypatch.setattr(
+            experiment, "_controlled_cycle", lambda *args: real_unitary(*args) * (1 + 1e-6)
+        )
+        with pytest.raises(DomainError, match="^propagator is not unitary within tolerance$"):
+            run_sweep(thetas=thetas, n_values=(0,), model="idealized-controlled-U")
+
     def test_sweep_compiles_each_distinct_program_once(self):
         # the compile cache starts empty in every test (conftest.py)
         records = run_sweep(thetas=(0.1, 0.4, 0.9, 1.3), n_values=(0, 5, 9))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lunephase import pulse
+from lunephase import pulse, qcore
 from lunephase.errors import DomainError
 from lunephase.experiment import cycle_program, mixing_program, prepare_pure_program
 from lunephase.pulse import (
@@ -27,6 +27,7 @@ from lunephase.qcore import (
     DensityOperator,
     evolve,
     identity2 as I2,
+    is_unitary,
     partial_trace,
     pauli_x as X,
     pauli_y as Y,
@@ -507,14 +508,36 @@ class TestRunSequence:
         with pytest.raises(DomainError, match="not unitary"):
             run_sequence(rho, prog, record=True, samples_per_delay=4)
 
+    def test_stretch_product_is_checked_at_compile(self, monkeypatch):
+        # each factor's Gram matrix is off by about 8e-11, inside the
+        # tolerance, and the product of three by about 2.4e-10, outside it
+        exact = pulse.pulse_unitary
+        monkeypatch.setattr(
+            pulse, "pulse_unitary", lambda ev, sense=1: exact(ev, sense) * (1 + 4e-11)
+        )
+        quarter = Rotation("b", "x", Fraction(1, 2))
+        factor = pulse.pulse_unitary(quarter)
+        assert is_unitary(factor) and not is_unitary(factor @ factor @ factor)
+        prog = make_program([quarter, quarter, quarter])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        message = "^event propagator is not unitary within tolerance$"
+        for record in (False, True):
+            with pytest.raises(DomainError, match=message):
+                run_sequence(rho, prog, record=record)
+        with pytest.raises(DomainError, match=message):
+            branch_propagators(prog)
+
     def test_one_conjugation_per_crusher_free_stretch(self, monkeypatch):
         calls = []
+        kernel = qcore._conjugate
 
-        def counting(rho, u):
+        def counting(rho, u, u_adjoint):
             calls.append(u)
-            return evolve(rho, u)
+            return kernel(rho, u, u_adjoint)
 
-        monkeypatch.setattr(pulse, "evolve", counting)
+        # unrecorded stretches conjugate directly, recorded ones through evolve
+        monkeypatch.setattr(pulse, "_conjugate", counting)
+        monkeypatch.setattr(qcore, "_conjugate", counting)
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         for record, ndim in ((False, 2), (True, 3)):
             counts = []
@@ -543,6 +566,43 @@ class TestRunSequence:
             assert not state.matrix.flags.writeable
             assert np.array_equal(state.matrix, state.matrix.conj().T)
             assert state.normalized is normalized
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=program_events,
+        offsets=st.tuples(
+            st.floats(-OFFSET_BOUND, OFFSET_BOUND), st.floats(-OFFSET_BOUND, OFFSET_BOUND)
+        ),
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        normalized=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_run_is_evolve_over_the_compiled_stretches(
+        self, events, offsets, pulse_sense, iz_sign, normalized, seed
+    ):
+        prog = make_program(events, SpinSystemParams(*offsets))
+        start = random_two_spin_state(np.random.default_rng(seed)).matrix
+        if not normalized:
+            start = start - np.eye(4) / 4
+        rho = DensityOperator(start, normalized=normalized)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        want = rho
+        for stretch in pulse._compile(prog, pulse_sense, iz_sign):
+            if isinstance(stretch, Gradient):
+                crushed = gradient_crusher(want)
+                assert crushed.matrix.tobytes() == np.diag(np.diag(want.matrix)).tobytes()
+                # no -0.0 off the diagonal, as a mask product would leave
+                assert not np.signbit(crushed.matrix[off_diagonal].view(float)).any()
+                want = crushed
+                continue
+            for step in stretch:
+                assert step.adjoint.tobytes() == step.product.conj().T.tobytes()
+                assert not step.adjoint.flags.writeable
+            want = evolve(want, stretch[-1].product)
+        got, _ = run_sequence(rho, prog, pulse_sense=pulse_sense, iz_sign=iz_sign)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.normalized is normalized
 
     def test_samples_per_delay_must_be_an_integer(self):
         prog = make_program([Delay(per_j=Fraction(1, 2))])
@@ -656,7 +716,10 @@ def in_radians(x):
 def compiled_bits(compiled):
     return tuple(
         None if isinstance(stretch, Gradient)
-        else tuple((step.duration.hex(), step.product.tobytes()) for step in stretch)
+        else tuple(
+            (step.duration.hex(), step.product.tobytes(), step.adjoint.tobytes())
+            for step in stretch
+        )
         for stretch in compiled
     )
 

@@ -334,6 +334,11 @@ class TestIsUnitary:
         assert not is_unitary(np.ones(4))
         assert not is_unitary(np.ones((2, 2, 2, 2)))
 
+    def test_only_one_and_two_spin_sizes(self):
+        for dim in (1, 3, 8):
+            assert not is_unitary(np.eye(dim))
+            assert not is_unitary(np.eye(dim)[None])
+
     def test_empty_stack_is_not_unitary(self):
         assert not is_unitary(np.zeros((0, 4, 4)))
         assert not is_unitary(np.zeros((0, 0)))
