@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .conventions import DEFAULT_CONVENTIONS, Conventions
-from .errors import DomainError, SequenceSyntaxError
+from .errors import SequenceSyntaxError
 from .experiment import (
     DEFAULT_THETAS,
     MODELS,
@@ -81,16 +81,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _bound(check, value):
-    """Apply a package bound check; argparse then reports the check's message."""
-    try:
-        return check(value)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _usage(convert):
+    """convert as an argparse type. argparse shows the message of an
+    ArgumentTypeError only, so a ValueError (DomainError included) becomes
+    one and its reason reaches the user."""
+    def converter(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return converter
 
 
 def _inclination(text: str) -> float:
-    return _bound(check_inclination, parse_angle(text))
+    return check_inclination(parse_angle(text))
 
 
 def _inclination_list(text: str) -> tuple[float, ...]:
@@ -101,16 +105,16 @@ def _inclination_list(text: str) -> tuple[float, ...]:
 
 
 def _purity_index(text: str) -> int:
-    return _bound(check_purity_index, int(text))
+    return check_purity_index(int(text))
 
 
 def _samples(text: str) -> int:
     """Loop sampling N: N//2 steps, at least two, per geodesic half turn."""
     value = int(text)
     if value < 4:
-        raise argparse.ArgumentTypeError(f"need at least 4 samples, got {value}")
+        raise ValueError(f"need at least 4 samples, got {value}")
     if value > 1_000_000:
-        raise argparse.ArgumentTypeError(f"need at most 1000000 samples, got {value}")
+        raise ValueError(f"need at most 1000000 samples, got {value}")
     return value
 
 
@@ -118,7 +122,7 @@ def _relaxation(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected t2a,t2b")
-    return _bound(check_t2_times, parts)
+    return check_t2_times(parts)
 
 
 def _convention(text: str) -> Conventions:
@@ -160,63 +164,63 @@ def build_parser() -> argparse.ArgumentParser:
     def add_gate(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tolerance",
-            type=_tolerance,
+            type=_usage(_tolerance),
             default=1e-9,
             help="phase residual gate in rad (default 1e-9)",
         )
-        p.add_argument("--tolerance-visibility", type=_tolerance, default=None,
+        p.add_argument("--tolerance-visibility", type=_usage(_tolerance), default=None,
                        help="visibility gate (defaults to --tolerance)")
 
     def add_common(p: argparse.ArgumentParser) -> None:
         add_output(p)
         p.add_argument(
             "--convention",
-            type=_convention,
+            type=_usage(_convention),
             default=DEFAULT_CONVENTIONS,
             help="sign-convention overrides, e.g. 'sense=-1,active=up'",
         )
 
     p_theory = sub.add_parser("theory", help="closed-form phase/visibility ladder")
     p_theory.set_defaults(run=cmd_theory)
-    p_theory.add_argument("--omega", type=parse_angle, required=True,
+    p_theory.add_argument("--omega", type=_usage(parse_angle), required=True,
                           help="loop solid angle in rad (symbolic pi forms ok)")
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
     p_sweep.set_defaults(run=cmd_sweep)
-    p_sweep.add_argument("--theta", type=_inclination_list, default=DEFAULT_THETAS,
+    p_sweep.add_argument("--theta", type=_usage(_inclination_list), default=DEFAULT_THETAS,
                          help="comma-separated inclination angles")
     p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
-    p_sweep.add_argument("--relaxation", type=_relaxation, default=None,
+    p_sweep.add_argument("--relaxation", type=_usage(_relaxation), default=None,
                          help="transverse decay times t2a,t2b in seconds")
     add_gate(p_sweep)
     add_common(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="one grid point with state snapshots")
     p_sim.set_defaults(run=cmd_simulate)
-    p_sim.add_argument("--theta", type=_inclination, required=True)
-    p_sim.add_argument("--n", type=_purity_index, required=True,
+    p_sim.add_argument("--theta", type=_usage(_inclination), required=True)
+    p_sim.add_argument("--n", type=_usage(_purity_index), required=True,
                        help=f"purity index 0..{PURITY_STEPS - 1}")
     p_sim.add_argument("--model", choices=MODELS, default="literal-sequence")
-    p_sim.add_argument("--relaxation", type=_relaxation, default=None)
+    p_sim.add_argument("--relaxation", type=_usage(_relaxation), default=None)
     add_gate(p_sim)
     add_common(p_sim)
 
     p_trace = sub.add_parser("trace-path", help="idealized active-branch Bloch path")
     p_trace.set_defaults(run=cmd_trace_path)
-    p_trace.add_argument("--theta", type=_inclination, required=True)
+    p_trace.add_argument("--theta", type=_usage(_inclination), required=True)
     p_trace.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p_trace.add_argument("--samples", type=_samples, default=4096,
+    p_trace.add_argument("--samples", type=_usage(_samples), default=4096,
                          help="N >= 4: N//2 steps per half turn, 2*(N//2)+1 samples")
     add_common(p_trace)
 
     p_check = sub.add_parser("check-transport",
                              help="verify geodesic segments and parallel transport")
     p_check.set_defaults(run=cmd_check_transport)
-    p_check.add_argument("--theta", type=_inclination, required=True)
-    p_check.add_argument("--samples", type=_samples, default=1024,
+    p_check.add_argument("--theta", type=_usage(_inclination), required=True)
+    p_check.add_argument("--samples", type=_usage(_samples), default=1024,
                          help="N >= 4: N//2 steps per half turn, 2*(N//2)+1 samples")
-    p_check.add_argument("--perturb", type=_finite, default=0.0,
+    p_check.add_argument("--perturb", type=_usage(_finite), default=0.0,
                          help="verification hook: tilt segment axes by this amount")
     add_common(p_check)
 

@@ -28,8 +28,12 @@ class Conventions:
     active_branch_up: bool = True
 
     def __post_init__(self) -> None:
-        if self.pulse_sense not in (1, -1):
-            raise ConventionError("pulse_sense must be +1 or -1")
+        # True == 1 and -1.0 == -1 pass a comparison, and orientation and
+        # the records would then carry their type; any truthy value means up
+        if type(self.pulse_sense) is not int or self.pulse_sense not in (1, -1):
+            raise ConventionError("pulse_sense must be +1 or -1 as an int")
+        if type(self.active_branch_up) is not bool:
+            raise ConventionError("active_branch_up must be a bool")
 
     @property
     def iz_sign(self) -> int:

@@ -13,7 +13,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -152,6 +152,10 @@ class Delay:
         _store_reals(self, name)
         if getattr(self, name) < 0:
             raise DomainError("delay duration must be nonnegative")
+        try:
+            self.duration()
+        except OverflowError:
+            raise DomainError(f"Delay.{name} must fit a float") from None
 
     def duration(self) -> float:
         if self.per_j is not None:
@@ -220,23 +224,28 @@ class SequenceProgram:
 
     @property
     def total_duration(self) -> float:
-        """Sum of delay durations in seconds; k/J delays summed exactly. A
-        sum too large for a float is a DomainError."""
-        per_j = Fraction(0)
-        seconds = 0.0
-        for ev in self.events:
-            if isinstance(ev, Delay):
-                if ev.per_j is not None:
-                    per_j += ev.per_j
-                else:
-                    seconds += ev.seconds
-        try:
-            total = float(per_j) / DEFAULT_J + seconds
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            raise DomainError("total duration is too large for a float")
-        return total
+        """Sum of delay durations in seconds: the clock's last time."""
+        return (0.0, *_clock(self.events))[-1]
+
+
+def _clock(events) -> Iterator[float]:
+    """The program's one clock: when each event ends, in seconds, rounded
+    once from the exact sum of k/J delays plus the float sum of delays in
+    seconds. A time too large for a float is a DomainError."""
+    per_j, seconds, end = Fraction(0), 0.0, 0.0
+    for ev in events:
+        if isinstance(ev, Delay):
+            if ev.per_j is not None:
+                per_j += ev.per_j
+            else:
+                seconds += ev.seconds
+            try:
+                end = float(per_j) / DEFAULT_J + seconds
+            except OverflowError:
+                end = math.inf
+            if end == math.inf:
+                raise DomainError("total duration is too large for a float")
+        yield end
 
 
 def make_program(
@@ -334,12 +343,12 @@ def apply_t2_relaxation(
 
 
 class _Step(NamedTuple):
-    """One unitary event of a stretch, the stretch's running propagator up
-    to and including it (latest factor leftmost) and that propagator's
-    conjugate transpose, both read-only."""
+    """One unitary event of a stretch, its end on the program's clock, the
+    stretch's running propagator up to and including it (latest factor
+    leftmost) and that propagator's conjugate transpose, both read-only."""
 
     event: Rotation | Delay
-    duration: float
+    end: float
     product: np.ndarray
     adjoint: np.ndarray
 
@@ -357,7 +366,7 @@ def _compile(
     event propagator and every stretch's whole propagator pass one stacked
     unitarity check, so a run conjugates by the cached product without
     checking it again. Both sign conventions are checked up front, whether
-    or not an event reads them.
+    or not an event reads them, and so is the program's whole clock.
 
     A program compiles once per distinct (program, pulse_sense, iz_sign):
     the result is kept in a small least-recently-used cache, immutable
@@ -369,15 +378,14 @@ def _compile(
     _check_sign(iz_sign, "iz_sign")
     compiled: list[Gradient | list[_Step]] = []
     factors = []
-    for ev in prog.events:
+    for ev, end in zip(prog.events, tuple(_clock(prog.events))):
         if isinstance(ev, Gradient):
             compiled.append(ev)
             continue
         if isinstance(ev, Rotation):
-            dt, u = 0.0, pulse_unitary(ev, sense=pulse_sense)
+            u = pulse_unitary(ev, sense=pulse_sense)
         elif isinstance(ev, Delay):
-            dt = ev.duration()
-            u = free_evolution_unitary(prog.params, dt, iz_sign)
+            u = free_evolution_unitary(prog.params, ev.duration(), iz_sign)
         else:
             raise DomainError(f"unknown event type {type(ev).__name__}")
         factors.append(u)
@@ -389,7 +397,7 @@ def _compile(
         product.setflags(write=False)
         adjoint = product.conj().T
         adjoint.setflags(write=False)
-        compiled[-1].append(_Step(ev, dt, product, adjoint))
+        compiled[-1].append(_Step(ev, end, product, adjoint))
     products = [s[-1].product for s in compiled if isinstance(s, list)]
     if factors and not is_unitary(np.array(factors + products)):
         raise DomainError("event propagator is not unitary within tolerance")
@@ -417,13 +425,11 @@ def run_sequence(
     run does not check the cached product again.
 
     Returns the final state and a (time, state) trajectory that opens with
-    (0, rho0). Unrecorded, the trajectory holds only that entry and the
-    closing (total delay time, final state) one. That time is a float sum
-    of event durations and can sit an ulp off total_duration (17 of the
-    programs of k delays of 1/(kJ), k = 2..39). With record=True it gains
-    one entry after each event, and each delay of duration dt first adds
-    samples_per_delay - 1 samples at dt*i/samples_per_delay into it, for
-    path tracing. A recorded stretch stacks one propagator per entry: the
+    (0, rho0), its times read off the program's clock (see _clock).
+    Unrecorded, it closes with (total_duration, final state). Recorded, it
+    holds one entry at the end of each event, and each delay of duration dt
+    first adds samples_per_delay - 1 samples at dt*i/samples_per_delay
+    after its start. A recorded stretch stacks one propagator per entry: the
     running product after each event, and before the sample i of a delay
     exp(-iH dt*i/samples_per_delay) times the running product the delay
     starts from. Every sample therefore comes from the delay's start state
@@ -453,21 +459,19 @@ def run_sequence(
                 trajectory.append((t, rho))
             continue
         if not record:
-            for step in stretch:
-                t += step.duration
+            t = stretch[-1].end
             rho = _conjugate(rho, stretch[-1].product, stretch[-1].adjoint)
             continue
         times, stack, before = [], [], identity4
-        for ev, dt, product, _ in stretch:
+        for ev, end, product, _ in stretch:
             if isinstance(ev, Delay):
-                elapsed = dt * np.arange(1, samples) / samples
+                elapsed = ev.duration() * np.arange(1, samples) / samples
                 times += (t + elapsed).tolist()
                 phases = _free_phases(prog.params, elapsed, iz_sign)
                 stack.append(phases[:, :, None] * before)
-            t += dt
-            times.append(t)
+            times.append(end)
             stack.append(product[None])
-            before = product
+            t, before = end, product
         states = evolve(rho, np.concatenate(stack))
         trajectory += zip(times, states)
         rho = states[-1]

@@ -640,6 +640,38 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
     assert f"argument {flag}:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, reason",
+    [
+        (["sweep", "--convention", "sense"], "--convention", "sense must be +1 or -1, got ''"),
+        (["sweep", "--convention", "bogus=1"], "--convention", "unknown convention key 'bogus'"),
+        (["sweep", "--relaxation", "0.3"], "--relaxation", "expected t2a,t2b"),
+        (["sweep", "--relaxation", "0,0.4"], "--relaxation", "relaxation times must be positive"),
+        (["sweep", "--theta", ","], "--theta", "expected a comma-separated list of angles"),
+        (["sweep", "--theta", "pi/8,2"], "--theta", "inclination angle must lie in [0, pi/2]"),
+        (["sweep", "--tolerance", "-1"], "--tolerance", "tolerance must be nonnegative, got '-1'"),
+        (["theory", "--omega", "pi/0"], "--omega", "zero denominator in angle"),
+        (["theory", "--omega", "inf"], "--omega", "expected a finite number, got 'inf'"),
+        (["simulate", "--theta", "pi/8", "--n", "12"], "--n",
+         "purity index must be an integer in [0, 11]"),
+        (["trace-path", "--theta", "pi/8", "--samples", "2"], "--samples",
+         "need at least 4 samples, got 2"),
+        (["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb",
+         "expected a finite number, got 'nan'"),
+    ],
+    ids=["sense-value", "convention-key", "one-relaxation-time", "zero-relaxation-time",
+         "empty-theta-list", "theta-range", "negative-tolerance", "omega-zero-denominator",
+         "infinite-omega", "purity-index", "too-few-samples", "nan-perturb"],
+)
+def test_usage_error_shows_the_converter_reason(argv, flag, reason):
+    # argparse prints a converter's private name for a plain ValueError;
+    # every converter's reason must reach the user instead
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: {reason}\n")
+    assert "invalid _" not in err
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 _SHELL_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 

@@ -866,6 +866,18 @@ REJECTIONS = {
     "convention-sense": (
         lambda: Conventions(pulse_sense=2), "pulse_sense must be +1 or -1",
     ),
+    "convention-sense-bool": (
+        lambda: Conventions(pulse_sense=True), "pulse_sense must be +1 or -1 as an int",
+    ),
+    "convention-sense-float": (
+        lambda: Conventions(pulse_sense=-1.0), "pulse_sense must be +1 or -1 as an int",
+    ),
+    "convention-active-str": (
+        lambda: Conventions(active_branch_up="no"), "active_branch_up must be a bool",
+    ),
+    "convention-active-int": (
+        lambda: Conventions(active_branch_up=1), "active_branch_up must be a bool",
+    ),
     "density-shape": (
         lambda: DensityOperator(np.zeros((3, 3))), "expected a 2x2 or 4x4 matrix",
     ),
@@ -918,6 +930,12 @@ REJECTIONS = {
         lambda: FrameOffset("b", "1", "Hz"), "FrameOffset.value must be a real number",
     ),
     "delay-seconds-str": (lambda: Delay(seconds="1"), "Delay.seconds must be a real number"),
+    "delay-per-j-overflow": (
+        lambda: Delay(per_j=Fraction(10**400)), "Delay.per_j must fit a float",
+    ),
+    "delay-seconds-overflow": (
+        lambda: Delay(seconds=10**400), "Delay.seconds must fit a float",
+    ),
     "params-omega-str": (
         lambda: SpinSystemParams(omega_a="1"), "SpinSystemParams.omega_a must be a real number",
     ),

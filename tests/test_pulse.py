@@ -155,10 +155,14 @@ class TestEvents:
         ids=["per-j", "seconds"],
     )
     def test_total_duration_beyond_a_float_raises(self, delay):
-        # each delay alone fits a float, the sum of two does not
+        # each delay alone fits a float, the sum of two does not, so the
+        # program's clock refuses it, and with it every run of the program
         prog = make_program([delay, delay])
-        with pytest.raises(DomainError, match="^total duration is too large for a float$"):
-            prog.total_duration
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        for attempt in (lambda: prog.total_duration, lambda: run_sequence(rho, prog),
+                        lambda: branch_propagators(prog)):
+            with pytest.raises(DomainError, match="^total duration is too large for a float$"):
+                attempt()
 
 
 # one builder per value field of the four value classes
@@ -454,8 +458,10 @@ class TestRunSequence:
         assert traj[0][0] == 0.0 and traj[0][1] is rho
         assert len(ends) == 2 and ends[0][0] == 0.0 and ends[0][1] is rho
         assert ends[1][0] == traj[-1][0] and ends[1][1] is plain
-        # independent per-event reference: each event applied on its own
-        t, want, k = 0.0, rho.matrix, 1
+        # independent per-event reference: each event applied on its own,
+        # timed by a clock that sums k/J delays exactly and rounds each time
+        # once, so a delay's samples sit at its start plus dt*i/samples
+        per_j, seconds, t, want, k = Fraction(0), 0.0, 0.0, rho.matrix, 1
         for ev in events:
             if isinstance(ev, Delay):
                 dt = ev.duration()
@@ -466,7 +472,11 @@ class TestRunSequence:
                     assert np.max(np.abs(state.matrix - step)) <= 1e-12
                     k += 1
                 want = delay_reference(prog.params, want, dt, iz_sign)
-                t += dt
+                if ev.per_j is not None:
+                    per_j += ev.per_j
+                else:
+                    seconds += ev.seconds
+                t = float(per_j) / J + seconds
             elif isinstance(ev, Rotation):
                 u = rotation_unitary(ev.axis_vector(), pulse_sense * ev.flip_radians)
                 u = tensor(u, I2) if ev.spin == "a" else tensor(I2, u)
@@ -476,6 +486,34 @@ class TestRunSequence:
             assert traj[k][0] == t
             assert np.max(np.abs(traj[k][1].matrix - want)) <= 1e-12
             k += 1
+
+    @staticmethod
+    def assert_runs_close_at_total_duration(prog, samples, **conv):
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        total = prog.total_duration.hex()
+        _, plain = run_sequence(rho, prog, **conv)
+        _, recorded = run_sequence(rho, prog, record=True, samples_per_delay=samples, **conv)
+        assert plain[-1][0].hex() == total
+        assert recorded[-1][0].hex() == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=program_events,
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        samples=st.integers(1, 8),
+    )
+    def test_runs_close_at_total_duration(self, events, pulse_sense, iz_sign, samples):
+        self.assert_runs_close_at_total_duration(
+            make_program(events), samples, pulse_sense=pulse_sense, iz_sign=iz_sign
+        )
+
+    @pytest.mark.parametrize("k", range(2, 40))
+    def test_k_delays_of_one_kth_close_at_one_over_j(self, k):
+        # a float running sum of these delays lands an ulp off for 17 of them
+        prog = make_program([Delay(per_j=Fraction(1, k))] * k)
+        assert prog.total_duration == 1 / J
+        self.assert_runs_close_at_total_duration(prog, 3)
 
     def test_every_pulse_factor_is_checked(self, monkeypatch):
         # A and its inverse multiply to the identity, so only a check of
@@ -717,7 +755,7 @@ def compiled_bits(compiled):
     return tuple(
         None if isinstance(stretch, Gradient)
         else tuple(
-            (step.duration.hex(), step.product.tobytes(), step.adjoint.tobytes())
+            (step.end.hex(), step.product.tobytes(), step.adjoint.tobytes())
             for step in stretch
         )
         for stretch in compiled
