@@ -117,7 +117,10 @@ class Rotation:
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
         _store_reals(self, "axis", "flip", labels=("axis",))
-        angle = self.flip_radians
+        try:
+            angle = self.flip_radians
+        except OverflowError:
+            raise DomainError("Rotation.flip must fit a float") from None
         if not -2 * math.pi < angle <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
 
@@ -203,11 +206,14 @@ class SequenceProgram:
     within the sanity bound), so a program compiles in the frame it renders.
     Two programs compare equal only when they compile to the same bits,
     since their events, parameters and frames do (see _store_reals).
+    _has_delay records whether a compile reads params and the I_z sign at
+    all (see _stretches).
     """
 
     events: tuple[PulseEvent, ...]
     params: SpinSystemParams
     frames: tuple[FrameOffset, ...] = ()
+    _has_delay: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # tuples, so that a program hashes and cannot change under the cache
@@ -218,9 +224,15 @@ class SequenceProgram:
             name = f"omega_{fr.spin}"
             if name in offsets:
                 raise DomainError(f"spin {fr.spin} has more than one frame directive")
-            offsets[name] = _check_offset(-fr.angular())
+            try:
+                offsets[name] = _check_offset(-fr.angular())
+            except OverflowError:
+                raise DomainError("FrameOffset.value must fit a float") from None
         if offsets:
             object.__setattr__(self, "params", replace(self.params, **offsets))
+        object.__setattr__(
+            self, "_has_delay", any(isinstance(ev, Delay) for ev in self.events)
+        )
 
     @property
     def total_duration(self) -> float:
@@ -267,7 +279,12 @@ def free_evolution_unitary(
     if not 0 <= t < math.inf:
         raise DomainError("evolution time must be finite and nonnegative")
     _check_sign(iz_sign, "iz_sign")
-    return np.diag(_free_phases(params, t, iz_sign))
+    # a long delay's energy*time can overflow: a nan phase, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = _free_phases(params, t, iz_sign)
+    if not np.isfinite(phases).all():
+        raise DomainError(f"delay of {t!r} s is too long: energy*time must fit a float")
+    return np.diag(phases)
 
 
 def _free_phases(
@@ -353,39 +370,48 @@ class _Step(NamedTuple):
     adjoint: np.ndarray
 
 
-# A grid point keeps three entries live (preparation, latest mixing, cycle);
-# a sweep runs theta in its outer loop, so one cycle entry per theta suffices.
-@functools.lru_cache(maxsize=16)
+# A compile reads the events and the pulse sense, and reads the offsets and
+# the I_z sign only to build a Delay's propagator, so only a program with a
+# Delay carries them in its key (see _stretches): a delay-free program, such
+# as each purity mixing, compiles once per pulse sense in any frame. Entries:
+# the twelve mixing programs under both pulse senses (24), plus the
+# preparation and the cycle each grid point brings; at 16 the two senses'
+# mixings would evict each other.
+@functools.lru_cache(maxsize=32)
 def _compile(
-    prog: SequenceProgram, pulse_sense: int = 1, iz_sign: int = 1
+    events: tuple[PulseEvent, ...],
+    pulse_sense: int,
+    params: SpinSystemParams | None,
+    iz_sign: int | None,
 ) -> tuple[Gradient | tuple[_Step, ...], ...]:
-    """Split a program at its crushers into stretches of unitary events.
+    """Split a program's events at its crushers into stretches of unitary
+    events.
 
     Crushers stay in the tuple as themselves; a stretch's last step carries
     its whole propagator and its adjoint, ready to conjugate a state. Every
     event propagator and every stretch's whole propagator pass one stacked
     unitarity check, so a run conjugates by the cached product without
-    checking it again. Both sign conventions are checked up front, whether
-    or not an event reads them, and so is the program's whole clock.
+    checking it again. The program's whole clock is checked up front.
 
-    A program compiles once per distinct (program, pulse_sense, iz_sign):
-    the result is kept in a small least-recently-used cache, immutable
-    (tuples, read-only products) so that every caller can share it. A
-    program that fails a check raises on every call, since an exception is
-    never cached.
+    The arguments are the cache key, and hold only what a compile reads:
+    the events and the pulse sense always, the program's params and the
+    I_z sign only when it has a Delay (None otherwise, as no other event
+    reads them). Callers go through _stretches, which checks both signs on
+    every call. The result is kept in a least-recently-used cache of 32
+    entries (see above), immutable (tuples, read-only products) so that
+    every caller can share it. A program that fails a check raises on every
+    call, since an exception is never cached.
     """
-    _check_sign(pulse_sense, "pulse sense")
-    _check_sign(iz_sign, "iz_sign")
     compiled: list[Gradient | list[_Step]] = []
     factors = []
-    for ev, end in zip(prog.events, tuple(_clock(prog.events))):
+    for ev, end in zip(events, tuple(_clock(events))):
         if isinstance(ev, Gradient):
             compiled.append(ev)
             continue
         if isinstance(ev, Rotation):
             u = pulse_unitary(ev, sense=pulse_sense)
         elif isinstance(ev, Delay):
-            u = free_evolution_unitary(prog.params, ev.duration(), iz_sign)
+            u = free_evolution_unitary(params, ev.duration(), iz_sign)
         else:
             raise DomainError(f"unknown event type {type(ev).__name__}")
         factors.append(u)
@@ -404,6 +430,18 @@ def _compile(
     return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
 
 
+def _stretches(
+    prog: SequenceProgram, pulse_sense: int, iz_sign: int
+) -> tuple[Gradient | tuple[_Step, ...], ...]:
+    """prog compiled under the two sign conventions (see _compile), both
+    checked first, whether or not an event reads them."""
+    _check_sign(pulse_sense, "pulse sense")
+    _check_sign(iz_sign, "iz_sign")
+    if prog._has_delay:
+        return _compile(prog.events, pulse_sense, prog.params, iz_sign)
+    return _compile(prog.events, pulse_sense, None, None)
+
+
 def run_sequence(
     rho0: DensityOperator,
     prog: SequenceProgram,
@@ -417,12 +455,14 @@ def run_sequence(
     Crushers split the program into stretches of pulses and delays; the
     propagator of each stretch is the product of its events' closed-form
     propagators, each of which is checked for unitarity. The program
-    compiles once per distinct (program, pulse_sense, iz_sign), in a
-    bounded cache shared with branch_propagators (see _compile), which
-    also checks each stretch's whole propagator for unitarity. Unrecorded,
-    a stretch then costs one conjugation of the state it starts in by the
-    cached product and its adjoint, and one state check of the result; the
-    run does not check the cached product again.
+    compiles once per distinct (events, pulse_sense) when it has no delay,
+    and once per distinct (events, pulse_sense, params, iz_sign) when it
+    has one, in a bounded cache shared with branch_propagators (see
+    _compile), which also checks each stretch's whole propagator for
+    unitarity. Unrecorded, a stretch then costs one conjugation of the
+    state it starts in by the cached product and its adjoint, and one
+    state check of the result; the run does not check the cached product
+    again.
 
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0), its times read off the program's clock (see _clock).
@@ -452,7 +492,7 @@ def run_sequence(
     t = 0.0
     rho = rho0
     trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
-    for stretch in _compile(prog, pulse_sense, iz_sign):
+    for stretch in _stretches(prog, pulse_sense, iz_sign):
         if isinstance(stretch, Gradient):
             rho = gradient_crusher(rho)
             if record:
@@ -495,6 +535,6 @@ def branch_propagators(
             raise DomainError("branch propagators are unitary; crushers not allowed")
         if isinstance(ev, Rotation) and ev.spin != "b":
             raise DomainError("branch propagators require b-spin pulses only")
-    stretches = _compile(prog, pulse_sense, iz_sign)
+    stretches = _stretches(prog, pulse_sense, iz_sign)
     u = stretches[0][-1].product if stretches else identity4
     return u[:2, :2].copy(), u[2:, 2:].copy()

@@ -912,7 +912,7 @@ REJECTIONS = {
         "samples_per_delay must be at least 1",
     ),
     "compile-event-type": (
-        lambda: pulse._compile(make_program(["bogus"])), "unknown event type str",
+        lambda: pulse._stretches(make_program(["bogus"]), 1, 1), "unknown event type str",
     ),
     "render-event-type": (
         lambda: render_sequence(make_program(["bogus"])), "cannot render event type str",
@@ -930,6 +930,13 @@ REJECTIONS = {
         lambda: FrameOffset("b", "1", "Hz"), "FrameOffset.value must be a real number",
     ),
     "delay-seconds-str": (lambda: Delay(seconds="1"), "Delay.seconds must be a real number"),
+    "rotation-flip-overflow": (
+        lambda: Rotation("b", "x", Fraction(10**400)), "Rotation.flip must fit a float",
+    ),
+    "frame-value-overflow": (
+        lambda: make_program([], frames=(FrameOffset("b", Fraction(10**400), "Hz"),)),
+        "FrameOffset.value must fit a float",
+    ),
     "delay-per-j-overflow": (
         lambda: Delay(per_j=Fraction(10**400)), "Delay.per_j must fit a float",
     ),

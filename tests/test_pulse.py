@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -162,6 +163,17 @@ class TestEvents:
         for attempt in (lambda: prog.total_duration, lambda: run_sequence(rho, prog),
                         lambda: branch_propagators(prog)):
             with pytest.raises(DomainError, match="^total duration is too large for a float$"):
+                attempt()
+
+    def test_delay_whose_phase_overflows_raises(self):
+        # the delay fits a float, but energy*time does not: a DomainError
+        # that names the delay, and no numpy warning (tier-1 makes it an error)
+        prog = make_program([Delay(per_j=Fraction(17 * 10**307))])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        message = r"^delay of 7\.9\d*e\+305 s is too long: energy\*time must fit a float$"
+        for attempt in (lambda: run_sequence(rho, prog), lambda: branch_propagators(prog),
+                        lambda: free_evolution_unitary(prog.params, 7.9e305)):
+            with pytest.raises(DomainError, match=message):
                 attempt()
 
 
@@ -626,7 +638,7 @@ class TestRunSequence:
         rho = DensityOperator(start, normalized=normalized)
         off_diagonal = ~np.eye(4, dtype=bool)
         want = rho
-        for stretch in pulse._compile(prog, pulse_sense, iz_sign):
+        for stretch in pulse._stretches(prog, pulse_sense, iz_sign):
             if isinstance(stretch, Gradient):
                 crushed = gradient_crusher(want)
                 assert crushed.matrix.tobytes() == np.diag(np.diag(want.matrix)).tobytes()
@@ -718,13 +730,26 @@ signed_zero_events = st.one_of(
     signed_zeros.map(lambda sec: Delay(seconds=sec)),
 )
 cache_offsets = st.one_of(signed_zeros, st.floats(-OFFSET_BOUND, OFFSET_BOUND))
+cache_params = st.builds(SpinSystemParams, cache_offsets, cache_offsets)
+# at most one directive per spin, each within the 10*2piJ offset bound
+frame_directives = st.lists(
+    st.builds(
+        FrameOffset,
+        st.sampled_from("ab"),
+        st.one_of(signed_zeros, st.floats(-10.0, 10.0),
+                  st.integers(-20, 20).map(lambda k: Fraction(k, 2))),
+        st.just("piJ"),
+    ),
+    max_size=2,
+    unique_by=lambda fr: fr.spin,
+).map(tuple)
 cache_programs = st.builds(
     make_program,
     st.lists(
         st.one_of(pulse_events, delay_events, st.just(Gradient()), signed_zero_events),
         max_size=8,
     ),
-    st.builds(SpinSystemParams, cache_offsets, cache_offsets),
+    cache_params,
 )
 
 
@@ -763,6 +788,61 @@ def compiled_bits(compiled):
 
 
 class TestCompileCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        events=st.lists(
+            st.one_of(pulse_events, st.just(Gradient()),
+                      signed_zero_events.filter(lambda ev: isinstance(ev, Rotation))),
+            max_size=8,
+        ),
+        frames=st.lists(
+            st.tuples(cache_params, frame_directives, st.sampled_from((1, -1))),
+            min_size=1, max_size=4,
+        ),
+        sense=st.sampled_from((1, -1)),
+    )
+    def test_a_delay_free_program_compiles_once_in_any_frame(self, events, frames, sense):
+        # no event reads the offsets or the I_z sign, so neither is in the key
+        pulse._compile.cache_clear()
+        for params, directives, iz_sign in frames:
+            prog = make_program(events, params, directives)
+            fresh = pulse._compile.__wrapped__(prog.events, sense, prog.params, iz_sign)
+            assert compiled_bits(pulse._stretches(prog, sense, iz_sign)) == compiled_bits(fresh)
+        info = pulse._compile.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_a_program_with_a_delay_compiles_per_frame(self):
+        events = [Rotation("b", "x", Fraction(1, 2)), Delay(per_j=Fraction(1, 2))]
+        offsets = (
+            SpinSystemParams(), SpinSystemParams(-0.0, 0.0),
+            SpinSystemParams(omega_b=math.pi * J), SpinSystemParams(omega_a=0.3 * J),
+        )
+        keys = [(params, iz_sign) for params in offsets for iz_sign in (1, -1)]
+        for repeat in (1, 2):
+            for params, iz_sign in keys:
+                prog = make_program(events, params)
+                fresh = pulse._compile.__wrapped__(prog.events, 1, params, iz_sign)
+                assert compiled_bits(pulse._stretches(prog, 1, iz_sign)) == compiled_bits(fresh)
+            info = pulse._compile.cache_info()
+            assert (info.misses, info.hits) == (len(keys), (repeat - 1) * len(keys))
+        # a frame directive that sets the same offsets compiles the same bits
+        framed = make_program(events, frames=(FrameOffset("b", Fraction(-1, 2), "piJ"),))
+        assert framed.params == offsets[2]
+        pulse._stretches(framed, 1, -1)
+        assert pulse._compile.cache_info().misses == len(keys)
+
+    def test_the_purity_ladder_compiles_once_per_pulse_sense(self):
+        offsets = (SpinSystemParams(), SpinSystemParams(omega_a=0.3 * J, omega_b=-1.1 * J))
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        for _ in range(2):
+            for params, sense, iz_sign, n in itertools.product(
+                offsets, (1, -1), (1, -1), range(12)
+            ):
+                prog = make_program(mixing_program(n).events, params)
+                run_sequence(rho, prog, pulse_sense=sense, iz_sign=iz_sign)
+            # 24 misses on the first pass, none on the second
+            assert pulse._compile.cache_info().misses == 2 * 12
+
     @settings(max_examples=60, deadline=None)
     @given(prog=cache_programs, sense=st.sampled_from((1, -1)), iz_sign=st.sampled_from((1, -1)))
     def test_hits_are_bit_identical_to_a_fresh_compile(self, prog, sense, iz_sign):
@@ -772,14 +852,14 @@ class TestCompileCache:
             for first, second in ((prog, twin), (twin, prog)):
                 pulse._compile.cache_clear()
                 for p in (first, second, first, second):
-                    fresh = pulse._compile.__wrapped__(p, sense, iz_sign)
-                    got = pulse._compile(p, sense, iz_sign)
+                    fresh = pulse._compile.__wrapped__(p.events, sense, p.params, iz_sign)
+                    got = pulse._stretches(p, sense, iz_sign)
                     assert compiled_bits(got) == compiled_bits(fresh)
                 assert pulse._compile.cache_info().hits >= 2
 
     def test_cached_products_are_read_only(self):
         prog = make_program([Rotation("b", "x", Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
-        for compiled in (pulse._compile(prog), pulse._compile(prog)):
+        for compiled in (pulse._stretches(prog, 1, 1), pulse._stretches(prog, 1, 1)):
             for step in compiled[0]:
                 with pytest.raises(ValueError):
                     step.product[0, 0] = 0
