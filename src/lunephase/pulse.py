@@ -505,7 +505,14 @@ def run_sequence(
         times, stack, before = [], [], identity4
         for ev, end, product, _ in stretch:
             if isinstance(ev, Delay):
-                elapsed = ev.duration() * np.arange(1, samples) / samples
+                dt = ev.duration()
+                # dt * np.arange(1, samples) overflows exactly when its last entry does
+                if dt * (samples - 1) == math.inf:
+                    raise DomainError(
+                        f"delay of {dt!r} s is too long to record:"
+                        " duration*samples_per_delay must fit a float"
+                    )
+                elapsed = dt * np.arange(1, samples) / samples
                 times += (t + elapsed).tolist()
                 phases = _free_phases(prog.params, elapsed, iz_sign)
                 stack.append(phases[:, :, None] * before)

@@ -51,6 +51,14 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     also have unit trace and no eigenvalue below the floor. The largest
     deviation over the stack meets each tolerance exactly when every
     matrix's own does.
+
+    Positivity is one stacked Cholesky factorization of m - floor * 1, which
+    exists exactly when no eigenvalue of m lies below the floor (the two
+    verdicts can differ only within rounding of the floor), and costs far
+    less than the eigenvalues. No eigenvalue is computed. A NaN entry would
+    factor into NaN without an error, so the order of the checks matters:
+    any NaN or infinite entry makes m - m^dagger NaN, which the Hermiticity
+    check refuses before the factorization runs.
     """
     adjoint = m.conj().swapaxes(-1, -2)
     if not np.abs(m - adjoint).max() <= POLICY.hermiticity_tol:
@@ -59,8 +67,11 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     if normalized:
         if not abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= POLICY.trace_tol:
             raise DomainError("normalized state must have unit trace")
-        if not np.linalg.eigvalsh(m).min() >= POLICY.eigenvalue_floor:
-            raise DomainError("normalized state has a negative eigenvalue")
+        identity = identity4 if m.shape[-1] == 4 else identity2
+        try:
+            np.linalg.cholesky(m - POLICY.eigenvalue_floor * identity)
+        except np.linalg.LinAlgError:
+            raise DomainError("normalized state has a negative eigenvalue") from None
     m.setflags(write=False)
     return m
 
@@ -81,12 +92,23 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _validated(_as_square(self.matrix), self.normalized))
 
     @classmethod
-    def _wrap(cls, matrix: np.ndarray, normalized: bool) -> "DensityOperator":
-        """A state around a matrix that _validated has already returned."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "normalized", normalized)
-        return rho
+    def _wrap(
+        cls, matrix: np.ndarray, normalized: bool
+    ) -> "DensityOperator | list[DensityOperator]":
+        """The state around a matrix that _validated has already returned,
+        or the list of the states around each matrix of such a stack. Each
+        state is one __new__ and one store into its instance dict, which a
+        recorded stretch repeats for every sample."""
+        if matrix.ndim == 2:
+            rho = object.__new__(cls)
+            rho.__dict__.update(matrix=matrix, normalized=normalized)
+            return rho
+        new, states = object.__new__, []
+        for m in matrix:
+            rho = new(cls)
+            rho.__dict__.update(matrix=m, normalized=normalized)
+            states.append(rho)
+        return states
 
     @property
     def dim(self) -> int:
@@ -155,10 +177,9 @@ def _conjugate(
     caller has already checked for unitarity, with u_adjoint its conjugate
     transpose. The result passes the same state check as a constructed
     state; a stack gives the list of its k states."""
-    m = _validated(u @ rho.matrix @ u_adjoint, rho.normalized)
-    if m.ndim == 2:
-        return DensityOperator._wrap(m, rho.normalized)
-    return [DensityOperator._wrap(s, rho.normalized) for s in m]
+    return DensityOperator._wrap(
+        _validated(u @ rho.matrix @ u_adjoint, rho.normalized), rho.normalized
+    )
 
 
 def _checked_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -176,6 +176,21 @@ class TestEvents:
             with pytest.raises(DomainError, match=message):
                 attempt()
 
+    def test_recorded_delay_whose_sample_times_overflow_raises(self):
+        # the delay compiles and runs unrecorded, but duration*samples does
+        # not fit a float: a DomainError that names the delay, and no numpy
+        # warning (tier-1 makes it an error)
+        prog = make_program([Delay(seconds=1e305)])
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        plain, _ = run_sequence(rho, prog)
+        message = r"^delay of 1e\+305 s is too long to record: duration\*samples_per_delay must fit"
+        with pytest.raises(DomainError, match=message):
+            run_sequence(rho, prog, record=True, samples_per_delay=10000)
+        # where the product fits, the sample times are the product over samples
+        final, traj = run_sequence(rho, prog, record=True, samples_per_delay=1000)
+        assert [t for t, _ in traj[1:-1]] == (1e305 * np.arange(1, 1000) / 1000).tolist()
+        assert np.array_equal(final.matrix, plain.matrix)
+
 
 # one builder per value field of the four value classes
 VALUE_FIELDS = {

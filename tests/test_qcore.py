@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,85 @@ class TestStackedValidation:
         assert np.array_equal(out, out.conj().swapaxes(-1, -2))
         for m, single in zip(out, stack):
             assert np.array_equal(m, DensityOperator(single).matrix)
+
+
+def eigvalsh_verdict(stack):
+    """The eigenvalue gate that the Cholesky factorization replaced: whether
+    no member of the stack has an eigenvalue below the floor."""
+    return bool(np.linalg.eigvalsh(stack).min() >= POLICY.eigenvalue_floor)
+
+
+def gate_verdict(m):
+    """Whether qcore._validated passes m as a normalized state."""
+    try:
+        qcore._validated(m, True)
+    except DomainError:
+        return False
+    return True
+
+
+def state_with_lowest(lowest, dim, rng):
+    """A unit-trace state with lowest as its smallest eigenvalue, in a
+    random eigenbasis."""
+    rest = rng.uniform(0.01, 1.0, size=dim - 1)
+    w = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
+    v = random_unitary(rng, dim)
+    return (v * w) @ v.conj().T
+
+
+# within 1e-9 of the floor, but not within rounding (1e-13) of it
+near_floor = (
+    st.floats(-1e-9, 1e-9)
+    .filter(lambda d: abs(d) >= 1e-13)
+    .map(lambda d: POLICY.eigenvalue_floor + d)
+)
+
+
+class TestPositivityGate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from((2, 4)),
+        lowest=st.lists(near_floor, min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cholesky_gives_the_eigvalsh_verdict(self, dim, lowest, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([state_with_lowest(w, dim, rng) for w in lowest])
+        for m in stack:
+            assert gate_verdict(m) == eigvalsh_verdict(m)
+        assert gate_verdict(stack) == eigvalsh_verdict(stack)
+
+    def test_pure_states_pass(self):
+        # three zero eigenvalues (one for a qubit) sit 1e-10 above the floor
+        rng = np.random.default_rng(59)
+        for dim in (2, 4):
+            kets = [np.eye(dim)[k] for k in range(dim)]
+            for _ in range(20):
+                a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                kets.append(a / np.linalg.norm(a))
+            pure = np.stack([np.outer(k, k.conj()).astype(complex) for k in kets])
+            for m in pure:
+                DensityOperator(m)
+            qcore._validated(pure, True)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_states_are_refused(self, value):
+        # the factorization alone would pass a NaN state; the Hermiticity
+        # check ahead of it refuses every non-finite one. inf - inf in its
+        # deviation makes numpy warn before the refusal.
+        rng = np.random.default_rng(61)
+        for dim in (2, 4):
+            stack = np.stack([random_state(rng, dim) for _ in range(3)])
+            for i, j in [(0, 0), (dim - 1, dim - 1), (0, 1)]:
+                for k in range(len(stack)):
+                    bad = stack.copy()
+                    bad[k, i, j] = bad[k, j, i] = value
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        with pytest.raises(DomainError, match="not Hermitian"):
+                            DensityOperator(bad[k])
+                        with pytest.raises(DomainError, match="not Hermitian"):
+                            qcore._validated(bad, True)
 
 
 class TestIsUnitary:
