@@ -18,8 +18,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .policy import POLICY
 from .qcore import (
-    DensityOperator, _check_sign, _conjugate, _validated, evolve, identity4, is_unitary,
+    DensityOperator, _check_sign, _conjugate, _validated, identity4, is_unitary,
     rotation_unitary,
 )
 
@@ -37,6 +38,7 @@ AXIS_LABELS = {
 # I_z sign convention is applied) for basis order |uu>, |ud>, |du>, |dd>
 _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
+_M_PAIRS = tuple(zip(_MA.tolist(), _MB.tolist()))
 
 
 def _check_offset(omega: float) -> float:
@@ -279,12 +281,20 @@ def free_evolution_unitary(
     if not 0 <= t < math.inf:
         raise DomainError("evolution time must be finite and nonnegative")
     _check_sign(iz_sign, "iz_sign")
-    # a long delay's energy*time can overflow: a nan phase, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = _free_phases(params, t, iz_sign)
-    if not np.isfinite(phases).all():
+    # A phase is finite exactly when its t*E_j is (0*inf makes a nan
+    # otherwise), and a float product rounds monotonically, so the largest
+    # |E_j| decides for all four without computing a phase.
+    top = max(abs(_energy(params, iz_sign * ma, iz_sign * mb)) for ma, mb in _M_PAIRS)
+    if float(t) * top == math.inf:
         raise DomainError(f"delay of {t!r} s is too long: energy*time must fit a float")
-    return np.diag(phases)
+    return np.diag(_free_phases(params, t, iz_sign))
+
+
+def _energy(params: SpinSystemParams, ma, mb):
+    """Eigenvalue of H for the spins' signed m_z values ma and mb: a float
+    for one Zeeman state, an array for arrays. Floats and arrays go through
+    the same operations, so they give the same bits."""
+    return params.omega_a * ma + params.omega_b * mb + 2 * math.pi * DEFAULT_J * ma * mb
 
 
 def _free_phases(
@@ -292,11 +302,7 @@ def _free_phases(
 ) -> np.ndarray:
     """Diagonal of free_evolution_unitary(params, t, iz_sign): shape (4,)
     for one time t, (k, 4) for an array of k times."""
-    ma, mb = iz_sign * _MA, iz_sign * _MB
-    energies = (
-        params.omega_a * ma + params.omega_b * mb
-        + 2 * math.pi * DEFAULT_J * ma * mb
-    )
+    energies = _energy(params, iz_sign * _MA, iz_sign * _MB)
     return np.exp(1j * np.multiply.outer(t, -energies))
 
 
@@ -387,11 +393,13 @@ def _compile(
     """Split a program's events at its crushers into stretches of unitary
     events.
 
-    Crushers stay in the tuple as themselves; a stretch's last step carries
-    its whole propagator and its adjoint, ready to conjugate a state. Every
-    event propagator and every stretch's whole propagator pass one stacked
-    unitarity check, so a run conjugates by the cached product without
-    checking it again. The program's whole clock is checked up front.
+    Crushers stay in the tuple as themselves; each step carries the
+    stretch's running propagator up to it and that propagator's adjoint, so
+    the last step's is the whole stretch's, ready to conjugate a state.
+    Every event propagator and every running propagator pass one stacked
+    unitarity check, so a run, recorded or not, conjugates by the cached
+    products without checking them again. The program's whole clock is
+    checked up front.
 
     The arguments are the cache key, and hold only what a compile reads:
     the events and the pulse sense always, the program's params and the
@@ -424,7 +432,8 @@ def _compile(
         adjoint = product.conj().T
         adjoint.setflags(write=False)
         compiled[-1].append(_Step(ev, end, product, adjoint))
-    products = [s[-1].product for s in compiled if isinstance(s, list)]
+    # a stretch's first running propagator is its first factor
+    products = [step.product for s in compiled if isinstance(s, list) for step in s[1:]]
     if factors and not is_unitary(np.array(factors + products)):
         raise DomainError("event propagator is not unitary within tolerance")
     return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
@@ -458,11 +467,11 @@ def run_sequence(
     compiles once per distinct (events, pulse_sense) when it has no delay,
     and once per distinct (events, pulse_sense, params, iz_sign) when it
     has one, in a bounded cache shared with branch_propagators (see
-    _compile), which also checks each stretch's whole propagator for
-    unitarity. Unrecorded, a stretch then costs one conjugation of the
-    state it starts in by the cached product and its adjoint, and one
-    state check of the result; the run does not check the cached product
-    again.
+    _compile), which also checks each stretch's running propagator after
+    every event for unitarity. Unrecorded, a stretch then costs one
+    conjugation of the state it starts in by the cached product and its
+    adjoint, and one state check of the result; the run does not check the
+    cached product again.
 
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0), its times read off the program's clock (see _clock).
@@ -474,11 +483,14 @@ def run_sequence(
     exp(-iH dt*i/samples_per_delay) times the running product the delay
     starts from. Every sample therefore comes from the delay's start state
     under its own propagator, so rounding does not grow with the sample
-    count. The stretch's start state is conjugated by the whole stack in
-    one evolve call: one stacked unitarity check, one batched product and
-    one state check. The stack closes on the very product an unrecorded run
-    conjugates by, so the final state is bit-identical with or without
-    record.
+    count. The running products were checked at compile, so a recorded run
+    checks only each delay's new phases: every phase d must have
+    |Re(d)^2 + Im(d)^2 - 1| within the unitarity tolerance, the very
+    deviation that the Gram check of is_unitary finds on diag(d). The
+    stretch's start state is then conjugated by the whole stack at once:
+    one batched product and one state check, no second unitarity check.
+    The stack closes on the very product an unrecorded run conjugates by,
+    so the final state is bit-identical with or without record.
     """
     if rho0.dim != 4:
         raise DomainError("sequences act on the two-spin system")
@@ -504,7 +516,7 @@ def run_sequence(
             continue
         times, stack, before = [], [], identity4
         for ev, end, product, _ in stretch:
-            if isinstance(ev, Delay):
+            if isinstance(ev, Delay) and samples > 1:
                 dt = ev.duration()
                 # dt * np.arange(1, samples) overflows exactly when its last entry does
                 if dt * (samples - 1) == math.inf:
@@ -515,11 +527,16 @@ def run_sequence(
                 elapsed = dt * np.arange(1, samples) / samples
                 times += (t + elapsed).tolist()
                 phases = _free_phases(prog.params, elapsed, iz_sign)
+                # not (phases * phases.conj()).real: numpy's complex product
+                # may fuse a multiply-add, and then rounds unlike the Gram
+                if not abs(phases.real ** 2 + phases.imag ** 2 - 1).max() <= POLICY.unitarity_tol:
+                    raise DomainError("sample propagator is not unitary within tolerance")
                 stack.append(phases[:, :, None] * before)
             times.append(end)
             stack.append(product[None])
             t, before = end, product
-        states = evolve(rho, np.concatenate(stack))
+        u = np.concatenate(stack)
+        states = _conjugate(rho, u, u.conj().swapaxes(-1, -2))
         trajectory += zip(times, states)
         rho = states[-1]
     if not record:

@@ -76,7 +76,7 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityOperator:
     """Hermitian state container; deviation operators use normalized=False.
 
@@ -97,16 +97,21 @@ class DensityOperator:
     ) -> "DensityOperator | list[DensityOperator]":
         """The state around a matrix that _validated has already returned,
         or the list of the states around each matrix of such a stack. Each
-        state is one __new__ and one store into its instance dict, which a
-        recorded stretch repeats for every sample."""
+        state is one __new__ and a store into each of its two slots through
+        the slot's member descriptor, which a recorded stretch repeats for
+        every sample."""
+        new = object.__new__
+        set_matrix, set_normalized = cls.matrix.__set__, cls.normalized.__set__
         if matrix.ndim == 2:
-            rho = object.__new__(cls)
-            rho.__dict__.update(matrix=matrix, normalized=normalized)
+            rho = new(cls)
+            set_matrix(rho, matrix)
+            set_normalized(rho, normalized)
             return rho
-        new, states = object.__new__, []
+        states = []
         for m in matrix:
             rho = new(cls)
-            rho.__dict__.update(matrix=m, normalized=normalized)
+            set_matrix(rho, m)
+            set_normalized(rho, normalized)
             states.append(rho)
         return states
 

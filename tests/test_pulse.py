@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lunephase import pulse, qcore
 from lunephase.errors import DomainError
 from lunephase.experiment import cycle_program, mixing_program, prepare_pure_program
+from lunephase.policy import POLICY
 from lunephase.pulse import (
     Delay,
     FrameOffset,
@@ -273,6 +274,37 @@ class TestFreeEvolution:
             p = SpinSystemParams(omega_a=rng.uniform(-5, 5) * J, omega_b=rng.uniform(-5, 5) * J)
             u = free_evolution_unitary(p, rng.uniform(0, 0.05))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offsets=st.tuples(
+            st.floats(-OFFSET_BOUND, OFFSET_BOUND), st.floats(-OFFSET_BOUND, OFFSET_BOUND)
+        ),
+        iz_sign=st.sampled_from((1, -1)),
+        t=st.floats(0.0, 1e308),
+        edge=st.none() | st.integers(-3, 3),
+    )
+    def test_a_delay_is_refused_exactly_when_a_phase_is_not_finite(
+        self, offsets, iz_sign, t, edge
+    ):
+        params = SpinSystemParams(*offsets)
+        if edge is not None:
+            # edge ulps away from where the largest energy*time leaves the floats
+            ma, mb = iz_sign * pulse._MA, iz_sign * pulse._MB
+            energies = params.omega_a * ma + params.omega_b * mb + 2 * math.pi * J * ma * mb
+            t = np.finfo(float).max / np.abs(energies).max()
+            for _ in range(abs(edge)):
+                t = np.nextafter(t, math.copysign(math.inf, edge))
+            t = float(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = pulse._free_phases(params, t, iz_sign)
+        if np.isfinite(phases).all():
+            u = free_evolution_unitary(params, t, iz_sign)
+            assert u.tobytes() == np.diag(phases).tobytes()
+        else:
+            message = r"s is too long: energy\*time must fit a float$"
+            with pytest.raises(DomainError, match=message):
+                free_evolution_unitary(params, t, iz_sign)
 
 
 class TestPulseUnitary:
@@ -612,6 +644,138 @@ class TestRunSequence:
                 counts.append(len(calls))
                 assert all(np.ndim(u) == ndim for u in calls)
             assert counts == [2, 2, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=program_events,
+        offsets=st.tuples(
+            st.floats(-OFFSET_BOUND, OFFSET_BOUND), st.floats(-OFFSET_BOUND, OFFSET_BOUND)
+        ),
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        normalized=st.booleans(),
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recorded_states_are_evolve_over_the_sample_stack(
+        self, events, offsets, pulse_sense, iz_sign, normalized, samples, seed
+    ):
+        # each stretch's stack built here from its compiled steps: the
+        # phases of each delay sample times the product the delay starts
+        # from, and the running product after each event
+        prog = make_program(events, SpinSystemParams(*offsets))
+        start = random_two_spin_state(np.random.default_rng(seed)).matrix
+        if not normalized:
+            start = start - np.eye(4) / 4
+        rho = DensityOperator(start, normalized=normalized)
+        want = [rho]
+        for stretch in pulse._stretches(prog, pulse_sense, iz_sign):
+            if isinstance(stretch, Gradient):
+                want.append(gradient_crusher(want[-1]))
+                continue
+            stack, before = [], np.eye(4, dtype=complex)
+            for step in stretch:
+                if isinstance(step.event, Delay):
+                    elapsed = step.event.duration() * np.arange(1, samples) / samples
+                    phases = pulse._free_phases(prog.params, elapsed, iz_sign)
+                    stack.append(phases[:, :, None] * before)
+                stack.append(step.product[None])
+                before = step.product
+            want += evolve(want[-1], np.concatenate(stack))
+        final, traj = run_sequence(
+            rho, prog, record=True, samples_per_delay=samples,
+            pulse_sense=pulse_sense, iz_sign=iz_sign,
+        )
+        assert len(traj) == len(want)
+        for (_, got), ref in zip(traj, want):
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            assert got.normalized is normalized
+        assert final is traj[-1][1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 4),
+        excess=st.one_of(
+            # a few ulps of |d|^2 around either edge of the tolerance
+            st.tuples(st.sampled_from((1, -1)), st.integers(-64, 64)).map(
+                lambda s: s[0] * POLICY.unitarity_tol + s[1] * 2.0**-52
+            ),
+            st.floats(-1e-9, 1e-9).map(lambda x: POLICY.unitarity_tol + x),
+        ),
+    )
+    # an edge where a fused multiply-add in |d|^2 would flip the verdict
+    @example(
+        angles=(-2.254518793243092, 0.3560453300415851, 2.453131258360899, 2.2630282370869317),
+        excess=POLICY.unitarity_tol - 2.0**-52,
+    )
+    def test_sample_phase_check_gives_the_gram_verdict(self, angles, excess):
+        # the last sample of the delay gets phases of modulus near the edge
+        d = np.exp(1j * np.array(angles)) * math.sqrt(1 + excess)
+        phases = pulse._free_phases
+
+        def edge_sample(params, t, iz_sign):
+            out = phases(params, t, iz_sign)
+            if np.ndim(t) == 1:
+                out[-1] = d
+            return out
+
+        prog = make_program([Rotation("b", "x", Fraction(1, 3)), Delay(per_j=Fraction(1, 2))])
+        # a deviation operator: only the phase check can refuse the stack
+        rho = DensityOperator(np.diag([0.3, -0.1, 0.2, -0.4]).astype(complex), normalized=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulse, "_free_phases", edge_sample)
+            if is_unitary(np.diag(d)):
+                run_sequence(rho, prog, record=True, samples_per_delay=4)
+            else:
+                with pytest.raises(DomainError, match="^sample propagator is not unitary"):
+                    run_sequence(rho, prog, record=True, samples_per_delay=4)
+
+    def test_bad_phase_after_a_crusher_is_refused(self, monkeypatch):
+        # the delay opens the stretch that follows the crusher, so its
+        # samples start from the identity, not from a compiled product
+        phases = pulse._free_phases
+
+        def bad_samples(params, t, iz_sign):
+            out = phases(params, t, iz_sign)
+            if np.ndim(t) == 1:
+                out[0, 3] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(pulse, "_free_phases", bad_samples)
+        prog = make_program(
+            [Rotation("b", "x", Fraction(1, 3)), Gradient(), Delay(per_j=Fraction(1, 2)),
+             Rotation("a", "y", Fraction(1, 2))]
+        )
+        assert isinstance(pulse._stretches(prog, 1, 1)[1], Gradient)
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        run_sequence(rho, prog)
+        message = "^sample propagator is not unitary within tolerance$"
+        with pytest.raises(DomainError, match=message):
+            run_sequence(rho, prog, record=True, samples_per_delay=2)
+
+    def test_every_running_product_is_checked_at_compile(self, monkeypatch):
+        # Checks of each factor and of the stretch's whole product alone
+        # would let this program run unrecorded. A's Gram matrix is off by
+        # about 8e-11, inside the tolerance, A^2's by about 1.6e-10 and A^3's
+        # by about 2.4e-10, outside it, and A^3 A^-3 is the identity again.
+        s = 1 + 4e-11
+        a = np.diag([s, 1 / s, s, 1 / s]).astype(complex)
+        inverse = np.diag([1 / s, s, 1 / s, s]).astype(complex)
+        factors = [a] * 3 + [inverse] * 3
+        assert all(is_unitary(f) for f in factors)
+        assert not is_unitary(a @ a @ a)
+        assert is_unitary(np.linalg.multi_dot(factors))
+        supply = itertools.cycle(factors)
+        monkeypatch.setattr(pulse, "pulse_unitary", lambda *args, **kw: next(supply))
+        quarter = Rotation("b", "x", Fraction(1, 2))
+        prog = make_program([quarter] * 6)
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        message = "^event propagator is not unitary within tolerance$"
+        for record in (False, True):
+            with pytest.raises(DomainError, match=message):
+                run_sequence(rho, prog, record=record)
+        with pytest.raises(DomainError, match=message):
+            branch_propagators(prog)
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_recorded_states_keep_the_state_invariants(self, normalized):

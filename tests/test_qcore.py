@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -79,6 +81,42 @@ class TestDensityOperator:
         rho = bloch_state([0, 0, 1])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    def test_states_are_slotted_and_frozen(self):
+        rho = DensityOperator(random_state(np.random.default_rng(5)))
+        assert not hasattr(rho, "__dict__")
+        for name, value in (("matrix", np.eye(4) / 4), ("normalized", False)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rho, name, value)
+        # no slot, no store; the error type depends on the Python version
+        # (a frozen slotted dataclass raises TypeError on 3.11)
+        with pytest.raises((AttributeError, TypeError)):
+            rho.extra = 1
+        assert not hasattr(rho, "extra")
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_wrapped_states_equal_constructed_ones(self, normalized):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_state(rng) for _ in range(3)])
+        built = [DensityOperator(m, normalized=normalized) for m in stack]
+        one = DensityOperator._wrap(qcore._validated(stack[0], normalized), normalized)
+        many = DensityOperator._wrap(qcore._validated(stack, normalized), normalized)
+        for got, want in zip([one, *many], [built[0], *built]):
+            assert type(got) is DensityOperator and not hasattr(got, "__dict__")
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.normalized is normalized
+            assert not got.matrix.flags.writeable
+
+    def test_pickle_round_trip_and_replace(self):
+        rho = DensityOperator(random_state(np.random.default_rng(11)))
+        back = pickle.loads(pickle.dumps(rho))
+        assert type(back) is DensityOperator
+        assert back.matrix.tobytes() == rho.matrix.tobytes() and back.normalized is True
+        deviation = dataclasses.replace(rho, matrix=rho.matrix - np.eye(4) / 4, normalized=False)
+        assert deviation.normalized is False and not deviation.matrix.flags.writeable
+        # replace builds through __init__, so the new state is checked again
+        with pytest.raises(DomainError, match="unit trace"):
+            dataclasses.replace(rho, matrix=2 * rho.matrix)
 
 
 class TestTensor:
