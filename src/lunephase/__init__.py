@@ -66,7 +66,6 @@ from .pulse import (
 from .pulseprog import parse_sequence, render_sequence
 from .qcore import (
     DensityOperator,
-    evolve,
     partial_trace,
     principal_angle,
     rotation_unitary,

@@ -47,9 +47,9 @@ from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
     _check_sign,
-    _checked_unitary,
     _conjugate,
     identity2,
+    is_unitary,
     partial_trace,
     pauli_x,
     pauli_z,
@@ -353,10 +353,9 @@ def _run_grid(
     for (theta, model), group in groupby(configs, key=lambda c: (c.theta, c.model)):
         prog = cycle_program(theta)
         duration = prog.total_duration
-        u_cycle = (
-            None if model == "literal-sequence"
-            else _checked_unitary(_controlled_cycle(theta, conv))
-        )
+        u_cycle = None if model == "literal-sequence" else _controlled_cycle(theta, conv)
+        if u_cycle is not None and not is_unitary(u_cycle):
+            raise DomainError("propagator is not unitary within tolerance")
         for config in group:
             if config.n not in mixed:
                 rho = prepare_mixed(pure, config.n, conv)
@@ -369,7 +368,7 @@ def _run_grid(
                     pulse_sense=conv.pulse_sense, iz_sign=conv.iz_sign,
                 )
             else:
-                out = _conjugate(rho, *u_cycle)
+                out = _conjugate(rho, u_cycle)
                 trajectory = [(0.0, rho), (duration, out)]
 
             if config.relaxation is not None:

@@ -11,6 +11,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -82,7 +83,9 @@ class SpinSystemParams:
     omega_a and omega_b are each spin's offset from its rotating frame (the
     defaults put both spins on resonance). Absolute Larmor values never
     enter a rotating-frame propagator, and carrying them around at 1e8 rad/s
-    scale would only round the offsets they are subtracted into.
+    scale would only round the offsets they are subtracted into. Offsets
+    are stored as floats: an int or Fraction offset compiles to the same
+    bits as its float and compares equal to it.
     """
 
     omega_a: float = 0.0
@@ -90,6 +93,11 @@ class SpinSystemParams:
     _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("omega_a", "omega_b"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Rational):
+                # bounded while exact, so that its float cannot overflow
+                object.__setattr__(self, name, float(_check_offset(value)))
         _store_reals(self, "omega_a", "omega_b")
         _check_offset(self.omega_a)
         _check_offset(self.omega_b)
@@ -283,11 +291,12 @@ def free_evolution_unitary(
     _check_sign(iz_sign, "iz_sign")
     # A phase is finite exactly when its t*E_j is (0*inf makes a nan
     # otherwise), and a float product rounds monotonically, so the largest
-    # |E_j| decides for all four without computing a phase.
+    # |E_j| decides for all four without computing a phase. A time beyond
+    # the floats (an int or a Fraction) is too long for every energy.
     top = max(abs(_energy(params, iz_sign * ma, iz_sign * mb)) for ma, mb in _M_PAIRS)
-    if float(t) * top == math.inf:
+    if not t <= sys.float_info.max or float(t) * top == math.inf:
         raise DomainError(f"delay of {t!r} s is too long: energy*time must fit a float")
-    return np.diag(_free_phases(params, t, iz_sign))
+    return np.diag(_free_phases(params, float(t), iz_sign))
 
 
 def _energy(params: SpinSystemParams, ma, mb):
@@ -366,14 +375,13 @@ def apply_t2_relaxation(
 
 
 class _Step(NamedTuple):
-    """One unitary event of a stretch, its end on the program's clock, the
-    stretch's running propagator up to and including it (latest factor
-    leftmost) and that propagator's conjugate transpose, both read-only."""
+    """One unitary event of a stretch, its end on the program's clock and
+    the stretch's read-only running propagator up to and including it
+    (latest factor leftmost)."""
 
     event: Rotation | Delay
     end: float
     product: np.ndarray
-    adjoint: np.ndarray
 
 
 # A compile reads the events and the pulse sense, and reads the offsets and
@@ -394,8 +402,8 @@ def _compile(
     events.
 
     Crushers stay in the tuple as themselves; each step carries the
-    stretch's running propagator up to it and that propagator's adjoint, so
-    the last step's is the whole stretch's, ready to conjugate a state.
+    stretch's running propagator up to it, so the last step's is the whole
+    stretch's, which qcore._conjugate takes as it is.
     Every event propagator and every running propagator pass one stacked
     unitarity check, so a run, recorded or not, conjugates by the cached
     products without checking them again. The program's whole clock is
@@ -429,9 +437,7 @@ def _compile(
             product = u
             compiled.append([])
         product.setflags(write=False)
-        adjoint = product.conj().T
-        adjoint.setflags(write=False)
-        compiled[-1].append(_Step(ev, end, product, adjoint))
+        compiled[-1].append(_Step(ev, end, product))
     # a stretch's first running propagator is its first factor
     products = [step.product for s in compiled if isinstance(s, list) for step in s[1:]]
     if factors and not is_unitary(np.array(factors + products)):
@@ -469,9 +475,9 @@ def run_sequence(
     has one, in a bounded cache shared with branch_propagators (see
     _compile), which also checks each stretch's running propagator after
     every event for unitarity. Unrecorded, a stretch then costs one
-    conjugation of the state it starts in by the cached product and its
-    adjoint, and one state check of the result; the run does not check the
-    cached product again.
+    conjugation of the state it starts in by the cached product (see
+    qcore._conjugate) and one state check of the result; the run does not
+    check the cached product again.
 
     Returns the final state and a (time, state) trajectory that opens with
     (0, rho0), its times read off the program's clock (see _clock).
@@ -487,8 +493,9 @@ def run_sequence(
     checks only each delay's new phases: every phase d must have
     |Re(d)^2 + Im(d)^2 - 1| within the unitarity tolerance, the very
     deviation that the Gram check of is_unitary finds on diag(d). The
-    stretch's start state is then conjugated by the whole stack at once:
-    one batched product and one state check, no second unitarity check.
+    stretch's start state is then conjugated by the whole stack at once,
+    through the same kernel as an unrecorded stretch: one batched product
+    and one state check, no second unitarity check.
     The stack closes on the very product an unrecorded run conjugates by,
     so the final state is bit-identical with or without record.
     """
@@ -512,10 +519,10 @@ def run_sequence(
             continue
         if not record:
             t = stretch[-1].end
-            rho = _conjugate(rho, stretch[-1].product, stretch[-1].adjoint)
+            rho = _conjugate(rho, stretch[-1].product)
             continue
         times, stack, before = [], [], identity4
-        for ev, end, product, _ in stretch:
+        for ev, end, product in stretch:
             if isinstance(ev, Delay) and samples > 1:
                 dt = ev.duration()
                 # dt * np.arange(1, samples) overflows exactly when its last entry does
@@ -535,8 +542,7 @@ def run_sequence(
             times.append(end)
             stack.append(product[None])
             t, before = end, product
-        u = np.concatenate(stack)
-        states = _conjugate(rho, u, u.conj().swapaxes(-1, -2))
+        states = _conjugate(rho, np.concatenate(stack))
         trajectory += zip(times, states)
         rho = states[-1]
     if not record:

@@ -91,6 +91,11 @@ class DensityOperator:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _validated(_as_square(self.matrix), self.normalized))
 
+    def __reduce__(self):
+        # unpickled through the constructor: checked again and read-only, and
+        # re-symmetrizing an exactly Hermitian matrix keeps its bits
+        return type(self), (self.matrix, self.normalized)
+
     @classmethod
     def _wrap(
         cls, matrix: np.ndarray, normalized: bool
@@ -176,42 +181,18 @@ def is_unitary(u: np.ndarray) -> bool:
 
 
 def _conjugate(
-    rho: DensityOperator, u: np.ndarray, u_adjoint: np.ndarray
-) -> DensityOperator | list[DensityOperator]:
-    """u rho u^dagger for a propagator u, or a (k, n, n) stack, that its
-    caller has already checked for unitarity, with u_adjoint its conjugate
-    transpose. The result passes the same state check as a constructed
-    state; a stack gives the list of its k states."""
-    return DensityOperator._wrap(
-        _validated(u @ rho.matrix @ u_adjoint, rho.normalized), rho.normalized
-    )
-
-
-def _checked_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u^dagger) for a u that passes is_unitary; otherwise DomainError.
-    The pair is what _conjugate takes."""
-    if not is_unitary(u):
-        raise DomainError("propagator is not unitary within tolerance")
-    return u, u.conj().swapaxes(-1, -2)
-
-
-def evolve(
     rho: DensityOperator, u: np.ndarray
 ) -> DensityOperator | list[DensityOperator]:
-    """Unitary conjugation u rho u^dagger with a unitarity guard.
-
-    u is one (n, n) propagator, giving one state, or a nonempty (k, n, n)
-    stack of them, giving the list of the k states u[i] rho u[i]^dagger. A
-    stack costs one stacked unitarity check, one batched conjugation and one
-    state check of all k results against the same tolerances as a single
-    state; each returned state is read-only, symmetrized and carries
-    rho.normalized. A stack's slice i is bit-identical to evolve(rho, u[i]).
-    Every call checks u; callers that conjugate by an already checked
-    propagator (a compiled stretch, see pulse._compile) skip the check.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (rho.dim, rho.dim):
-        raise DomainError("propagator dimension does not match the state")
-    if u.size == 0:
-        raise DomainError("propagator stack is empty")
-    return _conjugate(rho, *_checked_unitary(u))
+    """u rho u^dagger for one propagator u, giving one state, or for a
+    (k, n, n) stack, giving the list of its k states u[i] rho u[i]^dagger:
+    the one place where a state is conjugated. The caller has already
+    checked u for unitarity (see pulse._compile and experiment._run_grid).
+    The adjoint is u.conj().swapaxes(-1, -2), for a 2-D u the same strided
+    view as u.conj().T, and a stack's slice i is bit-identical to the
+    conjugation by u[i]. All results pass one state check against the same
+    tolerances as a constructed state; each is read-only, symmetrized and
+    carries rho.normalized."""
+    return DensityOperator._wrap(
+        _validated(u @ rho.matrix @ u.conj().swapaxes(-1, -2), rho.normalized),
+        rho.normalized,
+    )

@@ -63,7 +63,6 @@ from lunephase.pulse import (
 from lunephase.pulseprog import render_sequence
 from lunephase.qcore import (
     DensityOperator,
-    evolve,
     identity2,
     partial_trace,
     pauli_x,
@@ -261,7 +260,8 @@ class TestIdealizedCycle:
         for active_branch_up in (True, False):
             w = experiment._controlled_cycle(0.0, Conventions(-1, active_branch_up))
             assert np.allclose(w, np.eye(4), rtol=0.0, atol=1e-12)
-            assert np.allclose(evolve(rho, w).matrix, rho.matrix, atol=1e-12)
+            out = DensityOperator(oracle.conj(rho.matrix, w), rho.normalized)
+            assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_model_equivalence_default_conventions(self):
         # Same observable phase and visibility from the literal pulses and
@@ -317,7 +317,7 @@ class TestReadout:
             w = np.zeros((4, 4), dtype=complex)
             w[:2, :2] = u_b
             w[2:, 2:] = identity2
-            out = evolve(rho, w)
+            out = DensityOperator(oracle.conj(rho.matrix, w))
             got = readout_phase(out, spin_a_coherence(rho))
             want = qubit_mixed_phase(r, omega, sign=1)
             if not want.defined:
@@ -333,7 +333,7 @@ class TestReadout:
         w = np.zeros((4, 4), dtype=complex)
         w[:2, :2] = u_b
         w[2:, 2:] = identity2
-        result = readout_phase(evolve(rho, w), ref)
+        result = readout_phase(DensityOperator(oracle.conj(rho.matrix, w)), ref)
         assert not result.defined
         assert result.visibility < 1e-9
 
@@ -617,13 +617,13 @@ class TestGridPipeline:
 
     def test_idealized_cycle_is_checked_once_per_theta(self, monkeypatch):
         checked = []
-        real_check = experiment._checked_unitary
+        real_check = experiment.is_unitary
 
         def counting_check(u):
             checked.append(u)
             return real_check(u)
 
-        monkeypatch.setattr(experiment, "_checked_unitary", counting_check)
+        monkeypatch.setattr(experiment, "is_unitary", counting_check)
         thetas = (0.1, 0.4, 0.9, 1.3)
         records = run_sweep(thetas=thetas, n_values=(0, 5, 9), model="idealized-controlled-U")
         assert len(records) == 12 and len(checked) == len(thetas)

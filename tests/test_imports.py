@@ -3,6 +3,7 @@ repeated-guard-message checks on the package source, written against the standar
 wherever the test suite does, and a check of the names the package exports."""
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -255,23 +256,39 @@ def _reads(node: ast.AST) -> list[str]:
     return names
 
 
+def _own_names(node: ast.AST) -> set[str]:
+    """Names that code under node defines itself: functions, classes,
+    assigned names and parameters."""
+    own = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            own.add(n.id)
+        elif isinstance(n, ast.arg):
+            own.add(n.arg)
+    return own
+
+
 def unreached_names(package: dict[str, str], readers: list[str] = ()) -> list[str]:
     """Public names of the package modules that nothing reads outside their
     own definition, as module.name or module.Class.member.
 
     package maps module names to source; readers are further sources that
-    may read package names but define none. A read is matched by bare name
-    alone, so a name counts as reached when anything of that name is read.
+    may read package names. A read is matched by bare name alone, so a name
+    counts as reached when anything of that name is read, except that a
+    reader's reads of a name it defines itself do not count.
     """
     trees = {module: ast.parse(source) for module, source in package.items()}
-    counts: dict[str, int] = {}
-    for tree in [*trees.values(), *map(ast.parse, readers)]:
-        for name in _reads(tree):
-            counts[name] = counts.get(name, 0) + 1
+    reads = [_reads(tree) for tree in trees.values()]
+    for tree in map(ast.parse, readers):
+        own = _own_names(tree)
+        reads.append([name for name in _reads(tree) if name not in own])
+    counts = Counter(name for names in reads for name in names)
     unreached = []
     for module, tree in trees.items():
         for qualified, name, node in _definitions(tree):
-            if counts.get(name, 0) == _reads(node).count(name):
+            if counts[name] == _reads(node).count(name):
                 unreached.append(f"{module}.{qualified}")
     return sorted(unreached)
 
@@ -312,6 +329,21 @@ def test_checker_flags_unreached_names():
     want = ["m.Box.area", "m.Box.label", "m.UNUSED_LIMIT", "m.helper"]
     assert unreached_names(package, [bench]) == want
     assert unreached_names(package, [bench, test]) == ["m.UNUSED_LIMIT"]
+
+
+def test_checker_ignores_a_readers_own_names():
+    package = {"m": "def helper():\n    return 1\n"}
+    # each reader reads a helper of its own: a function, a parameter, an
+    # assigned name, a class
+    own = [
+        "def helper():\n    return 2\nhelper()\n",
+        "def run(helper):\n    return helper()\n",
+        "helper = print\nhelper()\n",
+        "class helper:\n    pass\nhelper()\n",
+    ]
+    for bench in own:
+        assert unreached_names(package, [bench]) == ["m.helper"], bench
+    assert unreached_names(package, ["from m import helper\nhelper()\n"]) == []
 
 
 def test_star_import_binds_the_public_names():

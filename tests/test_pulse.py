@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle_brute as oracle
 from lunephase import pulse, qcore
 from lunephase.errors import DomainError
 from lunephase.experiment import cycle_program, mixing_program, prepare_pure_program
@@ -27,7 +28,6 @@ from lunephase.pulse import (
 )
 from lunephase.qcore import (
     DensityOperator,
-    evolve,
     identity2 as I2,
     is_unitary,
     partial_trace,
@@ -176,6 +176,11 @@ class TestEvents:
                         lambda: free_evolution_unitary(prog.params, 7.9e305)):
             with pytest.raises(DomainError, match=message):
                 attempt()
+        # a time beyond the floats, from the same raise site
+        message = r"^delay of .* s is too long: energy\*time must fit a float$"
+        for t in (10**400, Fraction(10**400)):
+            with pytest.raises(DomainError, match=message):
+                free_evolution_unitary(prog.params, t)
 
     def test_recorded_delay_whose_sample_times_overflow_raises(self):
         # the delay compiles and runs unrecorded, but duration*samples does
@@ -228,10 +233,32 @@ class TestValueIdentity:
         assert one == again and hash(one) == hash(again)
         for twin in twins(x):
             assert twin == x
-            assert build(twin) != one, (name, x, twin)
+            # an offset is stored as its float: only the other signed zero differs
+            same = name.startswith("SpinSystemParams.") and (
+                math.copysign(1.0, twin) == math.copysign(1.0, x)
+            )
+            assert (build(twin) == one) is same, (name, x, twin)
+            assert not same or hash(build(twin)) == hash(one)
 
 
 class TestFreeEvolution:
+    def test_rational_offsets_compile_as_their_floats(self):
+        rho = random_two_spin_state(np.random.default_rng(3))
+        events = [Rotation("b", "x", Fraction(1, 3)), Delay(per_j=Fraction(1, 2))]
+        for value in (Fraction(2, 7), 1, -3, Fraction(-429, 2)):
+            exact = SpinSystemParams(omega_b=value)
+            rounded = SpinSystemParams(omega_b=float(value))
+            assert exact == rounded and hash(exact) == hash(rounded)
+            assert type(exact.omega_b) is float
+            want = free_evolution_unitary(rounded, 1e-3).tobytes()
+            assert free_evolution_unitary(exact, 1e-3).tobytes() == want
+            assert free_evolution_unitary(exact, Fraction(1, 1000)).tobytes() == want
+            runs = []
+            for params in (exact, rounded):
+                pulse._compile.cache_clear()
+                runs.append(run_sequence(rho, make_program(events, params))[0].matrix.tobytes())
+            assert runs[0] == runs[1]
+
     def test_zero_time_is_identity(self):
         assert np.array_equal(free_evolution_unitary(SpinSystemParams(), 0.0), np.eye(4))
 
@@ -628,13 +655,12 @@ class TestRunSequence:
         calls = []
         kernel = qcore._conjugate
 
-        def counting(rho, u, u_adjoint):
+        def counting(rho, u):
             calls.append(u)
-            return kernel(rho, u, u_adjoint)
+            return kernel(rho, u)
 
-        # unrecorded stretches conjugate directly, recorded ones through evolve
+        # unrecorded stretches conjugate by one product, recorded ones by a stack
         monkeypatch.setattr(pulse, "_conjugate", counting)
-        monkeypatch.setattr(qcore, "_conjugate", counting)
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         for record, ndim in ((False, 2), (True, 3)):
             counts = []
@@ -681,7 +707,10 @@ class TestRunSequence:
                     stack.append(phases[:, :, None] * before)
                 stack.append(step.product[None])
                 before = step.product
-            want += evolve(want[-1], np.concatenate(stack))
+            want += [
+                DensityOperator(oracle.conj(want[-1].matrix, u), normalized)
+                for u in np.concatenate(stack)
+            ]
         final, traj = run_sequence(
             rho, prog, record=True, samples_per_delay=samples,
             pulse_sense=pulse_sense, iz_sign=iz_sign,
@@ -825,10 +854,7 @@ class TestRunSequence:
                 assert not np.signbit(crushed.matrix[off_diagonal].view(float)).any()
                 want = crushed
                 continue
-            for step in stretch:
-                assert step.adjoint.tobytes() == step.product.conj().T.tobytes()
-                assert not step.adjoint.flags.writeable
-            want = evolve(want, stretch[-1].product)
+            want = DensityOperator(oracle.conj(want.matrix, stretch[-1].product), normalized)
         got, _ = run_sequence(rho, prog, pulse_sense=pulse_sense, iz_sign=iz_sign)
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.normalized is normalized
@@ -959,8 +985,7 @@ def compiled_bits(compiled):
     return tuple(
         None if isinstance(stretch, Gradient)
         else tuple(
-            (step.end.hex(), step.product.tobytes(), step.adjoint.tobytes())
-            for step in stretch
+            (step.end.hex(), step.product.tobytes()) for step in stretch
         )
         for stretch in compiled
     )
