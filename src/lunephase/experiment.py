@@ -83,7 +83,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", check_inclination(self.theta))
-        check_purity_index(self.n)
+        object.__setattr__(self, "n", check_purity_index(self.n))
         if self.model not in MODELS:
             raise DomainError(f"unknown cycle model {self.model!r}")
         if self.relaxation is not None:
@@ -415,7 +415,7 @@ def run_sweep(
     configuration problems surface before any simulation starts.
     """
     thetas = tuple(float(t) for t in thetas)
-    ns = tuple(int(n) for n in n_values)
+    ns = tuple(map(check_purity_index, n_values))
     if not thetas:
         raise DomainError("at least one inclination angle is required")
     if not ns:

@@ -9,6 +9,7 @@ standard purity-ladder prediction table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,14 @@ PURITY_STEPS = 12
 
 
 def check_purity_index(n: int) -> int:
-    """The purity-ladder index n, checked to be an integer in [0, PURITY_STEPS)."""
-    if not isinstance(n, int) or not 0 <= n < PURITY_STEPS:
-        raise DomainError(
-            f"purity index must be an integer in [0, {PURITY_STEPS - 1}]"
-        )
-    return n
+    """The purity-ladder index n as an int (operator.index, no bool) in [0, PURITY_STEPS)."""
+    try:
+        index = operator.index(n)
+    except TypeError:
+        index = -1
+    if isinstance(n, bool) or not 0 <= index < PURITY_STEPS:
+        raise DomainError(f"purity index must be an integer in [0, {PURITY_STEPS - 1}]")
+    return index
 
 
 def ladder_purity(n: int) -> float:

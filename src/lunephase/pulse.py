@@ -41,6 +41,9 @@ _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
 _M_PAIRS = tuple(zip(_MA.tolist(), _MB.tolist()))
 
+# values that float() accepts but that are no real number (see _store_reals)
+_NOT_REAL = (str, bytes, np.complexfloating)
+
 
 def _check_offset(omega: float) -> float:
     """A frame offset in rad/s, checked to lie within the 10*2piJ sanity
@@ -50,13 +53,14 @@ def _check_offset(omega: float) -> float:
     return omega
 
 
-def _store_reals(obj, *names: str, labels: tuple[str, ...] = ()) -> None:
-    """Store each named value field of obj as a float, unless it already is
-    one or is rational (a Fraction flip counts half turns). The conversion is
-    exact and makes numpy scalars and 0-d arrays hashable, as the compile
-    cache needs. A float must be finite, and a str or None is no number,
-    except that a field named in labels may hold a str label, which the
-    class checks itself.
+def _store_reals(obj, *names: str, exact: tuple[str, ...] = ()) -> None:
+    """The one check of each named value field of obj: a single float(value)
+    probe decides that it is a real number (no str or bytes, which float()
+    parses, and no complex, though float() drops a numpy complex's imaginary
+    part), fits a float and is finite, or raises a DomainError that names
+    the field. A field named in exact keeps a rational as given (a Fraction
+    flip counts half turns); any other number is stored as its float, so
+    that numpy scalars and 0-d arrays hash, as the compile cache needs.
 
     obj._forms, which == and hash compare too, gets each field's form: the
     sign of a float (0.0 against -0.0) and the type of anything else (a
@@ -65,13 +69,20 @@ def _store_reals(obj, *names: str, labels: tuple[str, ...] = ()) -> None:
     forms = []
     for name in names:
         value = getattr(obj, name)
-        if value is None or (isinstance(value, str) and name not in labels):
-            raise DomainError(f"{type(obj).__name__}.{name} must be a real number")
-        if type(value) not in (float, Fraction, str) and not isinstance(value, numbers.Rational):
-            value = float(value)
-            object.__setattr__(obj, name, value)
-        if type(value) is float and not math.isfinite(value):
+        try:
+            number = float(None if isinstance(value, _NOT_REAL) else value)
+        except OverflowError:
+            raise DomainError(f"{type(obj).__name__}.{name} must fit a float") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"{type(obj).__name__}.{name} must be a real number") from None
+        if not math.isfinite(number):
             raise DomainError(f"{type(obj).__name__}.{name} must be finite")
+        # an ABC check is slow: floats and Fractions, most values, skip it
+        if type(value) is not float and (
+            name not in exact or not isinstance(value, (Fraction, numbers.Rational))
+        ):
+            value = number
+            object.__setattr__(obj, name, value)
         forms.append(math.copysign(1.0, value) if type(value) is float else type(value))
     object.__setattr__(obj, "_forms", tuple(forms))
 
@@ -93,11 +104,6 @@ class SpinSystemParams:
     _forms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("omega_a", "omega_b"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Rational):
-                # bounded while exact, so that its float cannot overflow
-                object.__setattr__(self, name, float(_check_offset(value)))
         _store_reals(self, "omega_a", "omega_b")
         _check_offset(self.omega_a)
         _check_offset(self.omega_b)
@@ -113,8 +119,9 @@ class Rotation:
     """Hard pulse on one spin about a transverse axis.
 
     axis is one of the labels 'x', '-x', 'y', '-y' or a transverse phase angle
-    in radians. flip is the nominal rotation angle: a Fraction means an exact
-    multiple of pi (kept exact for bit-stable rendering), a float is radians.
+    in radians, stored as a float. flip is the nominal rotation angle: a
+    Fraction means an exact multiple of pi (kept exact for bit-stable
+    rendering), a float is radians.
     """
 
     spin: str
@@ -126,12 +133,9 @@ class Rotation:
         _check_spin(self.spin)
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
-        _store_reals(self, "axis", "flip", labels=("axis",))
-        try:
-            angle = self.flip_radians
-        except OverflowError:
-            raise DomainError("Rotation.flip must fit a float") from None
-        if not -2 * math.pi < angle <= 2 * math.pi:
+        numeric_axis = () if isinstance(self.axis, str) else ("axis",)
+        _store_reals(self, *numeric_axis, "flip", exact=("flip",))
+        if not -2 * math.pi < self.flip_radians <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
 
     @property
@@ -142,8 +146,7 @@ class Rotation:
     def axis_vector(self) -> np.ndarray:
         if isinstance(self.axis, str):
             return np.array(AXIS_LABELS[self.axis])
-        phi = float(self.axis)
-        return np.array([math.cos(phi), math.sin(phi), 0.0])
+        return np.array([math.cos(self.axis), math.sin(self.axis), 0.0])
 
 
 @dataclass(frozen=True)
@@ -162,13 +165,9 @@ class Delay:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
         name = "per_j" if self.seconds is None else "seconds"
-        _store_reals(self, name)
+        _store_reals(self, name, exact=(name,))
         if getattr(self, name) < 0:
             raise DomainError("delay duration must be nonnegative")
-        try:
-            self.duration()
-        except OverflowError:
-            raise DomainError(f"Delay.{name} must fit a float") from None
 
     def duration(self) -> float:
         if self.per_j is not None:
@@ -200,7 +199,7 @@ class FrameOffset:
         _check_spin(self.spin)
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
-        _store_reals(self, "value")
+        _store_reals(self, "value", exact=("value",))
 
     def angular(self) -> float:
         if self.unit == "piJ":
@@ -215,9 +214,10 @@ class SequenceProgram:
     Each frame directive sets its spin's offset in params (one per spin,
     within the sanity bound), so a program compiles in the frame it renders.
     Two programs compare equal only when they compile to the same bits,
-    since their events, parameters and frames do (see _store_reals).
-    _has_delay records whether a compile reads params and the I_z sign at
-    all (see _stretches).
+    since their events, parameters and frames do (see _store_reals). The
+    pass that refuses any event but a PulseEvent, so that compiling and
+    rendering need no check of their own, also sets _has_delay: whether a
+    compile reads params and the I_z sign at all (see _stretches).
     """
 
     events: tuple[PulseEvent, ...]
@@ -234,15 +234,15 @@ class SequenceProgram:
             name = f"omega_{fr.spin}"
             if name in offsets:
                 raise DomainError(f"spin {fr.spin} has more than one frame directive")
-            try:
-                offsets[name] = _check_offset(-fr.angular())
-            except OverflowError:
-                raise DomainError("FrameOffset.value must fit a float") from None
+            offsets[name] = _check_offset(-fr.angular())
         if offsets:
             object.__setattr__(self, "params", replace(self.params, **offsets))
-        object.__setattr__(
-            self, "_has_delay", any(isinstance(ev, Delay) for ev in self.events)
-        )
+        has_delay = False
+        for ev in self.events:
+            if not isinstance(ev, PulseEvent):
+                raise DomainError(f"unknown event type {type(ev).__name__}")
+            has_delay = has_delay or isinstance(ev, Delay)
+        object.__setattr__(self, "_has_delay", has_delay)
 
     @property
     def total_duration(self) -> float:
@@ -426,10 +426,8 @@ def _compile(
             continue
         if isinstance(ev, Rotation):
             u = pulse_unitary(ev, sense=pulse_sense)
-        elif isinstance(ev, Delay):
-            u = free_evolution_unitary(params, ev.duration(), iz_sign)
         else:
-            raise DomainError(f"unknown event type {type(ev).__name__}")
+            u = free_evolution_unitary(params, ev.duration(), iz_sign)
         factors.append(u)
         if compiled and isinstance(compiled[-1], list):
             product = u @ compiled[-1][-1].product

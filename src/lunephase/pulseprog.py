@@ -203,8 +203,6 @@ def render_sequence(prog: SequenceProgram) -> str:
                 lines.append(f"delay {ev.per_j!s}/J")
             else:
                 lines.append(f"delay {ev.seconds!r}s")
-        elif isinstance(ev, Gradient):
-            lines.append("grad z")
         else:
-            raise DomainError(f"cannot render event type {type(ev).__name__}")
+            lines.append("grad z")
     return "\n".join(lines) + "\n"

@@ -545,6 +545,14 @@ class TestSweep:
             wrapped = abs(principal_angle(rec.gamma_measured))
             assert wrapped < 1e-12 or abs(wrapped - math.pi) < 1e-12
 
+    def test_purity_index_of_any_integer_type_is_stored_as_an_int(self):
+        config = ExperimentConfig(0.3, np.int64(2))
+        assert type(config.n) is int and config == ExperimentConfig(0.3, 2)
+        (numpy_row,) = run_sweep(thetas=[0.3], n_values=[np.int64(2)])
+        (int_row,) = run_sweep(thetas=[0.3], n_values=[2])
+        assert type(numpy_row.config.n) is int
+        assert records_to_csv([numpy_row]) == records_to_csv([int_row])
+
     def test_empty_grids_rejected(self):
         with pytest.raises(DomainError):
             run_sweep(thetas=())
@@ -915,7 +923,8 @@ REJECTIONS = {
         lambda: pulse._stretches(make_program(["bogus"]), 1, 1), "unknown event type str",
     ),
     "render-event-type": (
-        lambda: render_sequence(make_program(["bogus"])), "cannot render event type str",
+        # refused when the program is built, before render_sequence sees it
+        lambda: render_sequence(make_program([[1]])), "unknown event type list",
     ),
     "rotation-spin": (lambda: Rotation("c", "x", 1.0), "unknown spin label 'c'"),
     "rotation-axis-label": (lambda: Rotation("a", "z", 1.0), "unknown axis label 'z'"),
@@ -945,6 +954,35 @@ REJECTIONS = {
     ),
     "params-omega-str": (
         lambda: SpinSystemParams(omega_a="1"), "SpinSystemParams.omega_a must be a real number",
+    ),
+    "params-omega-list": (
+        lambda: SpinSystemParams(omega_a=[1]), "SpinSystemParams.omega_a must be a real number",
+    ),
+    "rotation-flip-list": (
+        lambda: Rotation("b", "x", [1]), "Rotation.flip must be a real number",
+    ),
+    "rotation-flip-numpy-complex": (
+        lambda: Rotation("b", "x", np.complex128(0.5)), "Rotation.flip must be a real number",
+    ),
+    "delay-seconds-complex": (
+        lambda: Delay(seconds=1 + 2j), "Delay.seconds must be a real number",
+    ),
+    "delay-seconds-bytes": (lambda: Delay(seconds=b"1"), "Delay.seconds must be a real number"),
+    "frame-value-dict": (
+        lambda: FrameOffset("b", {}, "Hz"), "FrameOffset.value must be a real number",
+    ),
+    "rotation-axis-overflow": (
+        lambda: Rotation("b", 10**400, 0.5), "Rotation.axis must fit a float",
+    ),
+    "frame-value-overflow-built": (
+        lambda: FrameOffset("b", Fraction(10**400), "Hz"), "FrameOffset.value must fit a float",
+    ),
+    "purity-index-bool": (
+        lambda: ExperimentConfig(0.3, True), "purity index must be an integer in [0, 11]",
+    ),
+    "sweep-purity-index-float": (
+        lambda: run_sweep(thetas=[0.3], n_values=[1.5]),
+        "purity index must be an integer in [0, 11]",
     ),
     "frame-unit": (
         lambda: FrameOffset("a", 1.0, "kHz"), "unknown frame offset unit 'kHz'",

@@ -222,6 +222,12 @@ class TestRoundTrip:
         assert again.frames == prog.frames
         assert again.params == prog.params
 
+    @pytest.mark.parametrize("axis", [Fraction(1, 3), 1], ids=["fraction", "int"])
+    def test_numeric_axis_round_trips_as_its_float(self, axis):
+        prog = make_program([Rotation("b", axis, 0.5)])
+        (again,) = parse_sequence(render_sequence(prog)).events
+        assert again == prog.events[0] == Rotation("b", float(axis), 0.5)
+
     @staticmethod
     def event_strategy():
         axis = st.one_of(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from lunephase.pulse import (
     pulse_unitary,
     run_sequence,
 )
+from lunephase.pulseprog import render_sequence
 from lunephase.qcore import (
     DensityOperator,
     identity2 as I2,
@@ -233,12 +235,89 @@ class TestValueIdentity:
         assert one == again and hash(one) == hash(again)
         for twin in twins(x):
             assert twin == x
-            # an offset is stored as its float: only the other signed zero differs
-            same = name.startswith("SpinSystemParams.") and (
+            # an offset or a numeric axis is stored as its float: only the
+            # other signed zero differs
+            same = name.startswith(("SpinSystemParams.", "Rotation.axis")) and (
                 math.copysign(1.0, twin) == math.copysign(1.0, x)
             )
             assert (build(twin) == one) is same, (name, x, twin)
             assert not same or hash(build(twin)) == hash(one)
+
+
+# what a caller may pass for a number: no number at all, numbers beyond the
+# floats, non-finite floats, numpy scalars and 0-d arrays, and valid values
+any_number = st.one_of(
+    st.sampled_from([None, "1", b"1", [1], 1 + 2j, 10**400, -(10**400), Fraction(10**400),
+                     np.float64(math.nan), np.float64(-math.inf)]),
+    st.floats(),
+    st.floats(-7.0, 7.0),
+    st.integers(-7, 7),
+    st.fractions(-4, 4, max_denominator=12),
+    st.builds(lambda x, kind: kind(x), st.floats(-7.0, 7.0),
+              st.sampled_from([np.float64, np.float32, np.complex128, np.complex64])),
+    st.integers(-7, 7).map(np.int64),
+    st.builds(np.array, st.one_of(st.floats(), st.integers(-7, 7),
+                                  st.complex_numbers(max_magnitude=7.0))),
+)
+EVENT_FIELDS = sorted(name for name in VALUE_FIELDS if name.startswith(("Rotation.", "Delay.")))
+REFUSED = object()
+
+
+def built_or_refused(make, *args):
+    try:
+        return make(*args)
+    except DomainError:
+        return REFUSED
+
+
+class TestNumericInput:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(VALUE_FIELDS)), x=any_number)
+    def test_a_field_gives_a_valid_object_or_a_domain_error(self, name, x):
+        obj = built_or_refused(VALUE_FIELDS[name], x)
+        if obj is REFUSED:
+            return
+        value = getattr(obj, name.split(".")[1])
+        assert type(value) is float or isinstance(value, numbers.Rational)
+        assert math.isfinite(value)
+        again = VALUE_FIELDS[name](x)
+        assert obj == again and hash(obj) == hash(again)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(EVENT_FIELDS), any_number).map(
+                    lambda nx: built_or_refused(VALUE_FIELDS[nx[0]], nx[1])),
+                st.just(Gradient()),
+                st.sampled_from(["bogus", [1], 1.0, None, FrameOffset("b", 0.0, "Hz")]),
+            ),
+            max_size=6,
+        ),
+        omega=any_number,
+        frame=any_number,
+        record=st.booleans(),
+    )
+    def test_a_program_runs_and_renders_or_raises_a_domain_error(
+        self, items, omega, frame, record
+    ):
+        params = built_or_refused(SpinSystemParams, omega)
+        offset = built_or_refused(FrameOffset, "b", frame, "Hz")
+        try:
+            prog = make_program(
+                [ev for ev in items if ev is not REFUSED],
+                None if params is REFUSED else params,
+                () if offset is REFUSED else (offset,),
+            )
+        except DomainError:
+            return
+        rho = random_two_spin_state(np.random.default_rng(0))
+        for attempt in (lambda: run_sequence(rho, prog, record=record, samples_per_delay=3),
+                        lambda: render_sequence(prog)):
+            try:
+                attempt()
+            except DomainError:
+                pass
 
 
 class TestFreeEvolution:
