@@ -122,7 +122,7 @@ def _relaxation(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected t2a,t2b")
-    return check_t2_times(parts)
+    return check_t2_times([float(p) for p in parts])
 
 
 def _convention(text: str) -> Conventions:

@@ -39,7 +39,6 @@ AXIS_LABELS = {
 # I_z sign convention is applied) for basis order |uu>, |ud>, |du>, |dd>
 _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
-_M_PAIRS = tuple(zip(_MA.tolist(), _MB.tolist()))
 
 # values that float() accepts but that are no real number (see _store_reals)
 _NOT_REAL = (str, bytes, np.complexfloating)
@@ -53,14 +52,21 @@ def _check_offset(omega: float) -> float:
     return omega
 
 
-def _store_reals(obj, *names: str, exact: tuple[str, ...] = ()) -> None:
+def _store_reals(
+    obj, *names: str, exact: tuple[str, ...] = (), rational: tuple[str, ...] = ()
+) -> None:
     """The one check of each named value field of obj: a single float(value)
     probe decides that it is a real number (no str or bytes, which float()
     parses, and no complex, though float() drops a numpy complex's imaginary
     part), fits a float and is finite, or raises a DomainError that names
-    the field. A field named in exact keeps a rational as given (a Fraction
-    flip counts half turns); any other number is stored as its float, so
-    that numpy scalars and 0-d arrays hash, as the compile cache needs.
+    the field. A field named in exact keeps a Fraction as given (a Fraction
+    flip counts half turns); one named in rational, too, stores any other
+    rational, an int or a numpy integer among them, as its Fraction. Any
+    other number is stored as its float, so that numpy scalars and 0-d
+    arrays hash, as the compile cache needs. Each value is thus stored in
+    the form that the parser gives back for its rendering: an int flip or
+    time renders as radians or seconds, which parse to floats, and an int
+    k/J delay or piJ offset as a rational literal.
 
     obj._forms, which == and hash compare too, gets each field's form: the
     sign of a float (0.0 against -0.0) and the type of anything else (a
@@ -78,10 +84,12 @@ def _store_reals(obj, *names: str, exact: tuple[str, ...] = ()) -> None:
         if not math.isfinite(number):
             raise DomainError(f"{type(obj).__name__}.{name} must be finite")
         # an ABC check is slow: floats and Fractions, most values, skip it
-        if type(value) is not float and (
-            name not in exact or not isinstance(value, (Fraction, numbers.Rational))
-        ):
-            value = number
+        if type(value) is not float and not (isinstance(value, Fraction) and name in exact):
+            if name in rational and isinstance(value, numbers.Rational):
+                # int(): a numpy integer's numerator is a fixed-width numpy integer
+                value = Fraction(int(value.numerator), int(value.denominator))
+            else:
+                value = number
             object.__setattr__(obj, name, value)
         forms.append(math.copysign(1.0, value) if type(value) is float else type(value))
     object.__setattr__(obj, "_forms", tuple(forms))
@@ -165,7 +173,8 @@ class Delay:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
         name = "per_j" if self.seconds is None else "seconds"
-        _store_reals(self, name, exact=(name,))
+        # an int k/J renders as a rational literal, an int time as seconds
+        _store_reals(self, name, exact=(name,), rational=("per_j",))
         if getattr(self, name) < 0:
             raise DomainError("delay duration must be nonnegative")
 
@@ -199,7 +208,8 @@ class FrameOffset:
         _check_spin(self.spin)
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
-        _store_reals(self, "value", exact=("value",))
+        _store_reals(self, "value", exact=("value",),
+                     rational=("value",) if self.unit == "piJ" else ())
 
     def angular(self) -> float:
         if self.unit == "piJ":
@@ -211,8 +221,9 @@ class FrameOffset:
 class SequenceProgram:
     """Ordered pulse-program events plus the frame they execute in.
 
-    Each frame directive sets its spin's offset in params (one per spin,
-    within the sanity bound), so a program compiles in the frame it renders.
+    params must be a SpinSystemParams and each frame a FrameOffset. Each
+    frame directive sets its spin's offset in params (one per spin, within
+    the sanity bound), so a program compiles in the frame it renders.
     Two programs compare equal only when they compile to the same bits,
     since their events, parameters and frames do (see _store_reals). The
     pass that refuses any event but a PulseEvent, so that compiling and
@@ -229,8 +240,14 @@ class SequenceProgram:
         # tuples, so that a program hashes and cannot change under the cache
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "frames", tuple(self.frames))
+        if not isinstance(self.params, SpinSystemParams):
+            raise DomainError("SequenceProgram.params must be a SpinSystemParams")
         offsets = {}
         for fr in self.frames:
+            if not isinstance(fr, FrameOffset):
+                raise DomainError(
+                    f"SequenceProgram.frames must hold FrameOffsets, not {type(fr).__name__}"
+                )
             name = f"omega_{fr.spin}"
             if name in offsets:
                 raise DomainError(f"spin {fr.spin} has more than one frame directive")
@@ -284,34 +301,35 @@ def free_evolution_unitary(
     H = omega_a I_z^a + omega_b I_z^b + 2piJ I_z^a I_z^b.
 
     iz_sign = +-1 selects which Zeeman label carries m = +1/2; the J term is
-    invariant under the flip, the offset terms change sign with it.
+    invariant under the flip, the offset terms change sign with it. The
+    four energies are built once (see _energies); their largest magnitude
+    bounds energy*time, and their phases fill the diagonal.
     """
     if not 0 <= t < math.inf:
         raise DomainError("evolution time must be finite and nonnegative")
     _check_sign(iz_sign, "iz_sign")
+    energies = _energies(params, iz_sign)
     # A phase is finite exactly when its t*E_j is (0*inf makes a nan
     # otherwise), and a float product rounds monotonically, so the largest
     # |E_j| decides for all four without computing a phase. A time beyond
     # the floats (an int or a Fraction) is too long for every energy.
-    top = max(abs(_energy(params, iz_sign * ma, iz_sign * mb)) for ma, mb in _M_PAIRS)
+    top = float(abs(energies).max())
     if not t <= sys.float_info.max or float(t) * top == math.inf:
         raise DomainError(f"delay of {t!r} s is too long: energy*time must fit a float")
-    return np.diag(_free_phases(params, float(t), iz_sign))
+    return np.diag(_free_phases(energies, float(t)))
 
 
-def _energy(params: SpinSystemParams, ma, mb):
-    """Eigenvalue of H for the spins' signed m_z values ma and mb: a float
-    for one Zeeman state, an array for arrays. Floats and arrays go through
-    the same operations, so they give the same bits."""
+def _energies(params: SpinSystemParams, iz_sign: int) -> np.ndarray:
+    """The eigenvalues of H in basis order |uu>, |ud>, |du>, |dd>, each
+    omega_a*ma + omega_b*mb + 2piJ*ma*mb of its spins' signed m_z values, with
+    the operations of that scalar formula, so each entry has its bits."""
+    ma, mb = iz_sign * _MA, iz_sign * _MB
     return params.omega_a * ma + params.omega_b * mb + 2 * math.pi * DEFAULT_J * ma * mb
 
 
-def _free_phases(
-    params: SpinSystemParams, t: float | np.ndarray, iz_sign: int
-) -> np.ndarray:
-    """Diagonal of free_evolution_unitary(params, t, iz_sign): shape (4,)
-    for one time t, (k, 4) for an array of k times."""
-    energies = _energy(params, iz_sign * _MA, iz_sign * _MB)
+def _free_phases(energies: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Diagonal of exp(-iHt) for the eigenvalues energies of H (see
+    _energies): shape (4,) for one time t, (k, 4) for an array of k times."""
     return np.exp(1j * np.multiply.outer(t, -energies))
 
 
@@ -349,8 +367,16 @@ def gradient_crusher(rho: DensityOperator) -> DensityOperator:
 
 
 def check_t2_times(times) -> tuple[float, float]:
-    """The transverse decay times (t2a, t2b) as floats, checked positive."""
-    t2a, t2b = map(float, times)
+    """The transverse decay times (t2a, t2b) as floats, checked positive (an
+    infinite time is no decay). times must be a pair of real numbers, each
+    probed as _store_reals probes a field, so text is refused too; anything
+    else is a DomainError that names relaxation."""
+    try:
+        t2a, t2b = (float(None if isinstance(t, _NOT_REAL) else t) for t in times)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(
+            "relaxation must be a pair (t2a, t2b) of real numbers that fit a float"
+        ) from None
     if not (t2a > 0 and t2b > 0):
         raise DomainError("relaxation times must be positive")
     return t2a, t2b
@@ -509,7 +535,10 @@ def run_sequence(
     t = 0.0
     rho = rho0
     trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
-    for stretch in _stretches(prog, pulse_sense, iz_sign):
+    stretches = _stretches(prog, pulse_sense, iz_sign)
+    # every delay of a run samples the same four energies, after the sign checks
+    energies = _energies(prog.params, iz_sign) if record and prog._has_delay else None
+    for stretch in stretches:
         if isinstance(stretch, Gradient):
             rho = gradient_crusher(rho)
             if record:
@@ -531,7 +560,7 @@ def run_sequence(
                     )
                 elapsed = dt * np.arange(1, samples) / samples
                 times += (t + elapsed).tolist()
-                phases = _free_phases(prog.params, elapsed, iz_sign)
+                phases = _free_phases(energies, elapsed)
                 # not (phases * phases.conj()).real: numpy's complex product
                 # may fuse a multiply-add, and then rounds unlike the Gram
                 if not abs(phases.real ** 2 + phases.imag ** 2 - 1).max() <= POLICY.unitarity_tol:

@@ -59,11 +59,16 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     factor into NaN without an error, so the order of the checks matters:
     any NaN or infinite entry makes m - m^dagger NaN, which the Hermiticity
     check refuses before the factorization runs.
+
+    The adjoint is formed C-contiguous, so the difference and the sum run
+    over contiguous memory, and the sum is halved in place: the values are
+    those of 0.5 * (m + m.conj().swapaxes(-1, -2)), bit for bit.
     """
-    adjoint = m.conj().swapaxes(-1, -2)
+    adjoint = np.conjugate(m.swapaxes(-1, -2), order="C")
     if not np.abs(m - adjoint).max() <= POLICY.hermiticity_tol:
         raise DomainError("density matrix is not Hermitian within tolerance")
-    m = 0.5 * (m + adjoint)
+    m = m + adjoint
+    m *= 0.5
     if normalized:
         if not abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= POLICY.trace_tol:
             raise DomainError("normalized state must have unit trace")
@@ -187,12 +192,17 @@ def _conjugate(
     (k, n, n) stack, giving the list of its k states u[i] rho u[i]^dagger:
     the one place where a state is conjugated. The caller has already
     checked u for unitarity (see pulse._compile and experiment._run_grid).
-    The adjoint is u.conj().swapaxes(-1, -2), for a 2-D u the same strided
-    view as u.conj().T, and a stack's slice i is bit-identical to the
-    conjugation by u[i]. All results pass one state check against the same
-    tolerances as a constructed state; each is read-only, symmetrized and
-    carries rho.normalized."""
+    The left product is one matrix product of the stack's k*n rows by rho,
+    not k products of n rows (for a 2-D u the reshape changes nothing).
+    Each row of it depends only on its own row of u and on rho, and the
+    BLAS forms it the same way in either call, so slice i keeps the bits
+    of u[i] @ rho; the tests compare them byte for byte. The adjoint is
+    u.conj().swapaxes(-1, -2), for a 2-D u the same strided view as
+    u.conj().T, and a stack's slice i is bit-identical to the conjugation
+    by u[i]. All results pass one state check against the same tolerances
+    as a constructed state; each is read-only, symmetrized and carries
+    rho.normalized."""
+    left = (u.reshape(-1, u.shape[-1]) @ rho.matrix).reshape(u.shape)
     return DensityOperator._wrap(
-        _validated(u @ rho.matrix @ u.conj().swapaxes(-1, -2), rho.normalized),
-        rho.normalized,
+        _validated(left @ u.conj().swapaxes(-1, -2), rho.normalized), rho.normalized
     )

@@ -647,6 +647,8 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
         (["sweep", "--convention", "bogus=1"], "--convention", "unknown convention key 'bogus'"),
         (["sweep", "--relaxation", "0.3"], "--relaxation", "expected t2a,t2b"),
         (["sweep", "--relaxation", "0,0.4"], "--relaxation", "relaxation times must be positive"),
+        (["sweep", "--relaxation", "a,0.4"], "--relaxation",
+         "could not convert string to float: 'a'"),
         (["sweep", "--theta", ","], "--theta", "expected a comma-separated list of angles"),
         (["sweep", "--theta", "pi/8,2"], "--theta", "inclination angle must lie in [0, pi/2]"),
         (["sweep", "--tolerance", "-1"], "--tolerance", "tolerance must be nonnegative, got '-1'"),
@@ -660,6 +662,7 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
          "expected a finite number, got 'nan'"),
     ],
     ids=["sense-value", "convention-key", "one-relaxation-time", "zero-relaxation-time",
+         "text-relaxation-time",
          "empty-theta-list", "theta-range", "negative-tolerance", "omega-zero-denominator",
          "infinite-omega", "purity-index", "too-few-samples", "nan-perturb"],
 )

@@ -991,6 +991,25 @@ REJECTIONS = {
         lambda: SequenceProgram((), SpinSystemParams(), (FRAME_B, FRAME_B)),
         "spin b has more than one frame directive",
     ),
+    "program-frame-type": (
+        lambda: make_program([], frames=("x",)),
+        "SequenceProgram.frames must hold FrameOffsets, not str",
+    ),
+    "program-params-type": (
+        lambda: make_program([], params="p"), "SequenceProgram.params must be a SpinSystemParams",
+    ),
+    "relaxation-complex": (
+        lambda: ExperimentConfig(0.3, 1, relaxation=(1j, 1)), "relaxation must be a pair",
+    ),
+    "relaxation-one-time": (
+        lambda: ExperimentConfig(0.3, 1, relaxation=[1]), "relaxation must be a pair",
+    ),
+    "relaxation-three-times": (
+        lambda: ExperimentConfig(0.3, 1, relaxation=(1, 2, 3)), "relaxation must be a pair",
+    ),
+    "relaxation-str": (
+        lambda: ExperimentConfig(0.3, 1, relaxation=("a", 1)), "relaxation must be a pair",
+    ),
     "program-frame-bound": (
         lambda: SequenceProgram((), SpinSystemParams(), (FrameOffset("a", 50, "piJ"),)),
         "frame offset exceeds the 10*2piJ sanity bound",

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,35 @@ class TestRoundTrip:
         prog = make_program([Rotation("b", axis, 0.5)])
         (again,) = parse_sequence(render_sequence(prog)).events
         assert again == prog.events[0] == Rotation("b", float(axis), 0.5)
+
+    @pytest.mark.parametrize(
+        "obj, name, stored",
+        [
+            # an int flip is radians, as its rendering "1rad" parses
+            (Rotation("b", "x", 1), "flip", 1.0),
+            (Rotation("b", "x", np.int64(1)), "flip", 1.0),
+            (Delay(seconds=1), "seconds", 1.0),
+            (Delay(seconds=np.int64(2)), "seconds", 2.0),
+            (Delay(per_j=1), "per_j", Fraction(1)),
+            (Delay(per_j=np.int64(3)), "per_j", Fraction(3)),
+            (FrameOffset("b", 1, "piJ"), "value", Fraction(1)),
+            (FrameOffset("b", np.int64(-1), "piJ"), "value", Fraction(-1)),
+            (FrameOffset("b", 100, "Hz"), "value", 100.0),
+        ],
+        ids=["flip", "flip-numpy", "seconds", "seconds-numpy", "per-j", "per-j-numpy",
+             "offset-pij", "offset-pij-numpy", "offset-hz"],
+    )
+    def test_integer_value_is_stored_in_the_form_it_parses_to(self, obj, name, stored):
+        value = getattr(obj, name)
+        assert type(value) is type(stored) and value == stored
+        if isinstance(value, Fraction):
+            assert type(value.numerator) is int and type(value.denominator) is int
+        if isinstance(obj, FrameOffset):
+            prog = make_program([], frames=(obj,))
+            assert parse_sequence(render_sequence(prog)).frames == prog.frames
+        else:
+            prog = make_program([obj])
+            assert parse_sequence(render_sequence(prog)).events == prog.events
 
     @staticmethod
     def event_strategy():

@@ -21,6 +21,7 @@ from lunephase.pulse import (
     SpinSystemParams,
     apply_t2_relaxation,
     branch_propagators,
+    check_t2_times,
     free_evolution_unitary,
     gradient_crusher,
     make_program,
@@ -403,7 +404,7 @@ class TestFreeEvolution:
                 t = np.nextafter(t, math.copysign(math.inf, edge))
             t = float(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            phases = pulse._free_phases(params, t, iz_sign)
+            phases = pulse._free_phases(pulse._energies(params, iz_sign), t)
         if np.isfinite(phases).all():
             u = free_evolution_unitary(params, t, iz_sign)
             assert u.tobytes() == np.diag(phases).tobytes()
@@ -411,6 +412,36 @@ class TestFreeEvolution:
             message = r"s is too long: energy\*time must fit a float$"
             with pytest.raises(DomainError, match=message):
                 free_evolution_unitary(params, t, iz_sign)
+
+    @pytest.mark.parametrize("iz_sign", [1, -1])
+    def test_phases_have_the_bits_of_the_per_pair_energies(self, iz_sign):
+        # each energy from the scalar formula, one Zeeman state at a time
+        rho = random_two_spin_state(np.random.default_rng(11))
+        samples = 8
+        for offsets in ((0.0, 0.0), (-0.0, 0.0), (137.25, -911.5), (Fraction(2, 7), -3),
+                        (0.3 * J, -1.2 * J), (OFFSET_BOUND, -OFFSET_BOUND)):
+            params = SpinSystemParams(*offsets)
+            energies = []
+            for ma, mb in ((0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)):
+                ma, mb = iz_sign * ma, iz_sign * mb
+                energies.append(
+                    params.omega_a * ma + params.omega_b * mb + 2 * math.pi * J * ma * mb
+                )
+            energies = np.array(energies)
+            delay = Delay(per_j=Fraction(1, 2))
+            dt = delay.duration()
+            u = free_evolution_unitary(params, dt, iz_sign)
+            assert u.tobytes() == np.diag(np.exp(1j * (dt * -energies))).tobytes()
+            # the samples of a delay that opens its stretch: diag(phases) * 1
+            _, traj = run_sequence(rho, make_program([delay], params), record=True,
+                                   samples_per_delay=samples, iz_sign=iz_sign)
+            elapsed = dt * np.arange(1, samples) / samples
+            phases = np.exp(1j * np.multiply.outer(elapsed, -energies))
+            for (_, got), d in zip(traj[1:-1], phases):
+                want = oracle.conj(rho.matrix, d[:, None] * np.eye(4, dtype=complex))
+                assert got.matrix.tobytes() == DensityOperator(want).matrix.tobytes()
+            assert traj[-1][1].matrix.tobytes() == DensityOperator(
+                oracle.conj(rho.matrix, u)).matrix.tobytes()
 
 
 class TestPulseUnitary:
@@ -515,6 +546,26 @@ class TestRelaxation:
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DomainError):
             apply_t2_relaxation(rho, 0.1, 0.0, 0.4)
+
+    def test_t2_times_of_any_real_type_keep_their_verdict(self):
+        for times in ((0.3, 0.4), (1, Fraction(2, 5)), (np.float64(0.3), np.int64(2)),
+                      [math.inf, 0.4], np.array([0.3, math.inf]), (True, 0.4)):
+            assert check_t2_times(times) == tuple(map(float, times))
+            assert all(type(t) is float for t in check_t2_times(times))
+        for times in ((math.nan, 0.4), (0.3, 0.0), (-1, 0.4), (0.3, -math.inf)):
+            with pytest.raises(DomainError, match="^relaxation times must be positive$"):
+                check_t2_times(times)
+
+    @pytest.mark.parametrize(
+        "times", [(1j, 1), [1], (1, 2, 3), ("a", 1), ("0.3", "0.4"), (b"1", 1), 0.3, None,
+                  (np.complex128(0.3), 1), (10**400, 1)],
+        ids=["complex", "one", "three", "str", "text-pair", "bytes", "scalar", "none",
+             "numpy-complex", "huge"],
+    )
+    def test_t2_times_that_are_no_real_pair_are_refused(self, times):
+        message = r"^relaxation must be a pair \(t2a, t2b\) of real numbers that fit a float$"
+        with pytest.raises(DomainError, match=message):
+            check_t2_times(times)
 
     def test_single_quantum_halves_at_ln2(self):
         rho = DensityOperator(tensor(0.5 * (I2 + X), np.diag([1, 0])))
@@ -697,8 +748,8 @@ class TestRunSequence:
         # propagator, and so every running product, stays unitary
         phases = pulse._free_phases
 
-        def one_bad_sample(params, t, iz_sign):
-            out = phases(params, t, iz_sign)
+        def one_bad_sample(energies, t):
+            out = phases(energies, t)
             if np.ndim(t) == 1 and len(t) > 2:
                 out[2, 1] *= 1 + 1e-6
             return out
@@ -782,7 +833,8 @@ class TestRunSequence:
             for step in stretch:
                 if isinstance(step.event, Delay):
                     elapsed = step.event.duration() * np.arange(1, samples) / samples
-                    phases = pulse._free_phases(prog.params, elapsed, iz_sign)
+                    energies = pulse._energies(prog.params, iz_sign)
+                    phases = pulse._free_phases(energies, elapsed)
                     stack.append(phases[:, :, None] * before)
                 stack.append(step.product[None])
                 before = step.product
@@ -821,8 +873,8 @@ class TestRunSequence:
         d = np.exp(1j * np.array(angles)) * math.sqrt(1 + excess)
         phases = pulse._free_phases
 
-        def edge_sample(params, t, iz_sign):
-            out = phases(params, t, iz_sign)
+        def edge_sample(energies, t):
+            out = phases(energies, t)
             if np.ndim(t) == 1:
                 out[-1] = d
             return out
@@ -843,8 +895,8 @@ class TestRunSequence:
         # samples start from the identity, not from a compiled product
         phases = pulse._free_phases
 
-        def bad_samples(params, t, iz_sign):
-            out = phases(params, t, iz_sign)
+        def bad_samples(energies, t):
+            out = phases(energies, t)
             if np.ndim(t) == 1:
                 out[0, 3] *= 1 + 1e-6
             return out

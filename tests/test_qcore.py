@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import warnings
@@ -257,11 +258,17 @@ class TestEvolve:
             ) <= 1e-10
 
     def test_stack_gives_each_state_of_its_slice(self):
+        # one slice, and the stacks of recorded cycles at 16, 32, 64 and 128
+        # samples per delay: 2s + 2 slices for two pulses and two delays
         rng = np.random.default_rng(37)
-        for normalized in (True, False):
-            m = random_state(rng) if normalized else random_state(rng) - np.eye(4) / 4
+        for size, dim, normalized in itertools.product(
+            (1, 34, 66, 130, 258), (2, 4), (True, False)
+        ):
+            m = random_state(rng, dim)
+            if not normalized:
+                m = m - np.eye(dim) / dim
             rho = DensityOperator(m, normalized=normalized)
-            stack = np.stack([random_unitary(rng, 4) for _ in range(6)])
+            stack = np.stack([random_unitary(rng, dim) for _ in range(size)])
             states = _conjugate(rho, stack)
             assert len(states) == len(stack)
             for u, state in zip(stack, states):
@@ -337,6 +344,21 @@ class TestStackedValidation:
         assert np.array_equal(out, out.conj().swapaxes(-1, -2))
         for m, single in zip(out, stack):
             assert np.array_equal(m, DensityOperator(single).matrix)
+
+    def test_result_has_the_bits_of_the_mean_with_the_adjoint(self):
+        # Hermitian within tolerance only: each entry off by up to 1e-13
+        rng = np.random.default_rng(59)
+        for shape, dim, normalized in itertools.product(
+            ((), (1,), (7,), (258,)), (2, 4), (True, False)
+        ):
+            m = np.stack([random_state(rng, dim) for _ in range(math.prod(shape) or 1)])
+            m = m.reshape(*shape, dim, dim) if shape else m[0]
+            if not normalized:
+                m = m - np.eye(dim) / dim
+            noise = rng.uniform(-1e-13, 1e-13, size=(2, *m.shape))
+            m = m + noise[0] + 1j * noise[1]
+            want = 0.5 * (m + m.conj().swapaxes(-1, -2))
+            assert qcore._validated(m, normalized).tobytes() == want.tobytes()
 
 
 def eigvalsh_verdict(stack):

@@ -1,0 +1,109 @@
+"""Digests of what the package computes, to tell whether a change kept every
+bit of it.
+
+    python3 tools/outcome_digest.py [CHECKOUT]
+
+CHECKOUT is the root of a checkout that holds ``src/lunephase`` and
+``perfbench`` (default: the one this script lives in). The script runs
+seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
+``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, and 18 command
+lines of the CLI in subprocesses, and prints one sha256 per stream and per
+command line. Each outcome digest covers every matrix (dtype, shape, bytes,
+whether it is writeable), every flag and every time; each command digest
+covers stdout, stderr and the exit code. Run it on two checkouts and
+compare the output line by line: equal lines mean equal bits.
+"""
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import random
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (1, 2, 741)
+STREAMS = (("chain", 100), ("trajectory", 60))
+MODEL = ("--model", "idealized-controlled-U")
+RELAXED = ("--relaxation", "0.3,0.4")
+SIMULATE = ("simulate", "--theta", "pi/8", "--n", "5", "--format", "json")
+SEQ_FILE = "src/lunephase/data/prepare_pure.seq"
+COMMANDS = (
+    SIMULATE,
+    SIMULATE + MODEL,
+    SIMULATE + RELAXED,
+    ("simulate", "--theta", "pi/4", "--n", "3", "--format", "json"),
+    SIMULATE + ("--convention", "sense=-1,active=down"),
+    ("simulate", "--theta", "2", "--n", "5"),
+    ("sweep",),
+    ("sweep",) + MODEL,
+    ("sweep", "--format", "json"),
+    ("sweep", "--format", "json") + MODEL,
+    ("sweep", "--convention", "active=down") + RELAXED,
+    ("sweep", "--format", "json", "--convention", "active=down") + RELAXED,
+    ("trace-path", "--theta", "pi/8", "--samples", "2000"),
+    ("trace-path", "--theta", "3pi/8", "--branch", "minus", "--samples", "10000"),
+    ("check-transport", "--theta", "pi/8"),
+    ("check-transport", "--theta", "pi/8", "--perturb", "0.01"),
+    ("parse", SEQ_FILE),
+    ("parse", SEQ_FILE, "--format", "json"),
+)
+
+
+def feed(h, value) -> None:
+    """Hash value's structure and bits: arrays with their dtype, shape and
+    writeable flag, states with their normalized flag, floats as their bit
+    patterns."""
+    if isinstance(value, np.ndarray):
+        h.update(f"array {value.dtype.str} {value.shape} {value.flags.writeable}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif hasattr(value, "matrix") and hasattr(value, "normalized"):
+        h.update(f"state {value.normalized}".encode())
+        feed(h, value.matrix)
+    elif isinstance(value, float):
+        h.update(b"float" + struct.pack("<d", value))
+    elif isinstance(value, dict):
+        h.update(f"dict {len(value)}".encode())
+        for key in sorted(value):
+            feed(h, key)
+            feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(f"{type(value).__name__} {len(value)}".encode())
+        for item in value:
+            feed(h, item)
+    elif isinstance(value, (bool, int, str, bytes, type(None))):
+        h.update(f"{type(value).__name__} {value!r}".encode())
+    else:
+        raise TypeError(f"cannot digest a {type(value).__name__}")
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from lunephase import pulse, qcore
+
+    for (name, count), seed in itertools.product(STREAMS, SEEDS):
+        make, run = getattr(workloads, f"{name}_requests"), getattr(workloads, f"run_{name}")
+        h = hashlib.sha256()
+        for request in itertools.islice(make(random.Random(seed)), count):
+            run(pulse, qcore, request)
+            feed(h, request.outcome)
+        print(f"{name} seed {seed} ({count} requests): {h.hexdigest()}")
+
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv_ in COMMANDS:
+        request = workloads.Request({"argv": argv_}, 1)
+        workloads.run_cli_subprocess(env, str(root), request)
+        h = hashlib.sha256()
+        feed(h, request.outcome)
+        code = request.outcome["code"]
+        print(f"lunephase {' '.join(argv_)} (exit {code}): {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
