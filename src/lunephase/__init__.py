@@ -57,6 +57,7 @@ from .pulse import (
     Rotation,
     SequenceProgram,
     SpinSystemParams,
+    Trajectory,
     apply_t2_relaxation,
     branch_propagators,
     gradient_crusher,

@@ -299,8 +299,8 @@ def cmd_simulate(args) -> tuple[str, int]:
         },
         "result": record_values(record),
         "snapshots": [
-            {"time_s": t, "state": _matrix_payload(state.matrix)}
-            for t, state in (record.snapshots or ())
+            {"time_s": t, "state": _matrix_payload(m)}
+            for t, m in zip(record.snapshots.times, record.snapshots.matrices)
         ],
     }
     return render_table("json", [], {}, payload), code

@@ -38,6 +38,7 @@ from .pulse import (
     Gradient,
     Rotation,
     SequenceProgram,
+    Trajectory,
     apply_t2_relaxation,
     check_t2_times,
     make_program,
@@ -116,7 +117,7 @@ class RunRecord:
     visibility_theory: float
     residual: float
     defined: bool
-    snapshots: tuple[tuple[float, DensityOperator], ...] | None = None
+    snapshots: Trajectory | None = None
 
     def __post_init__(self) -> None:
         if self.defined:
@@ -368,8 +369,8 @@ def _run_grid(
                     pulse_sense=conv.pulse_sense, iz_sign=conv.iz_sign,
                 )
             else:
-                out = _conjugate(rho, u_cycle)
-                trajectory = [(0.0, rho), (duration, out)]
+                out = DensityOperator._wrap(_conjugate(rho, u_cycle), rho.normalized)
+                trajectory = Trajectory((0.0, duration), (rho.matrix, out.matrix), rho.normalized)
 
             if config.relaxation is not None:
                 t2a, t2b = config.relaxation
@@ -389,7 +390,7 @@ def _run_grid(
                 visibility_theory=theory.visibility,
                 residual=residual,
                 defined=defined,
-                snapshots=tuple(trajectory) if record_snapshots else None,
+                snapshots=trajectory if record_snapshots else None,
             ))
     return records
 

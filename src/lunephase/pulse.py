@@ -59,14 +59,13 @@ def _store_reals(
     probe decides that it is a real number (no str or bytes, which float()
     parses, and no complex, though float() drops a numpy complex's imaginary
     part), fits a float and is finite, or raises a DomainError that names
-    the field. A field named in exact keeps a Fraction as given (a Fraction
-    flip counts half turns); one named in rational, too, stores any other
-    rational, an int or a numpy integer among them, as its Fraction. Any
-    other number is stored as its float, so that numpy scalars and 0-d
-    arrays hash, as the compile cache needs. Each value is thus stored in
-    the form that the parser gives back for its rendering: an int flip or
-    time renders as radians or seconds, which parse to floats, and an int
-    k/J delay or piJ offset as a rational literal.
+    the field. A field named in rational, a k/J delay or a piJ offset, is
+    stored as its Fraction: a float converts exactly, and -0.0 becomes 0.
+    A field named in exact, the flip, keeps a Fraction as given (it counts
+    half turns). Any other number is stored as its float (radians, seconds
+    or Hz), so that numpy scalars and 0-d arrays hash, as the compile cache
+    needs. Each value is thus stored in the one form that the parser gives
+    back for its rendering.
 
     obj._forms, which == and hash compare too, gets each field's form: the
     sign of a float (0.0 against -0.0) and the type of anything else (a
@@ -84,12 +83,14 @@ def _store_reals(
         if not math.isfinite(number):
             raise DomainError(f"{type(obj).__name__}.{name} must be finite")
         # an ABC check is slow: floats and Fractions, most values, skip it
-        if type(value) is not float and not (isinstance(value, Fraction) and name in exact):
-            if name in rational and isinstance(value, numbers.Rational):
+        if name in rational:
+            if type(value) is not Fraction:
                 # int(): a numpy integer's numerator is a fixed-width numpy integer
-                value = Fraction(int(value.numerator), int(value.denominator))
-            else:
-                value = number
+                value = (Fraction(int(value.numerator), int(value.denominator))
+                         if isinstance(value, numbers.Rational) else Fraction(number))
+                object.__setattr__(obj, name, value)
+        elif type(value) is not float and not (isinstance(value, Fraction) and name in exact):
+            value = number
             object.__setattr__(obj, name, value)
         forms.append(math.copysign(1.0, value) if type(value) is float else type(value))
     object.__setattr__(obj, "_forms", tuple(forms))
@@ -173,8 +174,7 @@ class Delay:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
         name = "per_j" if self.seconds is None else "seconds"
-        # an int k/J renders as a rational literal, an int time as seconds
-        _store_reals(self, name, exact=(name,), rational=("per_j",))
+        _store_reals(self, name, rational=("per_j",))
         if getattr(self, name) < 0:
             raise DomainError("delay duration must be nonnegative")
 
@@ -208,8 +208,7 @@ class FrameOffset:
         _check_spin(self.spin)
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
-        _store_reals(self, "value", exact=("value",),
-                     rational=("value",) if self.unit == "piJ" else ())
+        _store_reals(self, "value", rational=("value",) if self.unit == "piJ" else ())
 
     def angular(self) -> float:
         if self.unit == "piJ":
@@ -481,6 +480,26 @@ def _stretches(
     return _compile(prog.events, pulse_sense, None, None)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Trajectory:
+    """A run's times (k,) in seconds, matrices (k, n, n) and their one
+    normalized flag. len, an int index and iteration give (time,
+    DensityOperator) pairs, built when read; a slice gives a Trajectory."""
+
+    times: np.ndarray | tuple[float, ...]
+    matrices: np.ndarray | tuple[np.ndarray, ...]
+    normalized: bool
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self.times[index], self.matrices[index], self.normalized)
+        i = operator.index(index)
+        return float(self.times[i]), DensityOperator._wrap(self.matrices[i], self.normalized)
+
+
 def run_sequence(
     rho0: DensityOperator,
     prog: SequenceProgram,
@@ -488,7 +507,7 @@ def run_sequence(
     samples_per_delay: int = 64,
     pulse_sense: int = 1,
     iz_sign: int = 1,
-) -> tuple[DensityOperator, list[tuple[float, DensityOperator]]]:
+) -> tuple[DensityOperator, Trajectory]:
     """Execute a program left to right.
 
     Crushers split the program into stretches of pulses and delays; the
@@ -503,7 +522,7 @@ def run_sequence(
     qcore._conjugate) and one state check of the result; the run does not
     check the cached product again.
 
-    Returns the final state and a (time, state) trajectory that opens with
+    Returns the final state and the run's Trajectory, which opens with
     (0, rho0), its times read off the program's clock (see _clock).
     Unrecorded, it closes with (total_duration, final state). Recorded, it
     holds one entry at the end of each event, and each delay of duration dt
@@ -521,7 +540,8 @@ def run_sequence(
     through the same kernel as an unrecorded stretch: one batched product
     and one state check, no second unitarity check.
     The stack closes on the very product an unrecorded run conjugates by,
-    so the final state is bit-identical with or without record.
+    so the final state is bit-identical with or without record. The
+    stacks are joined once into the Trajectory's read-only arrays.
     """
     if rho0.dim != 4:
         raise DomainError("sequences act on the two-spin system")
@@ -532,9 +552,9 @@ def run_sequence(
             raise DomainError("samples_per_delay must be an integer") from None
         if samples < 1:
             raise DomainError("samples_per_delay must be at least 1")
+        times, matrices = [(0.0,)], [rho0.matrix[None]]
     t = 0.0
     rho = rho0
-    trajectory: list[tuple[float, DensityOperator]] = [(0.0, rho0)]
     stretches = _stretches(prog, pulse_sense, iz_sign)
     # every delay of a run samples the same four energies, after the sign checks
     energies = _energies(prog.params, iz_sign) if record and prog._has_delay else None
@@ -542,13 +562,14 @@ def run_sequence(
         if isinstance(stretch, Gradient):
             rho = gradient_crusher(rho)
             if record:
-                trajectory.append((t, rho))
+                times.append((t,))
+                matrices.append(rho.matrix[None])
             continue
         if not record:
             t = stretch[-1].end
-            rho = _conjugate(rho, stretch[-1].product)
+            rho = DensityOperator._wrap(_conjugate(rho, stretch[-1].product), rho.normalized)
             continue
-        times, stack, before = [], [], identity4
+        stack, before = [], identity4
         for ev, end, product in stretch:
             if isinstance(ev, Delay) and samples > 1:
                 dt = ev.duration()
@@ -559,22 +580,24 @@ def run_sequence(
                         " duration*samples_per_delay must fit a float"
                     )
                 elapsed = dt * np.arange(1, samples) / samples
-                times += (t + elapsed).tolist()
+                times.append(t + elapsed)
                 phases = _free_phases(energies, elapsed)
                 # not (phases * phases.conj()).real: numpy's complex product
                 # may fuse a multiply-add, and then rounds unlike the Gram
                 if not abs(phases.real ** 2 + phases.imag ** 2 - 1).max() <= POLICY.unitarity_tol:
                     raise DomainError("sample propagator is not unitary within tolerance")
                 stack.append(phases[:, :, None] * before)
-            times.append(end)
+            times.append((end,))
             stack.append(product[None])
             t, before = end, product
-        states = _conjugate(rho, np.concatenate(stack))
-        trajectory += zip(times, states)
-        rho = states[-1]
+        matrices.append(_conjugate(rho, np.concatenate(stack)))
+        rho = DensityOperator._wrap(matrices[-1][-1], rho.normalized)
     if not record:
-        trajectory.append((t, rho))
-    return rho, trajectory
+        return rho, Trajectory((0.0, t), (rho0.matrix, rho.matrix), rho0.normalized)
+    times, matrices = np.concatenate(times), np.concatenate(matrices)
+    times.setflags(write=False)
+    matrices.setflags(write=False)
+    return rho, Trajectory(times, matrices, rho0.normalized)
 
 
 def branch_propagators(

@@ -102,28 +102,13 @@ class DensityOperator:
         return type(self), (self.matrix, self.normalized)
 
     @classmethod
-    def _wrap(
-        cls, matrix: np.ndarray, normalized: bool
-    ) -> "DensityOperator | list[DensityOperator]":
+    def _wrap(cls, matrix: np.ndarray, normalized: bool) -> "DensityOperator":
         """The state around a matrix that _validated has already returned,
-        or the list of the states around each matrix of such a stack. Each
-        state is one __new__ and a store into each of its two slots through
-        the slot's member descriptor, which a recorded stretch repeats for
-        every sample."""
-        new = object.__new__
-        set_matrix, set_normalized = cls.matrix.__set__, cls.normalized.__set__
-        if matrix.ndim == 2:
-            rho = new(cls)
-            set_matrix(rho, matrix)
-            set_normalized(rho, normalized)
-            return rho
-        states = []
-        for m in matrix:
-            rho = new(cls)
-            set_matrix(rho, m)
-            set_normalized(rho, normalized)
-            states.append(rho)
-        return states
+        stored through each slot's member descriptor, with no second check."""
+        rho = object.__new__(cls)
+        cls.matrix.__set__(rho, matrix)
+        cls.normalized.__set__(rho, normalized)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -185,13 +170,11 @@ def is_unitary(u: np.ndarray) -> bool:
     return bool(abs(gram - identity).max() <= POLICY.unitarity_tol)
 
 
-def _conjugate(
-    rho: DensityOperator, u: np.ndarray
-) -> DensityOperator | list[DensityOperator]:
-    """u rho u^dagger for one propagator u, giving one state, or for a
-    (k, n, n) stack, giving the list of its k states u[i] rho u[i]^dagger:
-    the one place where a state is conjugated. The caller has already
-    checked u for unitarity (see pulse._compile and experiment._run_grid).
+def _conjugate(rho: DensityOperator, u: np.ndarray) -> np.ndarray:
+    """u rho u^dagger for one propagator u, or the (k, n, n) stack of the
+    u[i] rho u[i]^dagger for a stack u: the one place where a state is
+    conjugated. The caller has already checked u for unitarity (see
+    pulse._compile and experiment._run_grid) and wraps what it needs.
     The left product is one matrix product of the stack's k*n rows by rho,
     not k products of n rows (for a 2-D u the reshape changes nothing).
     Each row of it depends only on its own row of u and on rho, and the
@@ -199,10 +182,7 @@ def _conjugate(
     of u[i] @ rho; the tests compare them byte for byte. The adjoint is
     u.conj().swapaxes(-1, -2), for a 2-D u the same strided view as
     u.conj().T, and a stack's slice i is bit-identical to the conjugation
-    by u[i]. All results pass one state check against the same tolerances
-    as a constructed state; each is read-only, symmetrized and carries
-    rho.normalized."""
+    by u[i]. The result passes one state check against the same tolerances
+    as a state flagged rho.normalized; it is read-only and symmetrized."""
     left = (u.reshape(-1, u.shape[-1]) @ rho.matrix).reshape(u.shape)
-    return DensityOperator._wrap(
-        _validated(left @ u.conj().swapaxes(-1, -2), rho.normalized), rho.normalized
-    )
+    return _validated(left @ u.conj().swapaxes(-1, -2), rho.normalized)

@@ -53,6 +53,7 @@ from lunephase.pulse import (
     Rotation,
     SequenceProgram,
     SpinSystemParams,
+    Trajectory,
     apply_t2_relaxation,
     branch_propagators,
     free_evolution_unitary,
@@ -383,6 +384,16 @@ class TestRunSingle:
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1.0 / J, abs=1e-15)
         assert all(isinstance(state, DensityOperator) for _, state in rec.snapshots)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_snapshots_are_the_runs_trajectory(self, model):
+        rec = run_single(ExperimentConfig(math.pi / 8, 3, model), record_snapshots=True)
+        snaps = rec.snapshots
+        assert type(snaps) is Trajectory
+        assert snaps[0][0] == 0.0 and snaps[-1][0] == cycle_program(math.pi / 8).total_duration
+        assert len(snaps) == (2 if model == "idealized-controlled-U" else 1 + 4 + 2 * 63)
+        for _, state in snaps:
+            assert state.normalized is snaps.normalized and not state.matrix.flags.writeable
 
     def test_snapshots_off_by_default(self):
         assert run_single(ExperimentConfig(math.pi / 8, 0)).snapshots is None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lunephase.errors import SequenceSyntaxError
@@ -271,16 +271,24 @@ class TestRoundTrip:
         rotation = st.builds(
             Rotation, st.sampled_from(["a", "b"]), axis, st.one_of(frac_flip, float_flip)
         )
+        # a time in any real form is stored as its float, a k/J delay as
+        # its Fraction: the forms their renderings parse to
         delay = st.one_of(
             st.builds(lambda s: Delay(seconds=s), st.floats(0, 0.1, allow_nan=False)),
+            st.builds(
+                lambda s: Delay(seconds=s),
+                st.fractions(min_value=0, max_value=1, max_denominator=1000),
+            ),
             st.builds(
                 lambda f: Delay(per_j=f),
                 st.fractions(min_value=0, max_value=4, max_denominator=64),
             ),
+            st.builds(lambda f: Delay(per_j=f), st.floats(0, 4, allow_nan=False)),
         )
         return st.one_of(rotation, delay, st.just(Gradient()))
 
     @given(st.lists(event_strategy(), max_size=12))
+    @example([Delay(seconds=Fraction(1, 3)), Delay(per_j=0.5)])
     @settings(max_examples=200, deadline=None)
     def test_round_trip_random_programs(self, events):
         prog = make_program(events)
@@ -288,12 +296,19 @@ class TestRoundTrip:
 
     @staticmethod
     def frame_strategy():
-        # within the 10*2piJ bound: 10 piJ exactly, or 2000 Hz < 10*J Hz
+        # within the 10*2piJ bound: 10 piJ exactly, or 2000 Hz < 10*J Hz; a
+        # piJ offset in any real form is stored as its Fraction, an Hz one
+        # as its float
         value = st.one_of(
             st.tuples(
                 st.fractions(min_value=-10, max_value=10, max_denominator=64), st.just("piJ")
             ),
+            st.tuples(st.floats(-10.0, 10.0, allow_nan=False), st.just("piJ")),
             st.tuples(st.floats(-2000.0, 2000.0, allow_nan=False), st.just("Hz")),
+            st.tuples(
+                st.fractions(min_value=-2000, max_value=2000, max_denominator=1000),
+                st.just("Hz"),
+            ),
         )
         return st.builds(lambda spin, vu: FrameOffset(spin, *vu), st.sampled_from("ab"), value)
 
@@ -306,6 +321,8 @@ class TestRoundTrip:
             st.floats(-1e4, 1e4, allow_nan=False),
         ),
     )
+    @example([], [FrameOffset("a", 0.25, "piJ"), FrameOffset("b", Fraction(1, 3), "Hz")],
+             SpinSystemParams())
     @settings(max_examples=200, deadline=None)
     def test_program_applies_its_own_frames(self, events, frames, params):
         frames = tuple(frames)

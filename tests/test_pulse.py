@@ -84,6 +84,11 @@ def delay_reference(params, start, t, iz_sign):
     return u[:, None] * start * u.conj()[None, :]
 
 
+def same_state(got, want):
+    """Whether two states hold the same matrix bytes and normalized flag."""
+    return got.matrix.tobytes() == want.matrix.tobytes() and got.normalized is want.normalized
+
+
 class TestSpinSystemParams:
     def test_default_offsets_vanish(self):
         p = SpinSystemParams()
@@ -236,13 +241,38 @@ class TestValueIdentity:
         assert one == again and hash(one) == hash(again)
         for twin in twins(x):
             assert twin == x
-            # an offset or a numeric axis is stored as its float: only the
-            # other signed zero differs
-            same = name.startswith(("SpinSystemParams.", "Rotation.axis")) and (
-                math.copysign(1.0, twin) == math.copysign(1.0, x)
-            )
+            # a k/J delay or a piJ offset is stored as its Fraction, so equal
+            # values compare equal; an offset, a numeric axis or a time is
+            # stored as its float, so only the other signed zero differs; a
+            # flip keeps its two forms, half turns and radians
+            if name in ("Delay.per_j", "FrameOffset.value"):
+                same = True
+            else:
+                same = name != "Rotation.flip" and (
+                    math.copysign(1.0, twin) == math.copysign(1.0, x)
+                )
             assert (build(twin) == one) is same, (name, x, twin)
             assert not same or hash(build(twin)) == hash(one)
+
+    @pytest.mark.parametrize(
+        "zero", [-0.0, 0.0, Fraction(0), 0, np.float64(-0.0)],
+        ids=["minus-zero", "zero", "fraction", "int", "numpy-minus-zero"],
+    )
+    def test_a_zero_k_over_j_or_pij_value_compiles_as_zero(self, zero):
+        delay, frame = Delay(per_j=zero), FrameOffset("b", zero, "piJ")
+        exact = Delay(per_j=Fraction(0)), FrameOffset("b", Fraction(0), "piJ")
+        assert type(delay.per_j) is Fraction and type(frame.value) is Fraction
+        assert (delay, frame) == exact
+        rho = random_two_spin_state(np.random.default_rng(5))
+        runs = []
+        for d, fr in ((delay, frame), exact):
+            prog = make_program(
+                [Rotation("b", "x", Fraction(1, 3)), d, Rotation("a", "y", 0.7)], frames=(fr,)
+            )
+            pulse._compile.cache_clear()
+            final, traj = run_sequence(rho, prog, record=True, samples_per_delay=3)
+            runs.append((final.matrix.tobytes(), traj.times.tobytes(), traj.matrices.tobytes()))
+        assert runs[0] == runs[1]
 
 
 # what a caller may pass for a number: no number at all, numbers beyond the
@@ -594,15 +624,41 @@ class TestRelaxation:
             assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
 
 
+def sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign):
+    """The states of a recorded run, each stretch's stack built here from
+    its compiled steps: the phases of each delay sample times the product
+    the delay starts from, and the running product after each event. Each
+    slice is conjugated on its own by oracle_brute."""
+    want = [rho]
+    for stretch in pulse._stretches(prog, pulse_sense, iz_sign):
+        if isinstance(stretch, Gradient):
+            want.append(gradient_crusher(want[-1]))
+            continue
+        stack, before = [], np.eye(4, dtype=complex)
+        for step in stretch:
+            if isinstance(step.event, Delay):
+                elapsed = step.event.duration() * np.arange(1, samples) / samples
+                energies = pulse._energies(prog.params, iz_sign)
+                phases = pulse._free_phases(energies, elapsed)
+                stack.append(phases[:, :, None] * before)
+            stack.append(step.product[None])
+            before = step.product
+        want += [
+            DensityOperator(oracle.conj(want[-1].matrix, u), rho.normalized)
+            for u in np.concatenate(stack)
+        ]
+    return want
+
+
 class TestRunSequence:
     def test_empty_program(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         final, traj = run_sequence(rho, make_program([]))
         assert final is rho
         assert [t for t, _ in traj] == [0.0, 0.0]
-        assert all(state is rho for _, state in traj)
+        assert all(same_state(state, rho) for _, state in traj)
         _, recorded = run_sequence(rho, make_program([]), record=True)
-        assert len(recorded) == 1 and recorded[0][0] == 0.0 and recorded[0][1] is rho
+        assert len(recorded) == 1 and recorded[0][0] == 0.0 and same_state(recorded[0][1], rho)
 
     def test_sign_conventions_checked_when_no_event_reads_them(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
@@ -671,9 +727,9 @@ class TestRunSequence:
         assert np.array_equal(final.matrix, plain.matrix)
         delays = sum(isinstance(ev, Delay) for ev in events)
         assert len(traj) == 1 + len(events) + (samples - 1) * delays
-        assert traj[0][0] == 0.0 and traj[0][1] is rho
-        assert len(ends) == 2 and ends[0][0] == 0.0 and ends[0][1] is rho
-        assert ends[1][0] == traj[-1][0] and ends[1][1] is plain
+        assert traj[0][0] == 0.0 and same_state(traj[0][1], rho)
+        assert len(ends) == 2 and ends[0][0] == 0.0 and same_state(ends[0][1], rho)
+        assert ends[1][0] == traj[-1][0] and same_state(ends[1][1], plain)
         # independent per-event reference: each event applied on its own,
         # timed by a clock that sums k/J delays exactly and rounds each time
         # once, so a delay's samples sit at its start plus dt*i/samples
@@ -816,32 +872,12 @@ class TestRunSequence:
     def test_recorded_states_are_evolve_over_the_sample_stack(
         self, events, offsets, pulse_sense, iz_sign, normalized, samples, seed
     ):
-        # each stretch's stack built here from its compiled steps: the
-        # phases of each delay sample times the product the delay starts
-        # from, and the running product after each event
         prog = make_program(events, SpinSystemParams(*offsets))
         start = random_two_spin_state(np.random.default_rng(seed)).matrix
         if not normalized:
             start = start - np.eye(4) / 4
         rho = DensityOperator(start, normalized=normalized)
-        want = [rho]
-        for stretch in pulse._stretches(prog, pulse_sense, iz_sign):
-            if isinstance(stretch, Gradient):
-                want.append(gradient_crusher(want[-1]))
-                continue
-            stack, before = [], np.eye(4, dtype=complex)
-            for step in stretch:
-                if isinstance(step.event, Delay):
-                    elapsed = step.event.duration() * np.arange(1, samples) / samples
-                    energies = pulse._energies(prog.params, iz_sign)
-                    phases = pulse._free_phases(energies, elapsed)
-                    stack.append(phases[:, :, None] * before)
-                stack.append(step.product[None])
-                before = step.product
-            want += [
-                DensityOperator(oracle.conj(want[-1].matrix, u), normalized)
-                for u in np.concatenate(stack)
-            ]
+        want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
         final, traj = run_sequence(
             rho, prog, record=True, samples_per_delay=samples,
             pulse_sense=pulse_sense, iz_sign=iz_sign,
@@ -850,7 +886,76 @@ class TestRunSequence:
         for (_, got), ref in zip(traj, want):
             assert got.matrix.tobytes() == ref.matrix.tobytes()
             assert got.normalized is normalized
-        assert final is traj[-1][1]
+        assert same_state(final, traj[-1][1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=program_events,
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        samples=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(*[st.none() | st.integers(-80, 80)] * 2),
+        step=st.none() | st.integers(-5, 5).filter(bool),
+    )
+    def test_a_recorded_trajectory_reads_as_its_arrays(
+        self, events, pulse_sense, iz_sign, samples, seed, bounds, step
+    ):
+        prog = make_program(events, SpinSystemParams(omega_b=math.pi * J))
+        rho = random_two_spin_state(np.random.default_rng(seed))
+        want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
+        final, traj = run_sequence(
+            rho, prog, record=True, samples_per_delay=samples,
+            pulse_sense=pulse_sense, iz_sign=iz_sign,
+        )
+        times, matrices = traj.times, traj.matrices
+        k = len(want)
+        assert len(traj) == k and times.shape == (k,) and matrices.shape == (k, 4, 4)
+        assert not times.flags.writeable and not matrices.flags.writeable
+        pairs = list(traj)
+        assert len(pairs) == k
+        for i, ref in enumerate(want):
+            for t, state in (traj[i], traj[i - k], pairs[i]):
+                assert type(t) is float and t == times[i]
+                assert state.matrix.tobytes() == matrices[i].tobytes() == ref.matrix.tobytes()
+                assert state.normalized is True and not state.matrix.flags.writeable
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                traj[i]
+        assert same_state(final, traj[-1][1])
+        part = traj[slice(*bounds, step)]
+        assert type(part) is pulse.Trajectory and part.normalized is True
+        assert part.times.tobytes() == times[slice(*bounds, step)].tobytes()
+        assert part.matrices.tobytes() == matrices[slice(*bounds, step)].tobytes()
+        assert not part.times.flags.writeable and not part.matrices.flags.writeable
+        got = list(part)
+        assert len(got) == len(part) == len(pairs[slice(*bounds, step)])
+        for (t, state), (u, ref) in zip(got, pairs[slice(*bounds, step)]):
+            assert t == u and same_state(state, ref)
+
+    def test_a_recorded_run_wraps_once_per_stretch_and_crusher(self, monkeypatch):
+        wrapped = []
+        wrap = DensityOperator._wrap.__func__
+
+        def counting(cls, matrix, normalized):
+            wrapped.append(matrix.shape)
+            return wrap(cls, matrix, normalized)
+
+        monkeypatch.setattr(DensityOperator, "_wrap", classmethod(counting))
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        # the preparation is two stretches, each followed by a crusher; the
+        # cycle is one stretch of two pulses and two delays
+        for prog, wraps in ((prepare_pure_program(), 4), (cycle_program(0.4), 1)):
+            for record in (True, False):
+                wrapped.clear()
+                run_sequence(rho, prog, record=record, samples_per_delay=64)
+                assert wrapped == [(4, 4)] * wraps
+        _, traj = run_sequence(rho, cycle_program(0.4), record=True, samples_per_delay=64)
+        assert len(traj) == 1 + 4 + 2 * 63
+        # a state is built for each entry that is read
+        wrapped.clear()
+        list(traj)
+        assert len(wrapped) == len(traj)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -101,10 +101,12 @@ class TestDensityOperator:
         rng = np.random.default_rng(7)
         stack = np.array([random_state(rng) for _ in range(3)])
         built = [DensityOperator(m, normalized=normalized) for m in stack]
-        one = DensityOperator._wrap(qcore._validated(stack[0], normalized), normalized)
-        many = DensityOperator._wrap(qcore._validated(stack, normalized), normalized)
-        for got, want in zip([one, *many], [built[0], *built]):
+        # one checked matrix, and each slice of a checked stack
+        checked = [qcore._validated(stack[0], normalized), *qcore._validated(stack, normalized)]
+        for m, want in zip(checked, [built[0], *built]):
+            got = DensityOperator._wrap(m, normalized)
             assert type(got) is DensityOperator and not hasattr(got, "__dict__")
+            assert got.matrix is m
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.normalized is normalized
             assert not got.matrix.flags.writeable
@@ -231,17 +233,17 @@ class TestEvolve:
 
     def test_identity(self):
         rho = bloch_state([0.3, 0.2, -0.4])
-        assert np.allclose(_conjugate(rho, np.eye(2)).matrix, rho.matrix)
+        assert np.allclose(_conjugate(rho, np.eye(2)), rho.matrix)
 
     def test_spin_flip(self):
         up = bloch_state([0, 0, 1])
         down = _conjugate(up, rotation_unitary([1, 0, 0], math.pi))
-        assert np.allclose(down.matrix, np.diag([0, 1]), atol=1e-15)
+        assert np.allclose(down, np.diag([0, 1]), atol=1e-15)
 
     def test_z_rotation_carries_x_to_y(self):
         rho = DensityOperator(0.5 * (I2 + X))
         out = _conjugate(rho, rotation_unitary([0, 0, 1], math.pi / 2))
-        assert np.allclose(out.matrix, 0.5 * (I2 + Y), atol=1e-15)
+        assert np.allclose(out, 0.5 * (I2 + Y), atol=1e-15)
 
     def test_preserves_spectrum_and_purity(self):
         rng = np.random.default_rng(23)
@@ -249,12 +251,13 @@ class TestEvolve:
             rho = random_qubit_state(rng)
             u = random_unitary(rng)
             out = _conjugate(rho, u)
-            assert abs(np.trace(out.matrix) - 1) <= 1e-10
+            assert abs(np.trace(out) - 1) <= 1e-10
             assert np.allclose(
-                np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
+                np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho.matrix), atol=1e-10
             )
             assert abs(
-                np.linalg.norm(bloch_vector(out)) - np.linalg.norm(bloch_vector(rho))
+                np.linalg.norm(bloch_vector(DensityOperator(out)))
+                - np.linalg.norm(bloch_vector(rho))
             ) <= 1e-10
 
     def test_stack_gives_each_state_of_its_slice(self):
@@ -270,14 +273,12 @@ class TestEvolve:
             rho = DensityOperator(m, normalized=normalized)
             stack = np.stack([random_unitary(rng, dim) for _ in range(size)])
             states = _conjugate(rho, stack)
-            assert len(states) == len(stack)
-            for u, state in zip(stack, states):
-                assert state.matrix.tobytes() == _conjugate(rho, u).matrix.tobytes()
+            assert states.shape == stack.shape and not states.flags.writeable
+            for u, m in zip(stack, states):
+                assert m.tobytes() == _conjugate(rho, u).tobytes()
                 want = DensityOperator(oracle.conj(rho.matrix, u), normalized)
-                assert state.matrix.tobytes() == want.matrix.tobytes()
-                assert state.normalized is normalized
-                assert not state.matrix.flags.writeable
-                assert np.array_equal(state.matrix, state.matrix.conj().T)
+                assert m.tobytes() == want.matrix.tobytes()
+                assert np.array_equal(m, m.conj().T)
 
 
 def deviate(m, kind):

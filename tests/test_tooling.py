@@ -1,9 +1,19 @@
-"""The test configuration itself: a failing test must be reported as one."""
+"""The test configuration itself: a failing test must be reported as one;
+and the digest tool reads what a run returns."""
+import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import numpy as np
+
+from lunephase.experiment import prepare_pure_program
+from lunephase.pulse import run_sequence
+from lunephase.qcore import DensityOperator
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """\
 from hypothesis import given, settings, strategies as st
@@ -36,3 +46,22 @@ def test_failing_property_test_is_reported_not_aborted(tmp_path):
     assert "INTERNALERROR" not in output
     assert "Falsifying example: test_fails(" in run.stdout
     assert "1 failed, 1 passed" in run.stdout
+
+
+def load_outcome_digest():
+    spec = importlib.util.spec_from_file_location(
+        "outcome_digest", ROOT / "tools" / "outcome_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_reads_a_trajectory_as_its_pairs():
+    feed = load_outcome_digest().feed
+    rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    for record in (True, False):
+        final, traj = run_sequence(rho, prepare_pure_program(), record=record)
+        whole, pairs = hashlib.sha256(), hashlib.sha256()
+        feed(whole, (final, traj))
+        feed(pairs, (final, list(traj)))
+        assert whole.hexdigest() == pairs.hexdigest()

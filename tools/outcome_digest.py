@@ -56,8 +56,11 @@ COMMANDS = (
 def feed(h, value) -> None:
     """Hash value's structure and bits: arrays with their dtype, shape and
     writeable flag, states with their normalized flag, floats as their bit
-    patterns."""
-    if isinstance(value, np.ndarray):
+    patterns, and a run's trajectory as the list of (time, state) pairs it
+    yields."""
+    if hasattr(value, "times") and hasattr(value, "matrices"):
+        feed(h, list(value))
+    elif isinstance(value, np.ndarray):
         h.update(f"array {value.dtype.str} {value.shape} {value.flags.writeable}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif hasattr(value, "matrix") and hasattr(value, "normalized"):
