@@ -48,10 +48,10 @@ from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
     _check_sign,
+    _check_two_spin,
     _conjugate,
     identity2,
     is_unitary,
-    partial_trace,
     pauli_x,
     pauli_z,
     principal_angle,
@@ -315,8 +315,11 @@ def idealized_eigenvector_path(
 
 
 def spin_a_coherence(rho: DensityOperator) -> complex:
-    """Complex up-down coherence of the spin-a reduced state."""
-    return complex(partial_trace(rho, "a").matrix[0, 1])
+    """Complex up-down coherence of the spin-a reduced state: the two
+    entries that qcore.partial_trace sums for it, read off the checked
+    two-spin matrix with no reduced state built."""
+    _check_two_spin(rho, "spin-a coherence is defined for the two-spin system")
+    return complex(rho.matrix[0, 2] + rho.matrix[1, 3])
 
 
 def readout_phase(rho_ab: DensityOperator, reference: complex) -> PhaseResult:

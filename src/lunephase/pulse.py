@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .policy import POLICY
 from .qcore import (
-    DensityOperator, _check_sign, _conjugate, _validated, identity4, is_unitary,
-    rotation_unitary,
+    DensityOperator, _check_sign, _check_two_spin, _conjugate, _validated, identity4,
+    is_unitary, rotation_unitary,
 )
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
@@ -356,13 +356,16 @@ def pulse_unitary(ev: Rotation, sense: int = 1) -> np.ndarray:
 
 def gradient_crusher(rho: DensityOperator) -> DensityOperator:
     """Project onto the Zeeman-diagonal part (ideal z-crusher on a
-    heteronuclear pair: every nonzero coherence order dephases)."""
-    if rho.dim != 4:
-        raise DomainError("crusher model is defined for the two-spin system")
-    # the diagonal into zeros, so every off-diagonal entry is +0.0
-    m = np.zeros((4, 4), dtype=complex)
-    m.ravel()[::5] = rho.matrix.diagonal()
-    return DensityOperator._wrap(_validated(m, rho.normalized), rho.normalized)
+    heteronuclear pair: every nonzero coherence order dephases).
+
+    The copy is not checked again, and _validated would return its bits:
+    rho's symmetrized diagonal is real with +0.0 imaginary parts, sums to
+    rho's trace in the same order, and lies above the eigenvalue floor,
+    since rho's own positivity check factored it."""
+    _check_two_spin(rho, "crusher model is defined for the two-spin system")
+    m = np.diag(rho.matrix.diagonal())
+    m.setflags(write=False)
+    return DensityOperator._wrap(m, rho.normalized)
 
 
 def check_t2_times(times) -> tuple[float, float]:
@@ -386,8 +389,7 @@ def apply_t2_relaxation(
 ) -> DensityOperator:
     """Phenomenological transverse dephasing: coherence between basis states
     decays as exp(-|dm_a| t/T2a) exp(-|dm_b| t/T2b); populations untouched."""
-    if rho.dim != 4:
-        raise DomainError("relaxation model is defined for the two-spin system")
+    _check_two_spin(rho, "relaxation model is defined for the two-spin system")
     if not 0 <= t < math.inf:
         raise DomainError("relaxation time must be finite and nonnegative")
     t2a, t2b = check_t2_times((t2a, t2b))
@@ -396,7 +398,7 @@ def apply_t2_relaxation(
     # t/T2 may overflow (subnormal T2): dm*t first, so 0*inf never makes a nan
     with np.errstate(over="ignore"):
         factors = np.exp(-(dma * t) / t2a) * np.exp(-(dmb * t) / t2b)
-    return DensityOperator(rho.matrix * factors, normalized=rho.normalized)
+    return DensityOperator._wrap(_validated(rho.matrix * factors, rho.normalized), rho.normalized)
 
 
 class _Step(NamedTuple):
@@ -543,8 +545,7 @@ def run_sequence(
     so the final state is bit-identical with or without record. The
     stacks are joined once into the Trajectory's read-only arrays.
     """
-    if rho0.dim != 4:
-        raise DomainError("sequences act on the two-spin system")
+    _check_two_spin(rho0, "sequences act on the two-spin system")
     if record:
         try:
             samples = operator.index(samples_per_delay)

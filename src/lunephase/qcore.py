@@ -40,6 +40,8 @@ def _as_square(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise DomainError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("density matrix entries must be finite")
     return m
 
 
@@ -58,7 +60,8 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     less than the eigenvalues. No eigenvalue is computed. A NaN entry would
     factor into NaN without an error, so the order of the checks matters:
     any NaN or infinite entry makes m - m^dagger NaN, which the Hermiticity
-    check refuses before the factorization runs.
+    check refuses before the factorization runs (an infinite one makes numpy
+    warn first). The constructor refuses both earlier, in _as_square.
 
     The adjoint is formed C-contiguous, so the difference and the sum run
     over contiguous memory, and the sum is halved in place: the values are
@@ -81,13 +84,16 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityOperator:
     """Hermitian state container; deviation operators use normalized=False.
 
-    Normalized states are validated for unit trace and positivity on
-    construction; deviation (traceless difference) operators are only required
-    to be Hermitian.
+    Every state is Hermitian; normalized ones also have unit trace and no
+    eigenvalue below the floor, deviation (traceless difference) operators
+    need not. Each state is checked once, where its numbers are made: the
+    constructor checks outside input, finite entries first; a computed
+    state passes _validated once and is wrapped (see _wrap); copies and
+    reads check nothing. States compare by identity, and hash.
     """
 
     matrix: np.ndarray
@@ -115,6 +121,12 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def _check_two_spin(rho: DensityOperator, message: str) -> None:
+    """The one test that rho is a two-spin state; message names the caller's model."""
+    if rho.dim != 4:
+        raise DomainError(message)
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with spin a leftmost."""
     a = np.asarray(a, dtype=complex)
@@ -126,13 +138,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
     """Trace out one spin of a two-spin state; keep is 'a' or 'b'."""
-    if rho.dim != 4:
-        raise DomainError("partial_trace expects a two-spin state")
+    _check_two_spin(rho, "partial_trace expects a two-spin state")
     if keep not in ("a", "b"):
         raise DomainError("keep must be 'a' or 'b'")
     blocks = rho.matrix.reshape(2, 2, 2, 2)
     reduced = blocks.trace(axis1=1, axis2=3) if keep == "a" else blocks.trace(axis1=0, axis2=2)
-    return DensityOperator(reduced, normalized=rho.normalized)
+    return DensityOperator._wrap(_validated(reduced, rho.normalized), rho.normalized)
 
 
 def sigma_dot(n) -> np.ndarray:

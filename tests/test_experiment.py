@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import struct
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import oracle_brute as oracle
 from lunephase.conventions import DEFAULT_CONVENTIONS, Conventions
 from lunephase.errors import ConventionError, DomainError
 import lunephase.experiment as experiment
-from lunephase import pulse
+from lunephase import pulse, qcore
 from lunephase.experiment import (
     DEFAULT_THETAS,
     MODELS,
@@ -724,6 +725,82 @@ class TestReadoutIdentity:
             assert abs(z) < 1e-9
 
 
+@st.composite
+def checked_states(draw):
+    """A 4x4 state that passed the constructor's check: a normalized state
+    (full rank, pure of rank one, or diagonal with zero populations) or a
+    deviation operator (full or diagonal), given exactly or Hermitian only
+    within 1e-13."""
+    kind = draw(st.sampled_from(("mixed", "pure", "diagonal", "deviation", "diagonal deviation")))
+    noisy = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    if kind == "mixed":
+        m = a @ a.conj().T
+        m /= np.trace(m).real
+    elif kind == "pure":
+        m = np.outer(a[0], a[0].conj()) / np.vdot(a[0], a[0]).real
+    elif kind == "diagonal":
+        w = rng.uniform(0.0, 1.0, size=4) * rng.integers(0, 2, size=4)
+        w[rng.integers(4)] += 0.5
+        m = np.diag(w / w.sum()).astype(complex)
+    elif kind == "deviation":
+        m = a + a.conj().T
+        m -= np.trace(m) / 4 * np.eye(4)
+    else:
+        m = np.diag(rng.normal(size=4)).astype(complex)
+    noise = rng.uniform(-1e-13, 1e-13, size=(2, 4, 4)) * noisy
+    return DensityOperator(m + noise[0] + 1j * noise[1], normalized="deviation" not in kind)
+
+
+def packed(c: complex) -> bytes:
+    """The bits of a complex number's two doubles, so that signed zeros count."""
+    return struct.pack("<dd", c.real, c.imag)
+
+
+class TestEachStateCheckedOnce:
+    @settings(max_examples=300, deadline=None)
+    @given(rho=checked_states())
+    def test_crusher_keeps_the_bits_of_a_second_check(self, rho):
+        # the crusher no longer checks its diagonal copy; the check it
+        # dropped would have returned these very bits
+        zeros = np.zeros((4, 4), dtype=complex)
+        zeros.ravel()[::5] = rho.matrix.diagonal()
+        out = gradient_crusher(rho)
+        assert not out.matrix.flags.writeable
+        assert out.normalized is rho.normalized
+        assert out.matrix.tobytes() == qcore._validated(zeros, rho.normalized).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=checked_states())
+    def test_coherence_is_the_reduced_state_entry(self, rho):
+        want = complex(partial_trace(rho, "a").matrix[0, 1])
+        assert packed(spin_a_coherence(rho)) == packed(want)
+
+    def test_check_counts_along_a_grid_point(self, monkeypatch):
+        thermal = thermal_state()
+        calls = []
+
+        def counting(m, normalized):
+            calls.append(m.shape)
+            return checked(m, normalized)
+
+        checked = qcore._validated
+        monkeypatch.setattr(qcore, "_validated", counting)
+        monkeypatch.setattr(pulse, "_validated", counting)
+        counts = []
+        pure = prepare_effective_pure(thermal)
+        counts.append(len(calls))
+        mixed = prepare_mixed(pure, 3)
+        counts.append(len(calls))
+        out, _ = run_sequence(mixed, cycle_program(0.3), pulse_sense=-1)
+        counts.append(len(calls))
+        readout_phase(out, spin_a_coherence(mixed))
+        counts.append(len(calls))
+        # one check per stretch; crushers and the readout check nothing
+        assert np.diff([0, *counts]).tolist() == [2, 2, 1, 0]
+
+
 SWEEP_COLUMNS = (
     "omega_rad",
     "theta_rad",
@@ -791,11 +868,11 @@ class TestSerializers:
 NAN_GUARDS = {
     "density-hermitian": (
         lambda: DensityOperator(np.full((2, 2), math.nan), normalized=False),
-        "density matrix is not Hermitian within tolerance",
+        "density matrix entries must be finite",
     ),
     "normalized-density-hermitian": (
         lambda: DensityOperator(np.full((4, 4), math.nan)),
-        "density matrix is not Hermitian within tolerance",
+        "density matrix entries must be finite",
     ),
     "rotation-axis": (
         lambda: rotation_unitary([math.nan, 0.0, 0.0], 1.0),
@@ -912,6 +989,9 @@ REJECTIONS = {
     ),
     "sequence-qubit": (
         lambda: run_sequence(QUBIT, make_program([])), "sequences act on the two-spin system",
+    ),
+    "coherence-qubit": (
+        lambda: spin_a_coherence(QUBIT), "spin-a coherence is defined for the two-spin system",
     ),
     "relaxation-time-negative": (
         lambda: apply_t2_relaxation(thermal_state(), -1.0, 0.3, 0.4),

@@ -372,14 +372,15 @@ def _message_text(node: ast.AST) -> str | None:
 
 def guard_messages(source: str) -> list[tuple[str, int]]:
     """(message, line) of each exception constructed with a literal message
-    in a raise statement, and of each `.fail(column, message)` call."""
+    in a raise statement, and of each `.fail(column, message)` and
+    `_check_two_spin(rho, message)` call."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
             args = node.exc.args[:1]
-        elif (
-            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fail" and len(node.args) == 2
+        elif isinstance(node, ast.Call) and len(node.args) == 2 and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "fail"
+            or isinstance(node.func, ast.Name) and node.func.id == "_check_two_spin"
         ):
             args = node.args[1:]
         else:
@@ -426,9 +427,12 @@ def test_checker_flags_repeated_messages():
             "def h(col, tok):\n"
             "    fail(col, f'bad token {tok!r}')\n"
             "    raise ValueError(f'bad token {tok!r} here') from None\n"
+            "def k(rho):\n"
+            "    _check_two_spin(rho, 'x must be nonnegative')\n"
+            "    _check_two_spin(rho)\n"
         ),
     }
     assert repeated_messages(package) == {
-        "x must be nonnegative": ["a.py:3", "a.py:9"],
+        "x must be nonnegative": ["a.py:3", "a.py:9", "b.py:9"],
         "unknown spin {}": ["a.py:5", "b.py:3"],
     }

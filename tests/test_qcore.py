@@ -130,6 +130,15 @@ class TestDensityOperator:
         with pytest.raises(DomainError, match="unit trace"):
             dataclasses.replace(rho, matrix=2 * rho.matrix)
 
+    def test_states_compare_by_identity_and_hash(self):
+        rho = DensityOperator(np.eye(4) / 4)
+        copy = DensityOperator(np.eye(4) / 4)
+        assert copy.matrix.tobytes() == rho.matrix.tobytes()
+        assert rho == rho and not rho != rho
+        assert rho != copy and not rho == copy
+        # both hash, so a set holds each, once
+        assert len({rho, copy, rho}) == 2
+
 
 class TestTensor:
     def test_identity_case(self):
@@ -423,9 +432,11 @@ class TestPositivityGate:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_states_are_refused(self, value):
-        # the factorization alone would pass a NaN state; the Hermiticity
-        # check ahead of it refuses every non-finite one. inf - inf in its
-        # deviation makes numpy warn before the refusal.
+        # the constructor refuses a non-finite entry before any arithmetic,
+        # so with no warning. On a computed stack the factorization alone
+        # would pass a NaN state; the Hermiticity check ahead of it refuses
+        # every non-finite one, and inf - inf in its deviation makes numpy
+        # warn before the refusal.
         rng = np.random.default_rng(61)
         for dim in (2, 4):
             stack = np.stack([random_state(rng, dim) for _ in range(3)])
@@ -433,10 +444,11 @@ class TestPositivityGate:
                 for k in range(len(stack)):
                     bad = stack.copy()
                     bad[k, i, j] = bad[k, j, i] = value
+                    for normalized in (True, False):
+                        with pytest.raises(DomainError, match="entries must be finite"):
+                            DensityOperator(bad[k], normalized=normalized)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", RuntimeWarning)
-                        with pytest.raises(DomainError, match="not Hermitian"):
-                            DensityOperator(bad[k])
                         with pytest.raises(DomainError, match="not Hermitian"):
                             qcore._validated(bad, True)
 

@@ -65,3 +65,13 @@ def test_digest_reads_a_trajectory_as_its_pairs():
         feed(whole, (final, traj))
         feed(pairs, (final, list(traj)))
         assert whole.hexdigest() == pairs.hexdigest()
+
+
+def test_digest_tells_signed_zeros_of_a_complex_apart():
+    feed = load_outcome_digest().feed
+    digests = []
+    for value in (complex(1, 0.0), complex(1, -0.0)):
+        h = hashlib.sha256()
+        feed(h, value)
+        digests.append(h.hexdigest())
+    assert digests[0] != digests[1]

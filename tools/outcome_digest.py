@@ -6,12 +6,15 @@ bit of it.
 CHECKOUT is the root of a checkout that holds ``src/lunephase`` and
 ``perfbench`` (default: the one this script lives in). The script runs
 seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
-``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, and 18 command
-lines of the CLI in subprocesses, and prints one sha256 per stream and per
-command line. Each outcome digest covers every matrix (dtype, shape, bytes,
-whether it is writeable), every flag and every time; each command digest
-covers stdout, stderr and the exit code. Run it on two checkouts and
-compare the output line by line: equal lines mean equal bits.
+``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, a stream of 200
+seeded random normalized and deviation states at seeds 1 and 2, each run
+through a crusher, the spin-a readout, both partial traces and transverse
+relaxation, and 18 command lines of the CLI in subprocesses, and prints one
+sha256 per stream and per command line. Each outcome digest covers every
+matrix (dtype, shape, bytes, whether it is writeable), every flag, every
+time and every complex number; each command digest covers stdout, stderr
+and the exit code. Run it on two checkouts and compare the output line by
+line: equal lines mean equal bits.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import numpy as np
 
 SEEDS = (1, 2, 741)
 STREAMS = (("chain", 100), ("trajectory", 60))
+STATE_SEEDS, STATE_COUNT = (1, 2), 200
 MODEL = ("--model", "idealized-controlled-U")
 RELAXED = ("--relaxation", "0.3,0.4")
 SIMULATE = ("simulate", "--theta", "pi/8", "--n", "5", "--format", "json")
@@ -56,8 +60,8 @@ COMMANDS = (
 def feed(h, value) -> None:
     """Hash value's structure and bits: arrays with their dtype, shape and
     writeable flag, states with their normalized flag, floats as their bit
-    patterns, and a run's trajectory as the list of (time, state) pairs it
-    yields."""
+    patterns, complex numbers as the bit patterns of their two floats, and a
+    run's trajectory as the list of (time, state) pairs it yields."""
     if hasattr(value, "times") and hasattr(value, "matrices"):
         feed(h, list(value))
     elif isinstance(value, np.ndarray):
@@ -68,6 +72,8 @@ def feed(h, value) -> None:
         feed(h, value.matrix)
     elif isinstance(value, float):
         h.update(b"float" + struct.pack("<d", value))
+    elif isinstance(value, complex):
+        h.update(b"complex" + struct.pack("<dd", value.real, value.imag))
     elif isinstance(value, dict):
         h.update(f"dict {len(value)}".encode())
         for key in sorted(value):
@@ -83,11 +89,40 @@ def feed(h, value) -> None:
         raise TypeError(f"cannot digest a {type(value).__name__}")
 
 
+def random_states(seed: int, count: int):
+    """count seeded 4x4 states, alternately normalized (a @ a^dagger over
+    its trace) and deviation (the traceless part of a + a^dagger), each
+    given Hermitian only within 1e-13, as plain matrices and flags."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        noise = rng.uniform(-1e-13, 1e-13, size=(2, 4, 4))
+        if i % 2 == 0:
+            m = a @ a.conj().T
+            yield m / np.trace(m).real + noise[0] + 1j * noise[1], True
+        else:
+            m = a + a.conj().T
+            yield m - np.trace(m) / 4 * np.eye(4) + noise[0] + 1j * noise[1], False
+
+
+def state_outcome(pulse, qcore, experiment, matrix, normalized) -> dict:
+    """One state through each state operation that copies, reads or reduces
+    it: a crusher, the spin-a coherence, both partial traces and transverse
+    relaxation over 1 ms at T2 times of 0.3 s and 0.4 s."""
+    rho = qcore.DensityOperator(matrix, normalized=normalized)
+    return {
+        "crushed": pulse.gradient_crusher(rho),
+        "coherence": experiment.spin_a_coherence(rho),
+        "reduced": [qcore.partial_trace(rho, keep) for keep in "ab"],
+        "relaxed": pulse.apply_t2_relaxation(rho, 1e-3, 0.3, 0.4),
+    }
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from lunephase import pulse, qcore
+    from lunephase import experiment, pulse, qcore
 
     for (name, count), seed in itertools.product(STREAMS, SEEDS):
         make, run = getattr(workloads, f"{name}_requests"), getattr(workloads, f"run_{name}")
@@ -96,6 +131,12 @@ def main(argv: list[str]) -> int:
             run(pulse, qcore, request)
             feed(h, request.outcome)
         print(f"{name} seed {seed} ({count} requests): {h.hexdigest()}")
+
+    for seed in STATE_SEEDS:
+        h = hashlib.sha256()
+        for matrix, normalized in random_states(seed, STATE_COUNT):
+            feed(h, state_outcome(pulse, qcore, experiment, matrix, normalized))
+        print(f"states seed {seed} ({STATE_COUNT} states): {h.hexdigest()}")
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for argv_ in COMMANDS:
