@@ -47,6 +47,7 @@ from .pulse import (
 from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
+    _check_count,
     _check_sign,
     _check_two_spin,
     _conjugate,
@@ -289,10 +290,14 @@ def idealized_eigenvector_path(
     tilts each segment axis toward the loop vertex by that amount, a
     verification hook that breaks both the geodesic and parallel-transport
     properties.
+
+    The loop follows conventions.pulse_sense only; the I_z sign is not read.
+    Under active_branch_up=False the pulses drive this loop turned by pi
+    about x, W|+-x> with W = U_passive^dagger U_active: other points, with
+    the same area and Pancharatnam phase.
     """
     _check_sign(eigen_sign, "eigenvector label")
-    if samples_per_segment < 2:
-        raise DomainError("need at least two samples per segment")
+    m = _check_count(samples_per_segment, "samples_per_segment", 2)
     axes = _loop_axes(theta, conventions.pulse_sense)
     if perturb != 0.0:
         tilted = [axis + float(perturb) * np.array([1.0, 0.0, 0.0]) for axis in axes]
@@ -302,7 +307,6 @@ def idealized_eigenvector_path(
             raise DomainError("perturb tilts a loop axis past normalization")
         axes = tuple(v / norm for v, norm in zip(tilted, norms))
 
-    m = samples_per_segment
     k = np.arange(m + 1)
     seg_time = 1.0 / (2.0 * DEFAULT_J)
     rate = 2.0 * math.pi * DEFAULT_J  # half turn per segment at angle pi
@@ -418,8 +422,8 @@ def run_sweep(
     Undefined-contrast rows are flagged in their records rather than raised;
     configuration problems surface before any simulation starts.
     """
-    thetas = tuple(float(t) for t in thetas)
-    ns = tuple(map(check_purity_index, n_values))
+    # each ExperimentConfig checks its theta and n; a generator is read once
+    thetas, ns = tuple(thetas), tuple(n_values)
     if not thetas:
         raise DomainError("at least one inclination angle is required")
     if not ns:

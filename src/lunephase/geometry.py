@@ -14,15 +14,19 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import _check_sign, principal_angle, sigma_dot
+from .qcore import _NOT_REAL, _check_count, _check_sign, principal_angle, sigma_dot
 
 # pi/2 plus roundoff slack, so that computed quarter turns are accepted
 _MAX_INCLINATION = math.pi / 2 + 1e-12
 
 
 def check_inclination(theta: float) -> float:
-    """The lune inclination theta as a float, checked to lie in [0, pi/2]."""
-    theta = float(theta)
+    """The lune inclination theta as a float, checked to be a real number
+    (no text or complex value, see qcore._NOT_REAL) in [0, pi/2]."""
+    try:
+        theta = float(None if isinstance(theta, _NOT_REAL) else theta)
+    except (TypeError, ValueError):
+        raise DomainError("inclination angle must be a real number") from None
     if not 0.0 <= theta <= _MAX_INCLINATION:
         raise DomainError("inclination angle must lie in [0, pi/2]")
     return theta
@@ -164,9 +168,7 @@ def lune_path(spec: LuneSpec, n_samples: int) -> BlochPath:
     Times hold the arc-length parameter, total 2*pi. This sample order has
     signed solid angle -4*theta; its reversal bounds +4*theta.
     """
-    if n_samples < 8:
-        raise DomainError("lune sampling needs at least 8 points")
-    m = n_samples // 2
+    m = _check_count(n_samples, "n_samples", 8) // 2
     points = _bloch_points(_half_turns(_loop_axes(spec.theta, 1), m, 1))
     phis = np.linspace(0.0, math.pi, m + 1)
     points[-1] = points[0]  # closes exactly; roundoff drift is well below tol

@@ -9,28 +9,21 @@ standard purity-ladder prediction table.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import _check_sign, principal_angle
+from .qcore import _check_count, _check_sign, principal_angle
 
 # Purity ladder granularity: r = cos(n*pi/PURITY_STEPS) for n = 0..PURITY_STEPS-1.
 PURITY_STEPS = 12
 
 
 def check_purity_index(n: int) -> int:
-    """The purity-ladder index n as an int (operator.index, no bool) in [0, PURITY_STEPS)."""
-    try:
-        index = operator.index(n)
-    except TypeError:
-        index = -1
-    if isinstance(n, bool) or not 0 <= index < PURITY_STEPS:
-        raise DomainError(f"purity index must be an integer in [0, {PURITY_STEPS - 1}]")
-    return index
+    """The purity-ladder index n as an int in [0, PURITY_STEPS) (see qcore._check_count)."""
+    return _check_count(n, "purity index", 0, PURITY_STEPS - 1)
 
 
 def ladder_purity(n: int) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .policy import POLICY
 from .qcore import (
-    DensityOperator, _check_sign, _check_two_spin, _conjugate, _validated, identity4,
-    is_unitary, rotation_unitary,
+    _NOT_REAL, DensityOperator, _check_count, _check_sign, _check_two_spin, _conjugate,
+    _validated, identity4, is_unitary, rotation_unitary,
 )
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
@@ -39,9 +39,6 @@ AXIS_LABELS = {
 # I_z sign convention is applied) for basis order |uu>, |ud>, |du>, |dd>
 _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
-
-# values that float() accepts but that are no real number (see _store_reals)
-_NOT_REAL = (str, bytes, np.complexfloating)
 
 
 def _check_offset(omega: float) -> float:
@@ -547,12 +544,7 @@ def run_sequence(
     """
     _check_two_spin(rho0, "sequences act on the two-spin system")
     if record:
-        try:
-            samples = operator.index(samples_per_delay)
-        except TypeError:
-            raise DomainError("samples_per_delay must be an integer") from None
-        if samples < 1:
-            raise DomainError("samples_per_delay must be at least 1")
+        samples = _check_count(samples_per_delay, "samples_per_delay", 1)
         times, matrices = [(0.0,)], [rho0.matrix[None]]
     t = 0.0
     rho = rho0

@@ -7,6 +7,8 @@ which turns Bloch vectors right-handedly by alpha about n.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,14 @@ identity4 = np.eye(4, dtype=complex)
 for _m in (pauli_x, pauli_y, pauli_z, identity2, identity4):
     _m.setflags(write=False)
 
+# values that float() accepts but that are no real number: text, which it
+# parses, and numpy complex scalars, whose imaginary part it drops
+_NOT_REAL = (str, bytes, np.complexfloating)
+
+# the largest magnitude of a constructed matrix's real and imaginary parts:
+# it keeps every sum _validated forms, and a trace of four entries, finite
+_ENTRY_BOUND = sys.float_info.max / 8
+
 
 def principal_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]."""
@@ -36,12 +46,27 @@ def _check_sign(value: int, name: str) -> None:
         raise DomainError(f"{name} must be +1 or -1")
 
 
+def _check_count(value: int, name: str, low: int, high: int | None = None) -> int:
+    """The one check of a count or an index: value as an int (operator.index,
+    so no float or text, and no bool either) of at least low, and at most
+    high when high is given, or a DomainError that names it."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = low - 1
+    if isinstance(value, bool) or count < low or (high is not None and count > high):
+        bound = f"of at least {low}" if high is None else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {bound}")
+    return count
+
+
 def _as_square(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.ascontiguousarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise DomainError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DomainError("density matrix entries must be finite")
+    # a NaN fails the comparison too
+    if not np.abs(m.view(float)).max() <= _ENTRY_BOUND:
+        raise DomainError("density matrix entries must be finite, each part within max float/8")
     return m
 
 
@@ -61,7 +86,8 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     factor into NaN without an error, so the order of the checks matters:
     any NaN or infinite entry makes m - m^dagger NaN, which the Hermiticity
     check refuses before the factorization runs (an infinite one makes numpy
-    warn first). The constructor refuses both earlier, in _as_square.
+    warn first). The constructor refuses both earlier, in _as_square, and
+    any entry large enough that a sum formed here could overflow.
 
     The adjoint is formed C-contiguous, so the difference and the sum run
     over contiguous memory, and the sum is halved in place: the values are
@@ -91,7 +117,7 @@ class DensityOperator:
     Every state is Hermitian; normalized ones also have unit trace and no
     eigenvalue below the floor, deviation (traceless difference) operators
     need not. Each state is checked once, where its numbers are made: the
-    constructor checks outside input, finite entries first; a computed
+    constructor checks outside input, bounded entries first; a computed
     state passes _validated once and is wrapped (see _wrap); copies and
     reads check nothing. States compare by identity, and hash.
     """

@@ -40,10 +40,13 @@ from lunephase.experiment import (
 )
 from lunephase.geometry import (
     BlochPath,
+    LuneSpec,
     StatePath,
     _loop_axes,
     check_geodesic,
+    check_inclination,
     dynamical_phase,
+    lune_path,
     pancharatnam_phase,
     solid_angle,
 )
@@ -565,6 +568,14 @@ class TestSweep:
         assert type(numpy_row.config.n) is int
         assert records_to_csv([numpy_row]) == records_to_csv([int_row])
 
+    def test_generator_grids_are_read_once(self):
+        # run_sweep reads each input once: a generator of purity indices
+        # serves every theta, as a list does
+        listed = run_sweep(thetas=(0.3, 0.9), n_values=[0, 4, 7])
+        generated = run_sweep(thetas=(0.3, 0.9), n_values=(n for n in (0, 4, 7)))
+        assert len(generated) == 6
+        assert records_to_json(generated) == records_to_json(listed)
+
     def test_empty_grids_rejected(self):
         with pytest.raises(DomainError):
             run_sweep(thetas=())
@@ -1008,7 +1019,50 @@ REJECTIONS = {
     "samples-per-delay": (
         lambda: run_sequence(thermal_state(), cycle_program(0.3), record=True,
                              samples_per_delay=0),
-        "samples_per_delay must be at least 1",
+        "samples_per_delay must be an integer of at least 1",
+    ),
+    "samples-per-delay-bool": (
+        lambda: run_sequence(thermal_state(), cycle_program(0.3), record=True,
+                             samples_per_delay=True),
+        "samples_per_delay must be an integer of at least 1",
+    ),
+    "samples-per-delay-float": (
+        lambda: run_sequence(thermal_state(), cycle_program(0.3), record=True,
+                             samples_per_delay=2.0),
+        "samples_per_delay must be an integer of at least 1",
+    ),
+    "samples-per-segment-fraction": (
+        lambda: idealized_eigenvector_path(0.3, samples_per_segment=2.5),
+        "samples_per_segment must be an integer of at least 2",
+    ),
+    "samples-per-segment-float": (
+        lambda: idealized_eigenvector_path(0.3, samples_per_segment=3.0),
+        "samples_per_segment must be an integer of at least 2",
+    ),
+    "samples-per-segment-str": (
+        lambda: idealized_eigenvector_path(0.3, samples_per_segment="3"),
+        "samples_per_segment must be an integer of at least 2",
+    ),
+    "lune-samples-fraction": (
+        lambda: lune_path(LuneSpec(0.3), 9.5), "n_samples must be an integer of at least 8",
+    ),
+    "lune-samples-float": (
+        lambda: lune_path(LuneSpec(0.3), 10.0), "n_samples must be an integer of at least 8",
+    ),
+    "lune-samples-few": (
+        lambda: lune_path(LuneSpec(0.3), 7), "n_samples must be an integer of at least 8",
+    ),
+    "theta-str": (
+        lambda: cycle_program("0.5"), "inclination angle must be a real number",
+    ),
+    "theta-bytes": (
+        lambda: check_inclination(b"0.5"), "inclination angle must be a real number",
+    ),
+    "theta-complex": (
+        lambda: check_inclination(0.5 + 0j), "inclination angle must be a real number",
+    ),
+    "theta-numpy-complex": (
+        lambda: ExperimentConfig(np.complex128(0.5), 1), "inclination angle must be a real number",
     ),
     "compile-event-type": (
         lambda: pulse._stretches(make_program(["bogus"]), 1, 1), "unknown event type str",
@@ -1074,6 +1128,9 @@ REJECTIONS = {
     "sweep-purity-index-float": (
         lambda: run_sweep(thetas=[0.3], n_values=[1.5]),
         "purity index must be an integer in [0, 11]",
+    ),
+    "sweep-theta-str": (
+        lambda: run_sweep(thetas=["0.5"], n_values=[1]), "inclination angle must be a real number",
     ),
     "frame-unit": (
         lambda: FrameOffset("a", 1.0, "kHz"), "unknown frame offset unit 'kHz'",
@@ -1151,3 +1208,25 @@ def test_input_guard_rejects(case):
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value).startswith(message)
+
+
+# Each count, built from a Python int and from a numpy integer: the two
+# give the same bits.
+COUNTS = {
+    "samples_per_delay": lambda k: run_sequence(
+        thermal_state(), cycle_program(0.3), record=True, samples_per_delay=k
+    )[1].matrices,
+    "samples_per_segment": lambda k: idealized_eigenvector_path(
+        0.3, samples_per_segment=k
+    ).states,
+    "n_samples": lambda k: lune_path(LuneSpec(0.3), k).points,
+    "purity index": lambda k: run_single(ExperimentConfig(0.3, k), True).snapshots.matrices,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_numpy_integer_counts_give_the_bits_of_an_int(case):
+    build = COUNTS[case]
+    want = build(9)
+    got = build(np.int64(9))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

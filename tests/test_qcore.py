@@ -452,6 +452,32 @@ class TestPositivityGate:
                         with pytest.raises(DomainError, match="not Hermitian"):
                             qcore._validated(bad, True)
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_entries_that_would_overflow_are_refused(self, normalized):
+        # a sum of two such entries overflows in the symmetrization or in
+        # the Hermiticity deviation; both are refused before any arithmetic
+        diagonal = np.diag([1e308, -1e308, 0, 0]).astype(complex)
+        anti_hermitian = np.zeros((4, 4), dtype=complex)
+        anti_hermitian[0, 1], anti_hermitian[1, 0] = 1e308, -1e308
+        for m in (diagonal, anti_hermitian):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^density matrix entries must be finite"):
+                    DensityOperator(m, normalized=normalized)
+
+    def test_entries_at_the_bound_are_stored_finite(self):
+        bound = qcore._ENTRY_BOUND
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0], m[1, 1] = bound, -bound
+        m[0, 1], m[1, 0] = complex(bound, bound), complex(bound, -bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = DensityOperator(m, normalized=False)
+        assert np.isfinite(rho.matrix).all()
+        assert rho.matrix.tobytes() == m.tobytes()
+        with pytest.raises(DomainError, match="^density matrix entries must be finite"):
+            DensityOperator(np.nextafter(m.real, np.inf), normalized=False)
+
 
 class TestIsUnitary:
     def test_stack_fails_when_any_one_matrix_is_off(self):
