@@ -43,6 +43,7 @@ from .geometry import (
 from .phases import PURITY_STEPS, check_purity_index, theory_curve
 from .pulse import check_t2_times
 from .pulseprog import parse_sequence, render_sequence
+from .qcore import _check_count
 
 DYNAMICAL_TOL = 1e-9
 GEODESIC_TOL = 1e-6
@@ -110,12 +111,7 @@ def _purity_index(text: str) -> int:
 
 def _samples(text: str) -> int:
     """Loop sampling N: N//2 steps, at least two, per geodesic half turn."""
-    value = int(text)
-    if value < 4:
-        raise ValueError(f"need at least 4 samples, got {value}")
-    if value > 1_000_000:
-        raise ValueError(f"need at most 1000000 samples, got {value}")
-    return value
+    return _check_count(int(text), "samples", 4, 1_000_000)
 
 
 def _relaxation(text: str) -> tuple[float, float]:

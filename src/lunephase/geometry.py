@@ -218,11 +218,8 @@ def solid_angle(path: BlochPath) -> float:
     q = np.roll(points, -1, axis=0)
     numer = np.einsum("i,ji->j", fan, np.cross(p, q))
     denom = 1.0 + p @ fan + np.sum(p * q, axis=1) + q @ fan
-    total = 2.0 * float(np.sum(np.arctan2(numer, denom)))
-    wrapped = math.remainder(total, 4.0 * math.pi)
-    if wrapped <= -2.0 * math.pi:
-        wrapped += 4.0 * math.pi
-    return wrapped
+    # doubling is exact, so it commutes with the wrap into (-pi, pi]
+    return 2.0 * principal_angle(float(np.sum(np.arctan2(numer, denom))))
 
 
 def pancharatnam_phase(path: StatePath) -> float:

@@ -41,14 +41,6 @@ _MA = np.array([0.5, 0.5, -0.5, -0.5])
 _MB = np.array([0.5, -0.5, 0.5, -0.5])
 
 
-def _check_offset(omega: float) -> float:
-    """A frame offset in rad/s, checked to lie within the 10*2piJ sanity
-    bound."""
-    if abs(omega) > 10 * 2 * math.pi * DEFAULT_J:
-        raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
-    return omega
-
-
 def _store_reals(
     obj, *names: str, exact: tuple[str, ...] = (), rational: tuple[str, ...] = ()
 ) -> None:
@@ -102,7 +94,8 @@ class SpinSystemParams:
     enter a rotating-frame propagator, and carrying them around at 1e8 rad/s
     scale would only round the offsets they are subtracted into. Offsets
     are stored as floats: an int or Fraction offset compiles to the same
-    bits as its float and compares equal to it.
+    bits as its float and compares equal to it. This is the one check of
+    the 10*2piJ sanity bound on an offset, a frame directive's included.
     """
 
     omega_a: float = 0.0
@@ -111,8 +104,8 @@ class SpinSystemParams:
 
     def __post_init__(self) -> None:
         _store_reals(self, "omega_a", "omega_b")
-        _check_offset(self.omega_a)
-        _check_offset(self.omega_b)
+        if max(abs(self.omega_a), abs(self.omega_b)) > 10 * 2 * math.pi * DEFAULT_J:
+            raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
 
 
 def _check_spin(spin: str) -> None:
@@ -218,8 +211,9 @@ class SequenceProgram:
     """Ordered pulse-program events plus the frame they execute in.
 
     params must be a SpinSystemParams and each frame a FrameOffset. Each
-    frame directive sets its spin's offset in params (one per spin, within
-    the sanity bound), so a program compiles in the frame it renders.
+    frame directive sets its spin's offset in params (one per spin; the
+    params check the sanity bound), so a program compiles in the frame it
+    renders.
     Two programs compare equal only when they compile to the same bits,
     since their events, parameters and frames do (see _store_reals). The
     pass that refuses any event but a PulseEvent, so that compiling and
@@ -247,7 +241,9 @@ class SequenceProgram:
             name = f"omega_{fr.spin}"
             if name in offsets:
                 raise DomainError(f"spin {fr.spin} has more than one frame directive")
-            offsets[name] = _check_offset(-fr.angular())
+            # an offset past max float is past the bound too, and is refused
+            # there rather than as an infinite offset
+            offsets[name] = max(-sys.float_info.max, min(-fr.angular(), sys.float_info.max))
         if offsets:
             object.__setattr__(self, "params", replace(self.params, **offsets))
         has_delay = False

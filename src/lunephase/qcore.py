@@ -74,10 +74,14 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     """Check one (n, n) operator, or every matrix of a (..., n, n) stack,
     and return the read-only symmetrized copy.
 
-    Each matrix must be Hermitian within tolerance; normalized ones must
-    also have unit trace and no eigenvalue below the floor. The largest
-    deviation over the stack meets each tolerance exactly when every
-    matrix's own does.
+    Each matrix must be Hermitian within tolerance, which is relative above
+    unit scale: a matrix whose largest |entry| is s > 1 may deviate by s
+    times it, since rounding grows with the entries and a deviation operator
+    has no natural scale (a state, whose entries are at most 1, gets no
+    slack). Normalized ones must also have unit trace and no eigenvalue
+    below the floor. The largest deviation over the stack meets each
+    absolute tolerance exactly when every matrix's own does, so the
+    per-matrix scales are taken only when the stack as a whole fails.
 
     Positivity is one stacked Cholesky factorization of m - floor * 1, which
     exists exactly when no eigenvalue of m lies below the floor (the two
@@ -94,8 +98,13 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     those of 0.5 * (m + m.conj().swapaxes(-1, -2)), bit for bit.
     """
     adjoint = np.conjugate(m.swapaxes(-1, -2), order="C")
-    if not np.abs(m - adjoint).max() <= POLICY.hermiticity_tol:
-        raise DomainError("density matrix is not Hermitian within tolerance")
+    deviation = np.abs(m - adjoint)
+    if not deviation.max() <= POLICY.hermiticity_tol:
+        # relative to each matrix's largest |entry|, which only a scale
+        # above 1 can pass here; a NaN still fails
+        scale = np.abs(m).max(axis=(-2, -1))
+        if not np.all(deviation.max(axis=(-2, -1)) <= POLICY.hermiticity_tol * scale):
+            raise DomainError("density matrix is not Hermitian within tolerance")
     m = m + adjoint
     m *= 0.5
     if normalized:

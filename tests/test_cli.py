@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lunephase.cli import main, parse_angle
+from lunephase.cli import build_parser, main, parse_angle
 
 
 def invoke(argv):
@@ -265,6 +265,12 @@ class TestTracePathCommand:
         assert code == 0
         line = [l for l in out.strip().split("\n") if "solid_angle" in l][0]
         assert abs(float(line.split(" = ")[1])) < 1e-9
+
+    def test_fewest_samples_trace_a_loop(self):
+        for command in ("trace-path", "check-transport"):
+            code, out, err = invoke([command, "--theta", "pi/4", "--samples", "4"])
+            assert (code, err) == (0, "")
+            assert out
 
     def test_too_few_samples_is_usage_error(self):
         for argv in (
@@ -594,7 +600,14 @@ class TestNumericInputRejection:
                 argv = [command, "--theta", "pi/4", "--samples", value]
                 code, out, err = self.invoke_without_warning(argv)
                 assert (code, out) == (2, "")
-                assert f"argument --samples: need at most 1000000 samples, got {value}" in err
+                assert "argument --samples: samples must be an integer in [4, 1000000]" in err
+
+    @pytest.mark.parametrize("value", ["4", "1000000"])
+    def test_sample_count_bounds_are_accepted(self, value):
+        # parsed only: a million-sample loop is not traced here
+        for command in ("trace-path", "check-transport"):
+            args = build_parser().parse_args([command, "--theta", "pi/4", "--samples", value])
+            assert args.samples == int(value)
 
     def test_perturb_past_axis_normalization(self):
         for value in ("1e308", "-1e308"):
@@ -657,7 +670,7 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
         (["simulate", "--theta", "pi/8", "--n", "12"], "--n",
          "purity index must be an integer in [0, 11]"),
         (["trace-path", "--theta", "pi/8", "--samples", "2"], "--samples",
-         "need at least 4 samples, got 2"),
+         "samples must be an integer in [4, 1000000]"),
         (["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb",
          "expected a finite number, got 'nan'"),
     ],

@@ -1162,6 +1162,22 @@ REJECTIONS = {
         lambda: SequenceProgram((), SpinSystemParams(), (FrameOffset("a", 50, "piJ"),)),
         "frame offset exceeds the 10*2piJ sanity bound",
     ),
+    # a frame whose rad/s offset overflows a float is past the bound too
+    "program-frame-bound-past-max-float-piJ": (
+        lambda: SequenceProgram((), SpinSystemParams(), (FrameOffset("a", 1e306, "piJ"),)),
+        "frame offset exceeds the 10*2piJ sanity bound",
+    ),
+    "program-frame-bound-past-max-float-Hz": (
+        lambda: SequenceProgram((), SpinSystemParams(), (FrameOffset("b", -1e308, "Hz"),)),
+        "frame offset exceeds the 10*2piJ sanity bound",
+    ),
+    # the bound is checked once, when the program's params are built
+    "program-frame-twice-first-out-of-bound": (
+        lambda: SequenceProgram(
+            (), SpinSystemParams(), (FrameOffset("b", 50, "piJ"), FRAME_B)
+        ),
+        "spin b has more than one frame directive",
+    ),
     "path-perturb-overflow": (
         lambda: idealized_eigenvector_path(math.pi / 4, perturb=1e308),
         "perturb tilts a loop axis past normalization",

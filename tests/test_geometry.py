@@ -1,9 +1,10 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -15,6 +16,7 @@ from lunephase.geometry import (
     StatePath,
     _FALLBACK_FAN_POINTS,
     _bloch_points,
+    _fan_point,
     _half_turns,
     _loop_axes,
     check_geodesic,
@@ -27,6 +29,7 @@ from lunephase.qcore import (
     pauli_x,
     pauli_y,
     pauli_z,
+    principal_angle,
     rotation_unitary,
 )
 
@@ -230,7 +233,87 @@ class TestInclinationBound:
             build(theta)
 
 
+def remainder_wrap(total):
+    """Oracle: the wrap of a doubled fan sum into (-2pi, 2pi] that
+    solid_angle made with its own math.remainder before it called
+    principal_angle."""
+    wrapped = math.remainder(total, 4.0 * math.pi)
+    if wrapped <= -2.0 * math.pi:
+        wrapped += 4.0 * math.pi
+    return wrapped
+
+
+def remainder_solid_angle(path):
+    """Oracle: solid_angle's triangle fan, wrapped by remainder_wrap."""
+    points = path.points
+    if np.max(np.linalg.norm(points - points[0], axis=1)) <= 1e-9:
+        return 0.0
+    p = points[:-1]
+    fan = _fan_point(p)
+    q = np.roll(p, -1, axis=0)
+    numer = np.einsum("i,ji->j", fan, np.cross(p, q))
+    denom = 1.0 + p @ fan + np.sum(p * q, axis=1) + q @ fan
+    return remainder_wrap(2.0 * float(np.sum(np.arctan2(numer, denom))))
+
+
+def packed(x):
+    return struct.pack("<d", x)
+
+
+def geodesic_polygon(vertices, per_side):
+    """Closed loop through the unit vertices along great-circle arcs."""
+    arcs = [geodesic_arc(a, b, per_side)[:-1]
+            for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    pts = np.vstack(arcs + [np.asarray(vertices[:1], float)])
+    return BlochPath(np.arange(len(pts), dtype=float), pts)
+
+
+def _one_ulp_either_side(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+FAN_SUMS = [0.0, -0.0] + [
+    y for k in (1, -1, 2, -2, 3, -3) for y in _one_ulp_either_side(k * math.pi)
+]
+
+
 class TestSolidAngle:
+    @given(fan_sum=st.floats(-1e3, 1e3))
+    @settings(max_examples=500)
+    def test_doubled_principal_angle_is_the_remainder_wrap(self, fan_sum):
+        # solid_angle returns 2 * principal_angle(fan sum): doubling is exact,
+        # so it keeps the bits of the old wrap of the doubled sum
+        for s in [fan_sum] + FAN_SUMS:
+            assert packed(2.0 * principal_angle(s)) == packed(remainder_wrap(2.0 * s)), s
+
+    @given(theta=st.floats(0.0, math.pi / 2), samples=st.integers(8, 400),
+           reverse=st.booleans())
+    @example(theta=math.pi / 2, samples=2000, reverse=False)  # |Omega| = 2pi
+    @example(theta=math.pi / 2, samples=2000, reverse=True)
+    @example(theta=0.0, samples=8, reverse=False)
+    @settings(max_examples=150, deadline=None)
+    def test_lunes_keep_the_remainder_wrap(self, theta, samples, reverse):
+        path = lune_path(LuneSpec(theta), samples)
+        if reverse:
+            path = reversed_path(path)
+        assert packed(solid_angle(path)) == packed(remainder_solid_angle(path))
+
+    @given(vertices=st.lists(unit_vectors, min_size=3, max_size=6), per_side=st.integers(2, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_geodesic_polygons_keep_the_remainder_wrap(self, vertices, per_side):
+        # a side between (nearly) antipodal or coincident vertices has no
+        # unique great circle
+        sides = zip(vertices, vertices[1:] + vertices[:1])
+        assume(all(-0.99 < np.dot(a, b) < 0.99 for a, b in sides))
+        path = geodesic_polygon(vertices, per_side)
+        try:
+            want = remainder_solid_angle(path)
+        except DomainError:
+            with pytest.raises(DomainError, match="^could not find a stable fan point"):
+                solid_angle(path)
+            return
+        assert packed(solid_angle(path)) == packed(want)
+
     def test_requires_closed(self):
         with pytest.raises(DomainError):
             solid_angle(circle_path(math.pi / 2, 64, span=math.pi))

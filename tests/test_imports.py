@@ -1,5 +1,6 @@
-"""Unused-import, unread-parameter, pass-through-wrapper, unreached-name and
-repeated-guard-message checks on the package source, written against the standard library `ast` module so they run
+"""Unused-import, unread-parameter, pass-through-wrapper, unreached-name,
+one-owner call-site and repeated-guard-message checks on the package
+source, written against the standard library `ast` module so they run
 wherever the test suite does, and a check of the names the package exports."""
 import ast
 import types
@@ -161,37 +162,54 @@ def test_checker_flags_pass_through_wrappers():
     ]
 
 
-def json_dumps_calls(source: str) -> list[int]:
-    """Line numbers of the calls to json.dumps, also under an alias of the
-    module or a name imported from it."""
+def module_calls(source: str, module: str, function: str) -> list[int]:
+    """Line numbers of the calls to module.function, also under an alias of
+    the module or a name imported from it."""
     tree = ast.parse(source)
-    modules, functions = {"json"}, set()
+    modules, functions = {module}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules |= {a.asname for a in node.names if a.name == "json" and a.asname}
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            functions |= {a.asname or a.name for a in node.names if a.name == "dumps"}
+            modules |= {a.asname for a in node.names if a.name == module and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            functions |= {a.asname or a.name for a in node.names if a.name == function}
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         f = node.func
         if (
-            isinstance(f, ast.Attribute) and f.attr == "dumps"
+            isinstance(f, ast.Attribute) and f.attr == function
             and isinstance(f.value, ast.Name) and f.value.id in modules
         ) or (isinstance(f, ast.Name) and f.id in functions):
             lines.append(node.lineno)
     return sorted(lines)
 
 
-def test_one_json_writer():
-    # every command's JSON goes through experiment.render_table
-    sites = [
+def package_calls(module: str, function: str) -> list[str]:
+    """module.function's call sites in the package, as file:line."""
+    return [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line in json_dumps_calls(path.read_text(encoding="utf-8"))
+        for line in module_calls(path.read_text(encoding="utf-8"), module, function)
     ]
+
+
+def test_one_json_writer():
+    # every command's JSON goes through experiment.render_table
+    sites = package_calls("json", "dumps")
     assert len(sites) == 1, sites
+
+
+def test_one_angle_wrap():
+    # every angle is wrapped by qcore.principal_angle, solid angles included
+    tree = ast.parse((PACKAGE / "qcore.py").read_text(encoding="utf-8"))
+    owner = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "principal_angle"
+    )
+    sites = package_calls("math", "remainder")
+    body = {f"qcore.py:{line}" for line in range(owner.lineno, owner.end_lineno + 1)}
+    assert sites and set(sites) <= body, sites
 
 
 def test_checker_finds_json_dumps_calls():
@@ -207,7 +225,7 @@ def test_checker_finds_json_dumps_calls():
         "text.dumps()\n"
         "print(json.dumps(None))\n"
     )
-    assert json_dumps_calls(source) == [4, 5, 6, 7, 10]
+    assert module_calls(source, "json", "dumps") == [4, 5, 6, 7, 10]
 
 
 def _public(name: str) -> bool:

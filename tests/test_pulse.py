@@ -99,6 +99,15 @@ class TestSpinSystemParams:
         with pytest.raises(DomainError):
             SpinSystemParams(omega_a=11 * 2 * math.pi * J)
 
+    def test_offset_bound_is_inclusive(self):
+        bound = 10 * 2 * math.pi * J
+        for offset in (bound, -bound):
+            assert SpinSystemParams(omega_a=offset, omega_b=offset).omega_b == offset
+            beyond = math.nextafter(offset, math.copysign(math.inf, offset))
+            for name in ("omega_a", "omega_b"):
+                with pytest.raises(DomainError, match="^frame offset exceeds the 10"):
+                    SpinSystemParams(**{name: beyond})
+
     def test_frame_shift_sets_offset(self):
         frame = FrameOffset("b", Fraction(-1, 2), "piJ")
         p = make_program([], SpinSystemParams(omega_b=0.3), (frame,)).params

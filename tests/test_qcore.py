@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import oracle_brute as oracle
 from lunephase import qcore
 from lunephase.errors import DomainError
+from lunephase.experiment import prepare_pure_program, thermal_state
 from lunephase.policy import POLICY
+from lunephase.pulse import run_sequence
 from lunephase.qcore import (
     DensityOperator,
     _conjugate,
@@ -369,6 +371,61 @@ class TestStackedValidation:
             m = m + noise[0] + 1j * noise[1]
             want = 0.5 * (m + m.conj().swapaxes(-1, -2))
             assert qcore._validated(m, normalized).tobytes() == want.tobytes()
+
+
+def anti_hermitian_by(m, deviation):
+    """m with m[0, 1] moved by deviation, so that |m - m^dagger| peaks there."""
+    m = np.array(m, dtype=complex)
+    m[0, 1] += deviation
+    return m
+
+
+class TestHermiticityScale:
+    """The Hermiticity tolerance is absolute up to unit scale and relative
+    above it, matrix by matrix: a deviation operator has no natural scale."""
+
+    @pytest.mark.parametrize("k", [1e4, 1e8])
+    def test_scaled_deviation_runs_like_the_unscaled_one(self, k):
+        # at 1e4 an absolute 1e-12 refused the run's rounding
+        def run(scale):
+            rho = DensityOperator(thermal_state().matrix * scale, normalized=False)
+            return run_sequence(rho, prepare_pure_program(), pulse_sense=-1)[0].matrix
+
+        unit, scaled = run(1.0), run(k)
+        assert np.max(np.abs(scaled - k * unit)) <= 1e-12 * k * np.max(np.abs(unit))
+
+    def test_slack_grows_with_the_largest_entry(self):
+        dev = np.diag([1e4, -1e4, 0.5, -0.5]).astype(complex)
+        DensityOperator(anti_hermitian_by(dev, 5e-9), normalized=False)
+        with pytest.raises(DomainError, match="not Hermitian"):
+            DensityOperator(anti_hermitian_by(dev, 2e-8), normalized=False)
+
+    def test_scale_is_taken_per_matrix(self):
+        rng = np.random.default_rng(67)
+        large = 1e6 * (random_state(rng) - np.eye(4) / 4)
+        small = anti_hermitian_by(random_state(rng) - np.eye(4) / 4, 2e-12)
+        qcore._validated(large, False)
+        for stack in (np.stack([large, small]), np.stack([small, large])):
+            with pytest.raises(DomainError, match="not Hermitian"):
+                qcore._validated(stack, False)
+
+    def test_nan_is_still_refused(self):
+        large = 1e6 * np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+        for i, j in [(0, 0), (0, 1)]:
+            bad = large.copy()
+            bad[i, j] = math.nan
+            for normalized in (True, False):
+                with pytest.raises(DomainError, match="not Hermitian"):
+                    qcore._validated(np.stack([large, bad]), normalized)
+
+    def test_normalized_states_get_no_slack(self):
+        # a state's entries are at most 1 in magnitude, so its scale is 1
+        rng = np.random.default_rng(71)
+        for dim in (2, 4):
+            state = random_state(rng, dim)
+            DensityOperator(anti_hermitian_by(state, 5e-13))
+            with pytest.raises(DomainError, match="not Hermitian"):
+                DensityOperator(anti_hermitian_by(state, 2e-12))
 
 
 def eigvalsh_verdict(stack):

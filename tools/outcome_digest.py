@@ -9,7 +9,7 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 ``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, a stream of 200
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
-relaxation, and 20 command lines of the CLI in subprocesses, and prints one
+relaxation, and 22 command lines of the CLI in subprocesses, and prints one
 sha256 per stream and per command line. Each outcome digest covers every
 matrix (dtype, shape, bytes, whether it is writeable), every flag, every
 time and every complex number; each command digest covers stdout, stderr
@@ -55,6 +55,9 @@ COMMANDS = (
     # the idealized loop ignores the I_z sign (see idealized_eigenvector_path)
     ("trace-path", "--theta", "pi/8", "--samples", "2000", "--convention", "active=down"),
     ("check-transport", "--theta", "pi/8", "--convention", "active=down"),
+    # |Omega| = 2pi, the end of the solid angle's wrap into (-2pi, 2pi]
+    ("trace-path", "--theta", "pi/2", "--samples", "2000"),
+    ("trace-path", "--theta", "pi/2", "--branch", "minus", "--samples", "2000"),
     ("parse", SEQ_FILE),
     ("parse", SEQ_FILE, "--format", "json"),
 )
