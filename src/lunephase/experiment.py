@@ -48,6 +48,7 @@ from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
     _check_count,
+    _check_real,
     _check_sign,
     _check_two_spin,
     _conjugate,
@@ -299,8 +300,11 @@ def idealized_eigenvector_path(
     _check_sign(eigen_sign, "eigenvector label")
     m = _check_count(samples_per_segment, "samples_per_segment", 2)
     axes = _loop_axes(theta, conventions.pulse_sense)
+    perturb = _check_real(perturb, "perturb")
+    if not abs(perturb) < math.inf:
+        raise DomainError("perturb must be finite")
     if perturb != 0.0:
-        tilted = [axis + float(perturb) * np.array([1.0, 0.0, 0.0]) for axis in axes]
+        tilted = [axis + perturb * np.array([1.0, 0.0, 0.0]) for axis in axes]
         with np.errstate(over="ignore"):
             norms = [np.linalg.norm(v) for v in tilted]
         if not all(0 < norm < math.inf for norm in norms):

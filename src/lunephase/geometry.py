@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import _NOT_REAL, _check_count, _check_sign, principal_angle, sigma_dot
+from .qcore import _check_count, _check_real, _check_sign, principal_angle, sigma_dot
 
 # pi/2 plus roundoff slack, so that computed quarter turns are accepted
 _MAX_INCLINATION = math.pi / 2 + 1e-12
@@ -22,11 +22,8 @@ _MAX_INCLINATION = math.pi / 2 + 1e-12
 
 def check_inclination(theta: float) -> float:
     """The lune inclination theta as a float, checked to be a real number
-    (no text or complex value, see qcore._NOT_REAL) in [0, pi/2]."""
-    try:
-        theta = float(None if isinstance(theta, _NOT_REAL) else theta)
-    except (TypeError, ValueError):
-        raise DomainError("inclination angle must be a real number") from None
+    (see qcore._check_real) in [0, pi/2]."""
+    theta = _check_real(theta, "inclination angle")
     if not 0.0 <= theta <= _MAX_INCLINATION:
         raise DomainError("inclination angle must lie in [0, pi/2]")
     return theta

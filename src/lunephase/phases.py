@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import POLICY
-from .qcore import _check_count, _check_sign, principal_angle
+from .qcore import _check_count, _check_real, _check_sign, principal_angle
 
 # Purity ladder granularity: r = cos(n*pi/PURITY_STEPS) for n = 0..PURITY_STEPS-1.
 PURITY_STEPS = 12
@@ -90,6 +90,7 @@ def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     visibility unchanged. For |omega| < pi the phase reduces to
     sign*arctan(r tan(omega/2)).
     """
+    r, omega = _check_real(r, "purity"), _check_real(omega, "solid angle omega")
     if not -1.0 <= r <= 1.0:
         raise DomainError("purity must lie in [-1, 1]")
     if not math.isfinite(omega):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .policy import POLICY
 from .qcore import (
-    _NOT_REAL, DensityOperator, _check_count, _check_sign, _check_two_spin, _conjugate,
+    DensityOperator, _check_count, _check_real, _check_sign, _check_two_spin, _conjugate,
     _validated, identity4, is_unitary, rotation_unitary,
 )
 
@@ -44,12 +44,11 @@ _MB = np.array([0.5, -0.5, 0.5, -0.5])
 def _store_reals(
     obj, *names: str, exact: tuple[str, ...] = (), rational: tuple[str, ...] = ()
 ) -> None:
-    """The one check of each named value field of obj: a single float(value)
-    probe decides that it is a real number (no str or bytes, which float()
-    parses, and no complex, though float() drops a numpy complex's imaginary
-    part), fits a float and is finite, or raises a DomainError that names
-    the field. A field named in rational, a k/J delay or a piJ offset, is
-    stored as its Fraction: a float converts exactly, and -0.0 becomes 0.
+    """The one check of each named value field of obj: qcore._check_real
+    decides that it is a real number that fits a float, and this that it is
+    finite, or a DomainError names the field as "{class}.{field}". A field
+    named in rational, a k/J delay or a piJ offset, is stored as its
+    Fraction: a float converts exactly, and -0.0 becomes 0.
     A field named in exact, the flip, keeps a Fraction as given (it counts
     half turns). Any other number is stored as its float (radians, seconds
     or Hz), so that numpy scalars and 0-d arrays hash, as the compile cache
@@ -63,12 +62,7 @@ def _store_reals(
     forms = []
     for name in names:
         value = getattr(obj, name)
-        try:
-            number = float(None if isinstance(value, _NOT_REAL) else value)
-        except OverflowError:
-            raise DomainError(f"{type(obj).__name__}.{name} must fit a float") from None
-        except (TypeError, ValueError):
-            raise DomainError(f"{type(obj).__name__}.{name} must be a real number") from None
+        number = _check_real(value, name, obj)
         if not math.isfinite(number):
             raise DomainError(f"{type(obj).__name__}.{name} must be finite")
         # an ABC check is slow: floats and Fractions, most values, skip it
@@ -297,18 +291,18 @@ def free_evolution_unitary(
     four energies are built once (see _energies); their largest magnitude
     bounds energy*time, and their phases fill the diagonal.
     """
+    t = _check_real(t, "evolution time")
     if not 0 <= t < math.inf:
         raise DomainError("evolution time must be finite and nonnegative")
     _check_sign(iz_sign, "iz_sign")
     energies = _energies(params, iz_sign)
     # A phase is finite exactly when its t*E_j is (0*inf makes a nan
     # otherwise), and a float product rounds monotonically, so the largest
-    # |E_j| decides for all four without computing a phase. A time beyond
-    # the floats (an int or a Fraction) is too long for every energy.
+    # |E_j| decides for all four without computing a phase.
     top = float(abs(energies).max())
-    if not t <= sys.float_info.max or float(t) * top == math.inf:
+    if t * top == math.inf:
         raise DomainError(f"delay of {t!r} s is too long: energy*time must fit a float")
-    return np.diag(_free_phases(energies, float(t)))
+    return np.diag(_free_phases(energies, t))
 
 
 def _energies(params: SpinSystemParams, iz_sign: int) -> np.ndarray:
@@ -364,11 +358,11 @@ def gradient_crusher(rho: DensityOperator) -> DensityOperator:
 def check_t2_times(times) -> tuple[float, float]:
     """The transverse decay times (t2a, t2b) as floats, checked positive (an
     infinite time is no decay). times must be a pair of real numbers, each
-    probed as _store_reals probes a field, so text is refused too; anything
-    else is a DomainError that names relaxation."""
+    through qcore._check_real, so text is refused too; anything else is a
+    DomainError that names relaxation."""
     try:
-        t2a, t2b = (float(None if isinstance(t, _NOT_REAL) else t) for t in times)
-    except (TypeError, ValueError, OverflowError):
+        t2a, t2b = (_check_real(t, "relaxation") for t in times)
+    except (TypeError, ValueError):
         raise DomainError(
             "relaxation must be a pair (t2a, t2b) of real numbers that fit a float"
         ) from None
@@ -383,6 +377,7 @@ def apply_t2_relaxation(
     """Phenomenological transverse dephasing: coherence between basis states
     decays as exp(-|dm_a| t/T2a) exp(-|dm_b| t/T2b); populations untouched."""
     _check_two_spin(rho, "relaxation model is defined for the two-spin system")
+    t = _check_real(t, "relaxation time")
     if not 0 <= t < math.inf:
         raise DomainError("relaxation time must be finite and nonnegative")
     t2a, t2b = check_t2_times((t2a, t2b))

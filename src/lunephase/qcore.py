@@ -25,7 +25,8 @@ for _m in (pauli_x, pauli_y, pauli_z, identity2, identity4):
     _m.setflags(write=False)
 
 # values that float() accepts but that are no real number: text, which it
-# parses, and numpy complex scalars, whose imaginary part it drops
+# parses, and numpy complex scalars, whose imaginary part it drops; read
+# only by _check_real
 _NOT_REAL = (str, bytes, np.complexfloating)
 
 # the largest magnitude of a constructed matrix's real and imaginary parts:
@@ -44,6 +45,22 @@ def principal_angle(x: float) -> float:
 def _check_sign(value: int, name: str) -> None:
     if value not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1")
+
+
+def _check_real(value, name: str, owner: object = None) -> float:
+    """The one probe of a real input: value as a float, or a DomainError
+    that names it, as "{owner class}.{name}" when owner is given. Text,
+    bytes and complex values are no real number, though float() would parse
+    or truncate them; a value past the floats must fit one. An infinite or
+    NaN float passes: each caller states its own range, as a comparison
+    that a NaN fails. A bool is a real here (True is 1.0), unlike for
+    _check_count. The name is formatted only on a refusal."""
+    try:
+        return float(None if isinstance(value, _NOT_REAL) else value)
+    except (TypeError, ValueError, OverflowError) as error:
+        name = name if owner is None else f"{type(owner).__name__}.{name}"
+        problem = "fit a float" if isinstance(error, OverflowError) else "be a real number"
+        raise DomainError(f"{name} must {problem}") from None
 
 
 def _check_count(value: int, name: str, low: int, high: int | None = None) -> int:
@@ -125,7 +142,8 @@ class DensityOperator:
 
     Every state is Hermitian; normalized ones also have unit trace and no
     eigenvalue below the floor, deviation (traceless difference) operators
-    need not. Each state is checked once, where its numbers are made: the
+    need not. normalized must be a bool, since any truthy value would mean
+    a state. Each state is checked once, where its numbers are made: the
     constructor checks outside input, bounded entries first; a computed
     state passes _validated once and is wrapped (see _wrap); copies and
     reads check nothing. States compare by identity, and hash.
@@ -135,6 +153,8 @@ class DensityOperator:
     normalized: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.normalized) is not bool:
+            raise DomainError("normalized must be a bool")
         object.__setattr__(self, "matrix", _validated(_as_square(self.matrix), self.normalized))
 
     def __reduce__(self):
@@ -194,7 +214,9 @@ def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
     if not abs(norm - 1.0) <= POLICY.axis_unit_tol:
         raise DomainError("rotation axis must be a unit vector")
     nx, ny, nz = nx / norm, ny / norm, nz / norm
-    half = 0.5 * angle
+    half = 0.5 * _check_real(angle, "rotation angle")
+    if not abs(half) < math.inf:
+        raise DomainError("rotation angle must be finite")
     c, s = math.cos(half), math.sin(half)
     return np.array([
         [complex(c, -s * nz), complex(-s * ny, -s * nx)],

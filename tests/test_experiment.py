@@ -50,7 +50,7 @@ from lunephase.geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from lunephase.phases import qubit_mixed_phase, sjoqvist_average
+from lunephase.phases import qubit_mixed_phase, sjoqvist_average, theory_curve
 from lunephase.pulse import (
     Delay,
     FrameOffset,
@@ -952,6 +952,9 @@ NAN_GUARDS = {
         lambda: apply_t2_relaxation(thermal_state(), math.nan, 0.3, 0.4),
         "relaxation time must be finite and nonnegative",
     ),
+    "path-perturb": (
+        lambda: idealized_eigenvector_path(0.3, perturb=math.nan), "perturb must be finite",
+    ),
 }
 
 
@@ -1214,6 +1217,72 @@ REJECTIONS = {
     "state-path-generator-shape": (
         lambda: StatePath([0.0, 1.0], [[1, 0], [1, 0]], np.zeros((2, 3, 3))),
         "generators must be one 2x2 operator per sample",
+    ),
+    # every real scalar passes qcore._check_real, each caller its own range
+    "evolution-time-str": (
+        lambda: free_evolution_unitary(SpinSystemParams(), "1"),
+        "evolution time must be a real number",
+    ),
+    "evolution-time-complex": (
+        lambda: free_evolution_unitary(SpinSystemParams(), 1j),
+        "evolution time must be a real number",
+    ),
+    "evolution-time-overflow": (
+        lambda: free_evolution_unitary(SpinSystemParams(), 10**400),
+        "evolution time must fit a float",
+    ),
+    "relaxation-time-str": (
+        lambda: apply_t2_relaxation(thermal_state(), "1", 0.3, 0.4),
+        "relaxation time must be a real number",
+    ),
+    "relaxation-time-complex": (
+        lambda: apply_t2_relaxation(thermal_state(), 1j, 0.3, 0.4),
+        "relaxation time must be a real number",
+    ),
+    "relaxation-time-overflow": (
+        lambda: apply_t2_relaxation(thermal_state(), 10**400, 0.3, 0.4),
+        "relaxation time must fit a float",
+    ),
+    "mixed-phase-purity-str": (
+        lambda: qubit_mixed_phase("0.5", 1.0), "purity must be a real number",
+    ),
+    "mixed-phase-omega-overflow": (
+        lambda: qubit_mixed_phase(0.5, 10**400), "solid angle omega must fit a float",
+    ),
+    "theory-omega-overflow": (
+        lambda: theory_curve(10**400), "solid angle omega must fit a float",
+    ),
+    "path-perturb-str": (
+        lambda: idealized_eigenvector_path(0.3, perturb="0.1"), "perturb must be a real number",
+    ),
+    "path-perturb-complex": (
+        lambda: idealized_eigenvector_path(0.3, perturb=1j), "perturb must be a real number",
+    ),
+    "path-perturb-past-floats": (
+        lambda: idealized_eigenvector_path(0.3, perturb=10**400), "perturb must fit a float",
+    ),
+    # refused before any arithmetic, so numpy does not warn (an error here)
+    "path-perturb-inf": (
+        lambda: idealized_eigenvector_path(0.3, perturb=math.inf), "perturb must be finite",
+    ),
+    "path-perturb-minus-inf": (
+        lambda: idealized_eigenvector_path(0.3, perturb=-math.inf), "perturb must be finite",
+    ),
+    "rotation-angle-nan": (
+        lambda: rotation_unitary([1.0, 0.0, 0.0], math.nan), "rotation angle must be finite",
+    ),
+    "rotation-angle-inf": (
+        lambda: rotation_unitary([1.0, 0.0, 0.0], math.inf), "rotation angle must be finite",
+    ),
+    "theta-overflow": (
+        lambda: check_inclination(10**400), "inclination angle must fit a float",
+    ),
+    # a truthy string would otherwise check the matrix as a state
+    "density-normalized-str": (
+        lambda: DensityOperator(np.eye(4) / 4, normalized="no"), "normalized must be a bool",
+    ),
+    "density-normalized-none": (
+        lambda: DensityOperator(np.eye(4) / 4, normalized=None), "normalized must be a bool",
     ),
 }
 

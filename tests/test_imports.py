@@ -212,6 +212,27 @@ def test_one_angle_wrap():
     assert sites and set(sites) <= body, sites
 
 
+def test_one_real_probe():
+    # every real input is probed by qcore._check_real, the one reader of
+    # _NOT_REAL, bare or as qcore._NOT_REAL
+    tree = ast.parse((PACKAGE / "qcore.py").read_text(encoding="utf-8"))
+    body = {
+        f"qcore.py:{line}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_real"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "_NOT_REAL"
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "_NOT_REAL"
+    ]
+    assert sites and set(sites) <= body, sites
+
+
 def test_checker_finds_json_dumps_calls():
     source = (
         "import json\n"

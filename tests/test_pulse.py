@@ -193,8 +193,8 @@ class TestEvents:
                         lambda: free_evolution_unitary(prog.params, 7.9e305)):
             with pytest.raises(DomainError, match=message):
                 attempt()
-        # a time beyond the floats, from the same raise site
-        message = r"^delay of .* s is too long: energy\*time must fit a float$"
+        # a time beyond the floats is refused by the probe of every real input
+        message = r"^evolution time must fit a float$"
         for t in (10**400, Fraction(10**400)):
             with pytest.raises(DomainError, match=message):
                 free_evolution_unitary(prog.params, t)

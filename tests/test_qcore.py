@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 import math
 import pickle
+import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -584,3 +586,44 @@ class TestPrincipalAngle:
             w = principal_angle(x)
             assert -math.pi < w <= math.pi
             assert math.remainder(w - x, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+# real inputs of every type the package meets, the non-finite floats included
+reals = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, True, False]),
+    st.floats(),
+    st.integers(-(2**1000), 2**1000),
+    st.fractions(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+# inputs that are no real number, and numbers past the floats
+no_reals = st.one_of(
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.none(),
+    st.lists(st.floats(), max_size=2),
+    st.sampled_from([10**400, -(10**400), Fraction(10**400), Fraction(-(10**400), 3)]),
+)
+owners = st.sampled_from([None, qcore.DensityOperator(I2 / 2)])
+
+
+class TestCheckReal:
+    @settings(max_examples=300, deadline=None)
+    @given(value=reals, owner=owners)
+    def test_a_real_is_its_float_bit_for_bit(self, value, owner):
+        got = qcore._check_real(value, "x", owner)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", float(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=no_reals, owner=owners)
+    def test_no_real_is_refused_by_name(self, value, owner):
+        name = "x" if owner is None else "DensityOperator.x"
+        problem = "fit a float" if isinstance(value, (int, Fraction)) else "be a real number"
+        with pytest.raises(DomainError, match=f"^{name} must {problem}$"):
+            qcore._check_real(value, "x", owner)
