@@ -43,7 +43,7 @@ _MB = np.array([0.5, -0.5, 0.5, -0.5])
 
 def _store_reals(
     obj, *names: str, exact: tuple[str, ...] = (), rational: tuple[str, ...] = ()
-) -> None:
+) -> tuple[float, ...]:
     """The one check of each named value field of obj: qcore._check_real
     decides that it is a real number that fits a float, and this that it is
     finite, or a DomainError names the field as "{class}.{field}". A field
@@ -53,13 +53,17 @@ def _store_reals(
     half turns). Any other number is stored as its float (radians, seconds
     or Hz), so that numpy scalars and 0-d arrays hash, as the compile cache
     needs. Each value is thus stored in the one form that the parser gives
-    back for its rendering.
+    back for its rendering. Returns each field's value as a float, the one
+    the probe made (the stored Fraction's, where a rational field was
+    converted), so that no field is converted twice.
 
-    obj._forms, which == and hash compare too, gets each field's form: the
-    sign of a float (0.0 against -0.0) and the type of anything else (a
-    Fraction flip, in half turns, against as many radians). Equal value
-    objects therefore compile to the same bits."""
-    forms = []
+    obj._key, which == and hash compare in place of the value fields, gets
+    each field's stored form, flat: a float and its sign (0.0 against
+    -0.0), or a Fraction's numerator, denominator and type (a Fraction
+    flip, in half turns, against as many radians). Equal value objects
+    therefore compile to the same bits, and no comparison or hash of one
+    reads a Fraction."""
+    key, floats = (), ()
     for name in names:
         value = getattr(obj, name)
         number = _check_real(value, name, obj)
@@ -72,11 +76,17 @@ def _store_reals(
                 value = (Fraction(int(value.numerator), int(value.denominator))
                          if isinstance(value, numbers.Rational) else Fraction(number))
                 object.__setattr__(obj, name, value)
+                number = float(value)
         elif type(value) is not float and not (isinstance(value, Fraction) and name in exact):
             value = number
             object.__setattr__(obj, name, value)
-        forms.append(math.copysign(1.0, value) if type(value) is float else type(value))
-    object.__setattr__(obj, "_forms", tuple(forms))
+        if type(value) is float:
+            key += (value, math.copysign(1.0, value))
+        else:
+            key += (value.numerator, value.denominator, type(value))
+        floats += (number,)
+    object.__setattr__(obj, "_key", key)
+    return floats
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,9 @@ class SpinSystemParams:
     the 10*2piJ sanity bound on an offset, a frame directive's included.
     """
 
-    omega_a: float = 0.0
-    omega_b: float = 0.0
-    _forms: tuple = field(init=False, repr=False)
+    omega_a: float = field(default=0.0, compare=False)
+    omega_b: float = field(default=0.0, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _store_reals(self, "omega_a", "omega_b")
@@ -114,27 +124,28 @@ class Rotation:
     axis is one of the labels 'x', '-x', 'y', '-y' or a transverse phase angle
     in radians, stored as a float. flip is the nominal rotation angle: a
     Fraction means an exact multiple of pi (kept exact for bit-stable
-    rendering), a float is radians.
+    rendering), a float is radians. flip_radians, the flip in radians, is
+    computed once, here. The axis, a label or a float, compares as itself;
+    the flip, which may be a Fraction, only through the key (see
+    _store_reals).
     """
 
     spin: str
     axis: str | float
-    flip: Fraction | float
-    _forms: tuple = field(init=False, repr=False)
+    flip: Fraction | float = field(compare=False)
+    flip_radians: float = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_spin(self.spin)
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
         numeric_axis = () if isinstance(self.axis, str) else ("axis",)
-        _store_reals(self, *numeric_axis, "flip", exact=("flip",))
-        if not -2 * math.pi < self.flip_radians <= 2 * math.pi:
+        flip = _store_reals(self, *numeric_axis, "flip", exact=("flip",))[-1]
+        flip_radians = flip if type(self.flip) is float else flip * math.pi
+        if not -2 * math.pi < flip_radians <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
-
-    @property
-    def flip_radians(self) -> float:
-        flip = self.flip
-        return float(flip) * math.pi if isinstance(flip, Fraction) else float(flip)
+        object.__setattr__(self, "flip_radians", flip_radians)
 
     def axis_vector(self) -> np.ndarray:
         if isinstance(self.axis, str):
@@ -147,25 +158,28 @@ class Delay:
     """Free-evolution interval; exactly one of seconds / per_j is set.
 
     per_j keeps durations given as k/J as exact rationals so programs built
-    from 1/(2J) blocks sum to exact multiples of 1/J.
+    from 1/(2J) blocks sum to exact multiples of 1/J. The duration in
+    seconds is computed once, here.
     """
 
-    seconds: float | None = None
-    per_j: Fraction | None = None
-    _forms: tuple = field(init=False, repr=False)
+    seconds: float | None = field(default=None, compare=False)
+    per_j: Fraction | None = field(default=None, compare=False)
+    _key: tuple = field(init=False, repr=False)
+    _duration: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.seconds is None) == (self.per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
         name = "per_j" if self.seconds is None else "seconds"
-        _store_reals(self, name, rational=("per_j",))
-        if getattr(self, name) < 0:
+        (number,) = _store_reals(self, name, rational=("per_j",))
+        # the key opens with the float, or with the Fraction's numerator: the
+        # sign of the duration either way, and no Fraction comparison
+        if self._key[0] < 0:
             raise DomainError("delay duration must be nonnegative")
+        object.__setattr__(self, "_duration", number / DEFAULT_J if name == "per_j" else number)
 
     def duration(self) -> float:
-        if self.per_j is not None:
-            return float(self.per_j) / DEFAULT_J
-        return float(self.seconds)
+        return self._duration
 
 
 @dataclass(frozen=True)
@@ -181,23 +195,25 @@ class FrameOffset:
     """Frame directive: place one spin's frame at the spin's resonance plus
     value in the given unit ('piJ' = multiples of 2piJ rad/s, so -0.5piJ
     places it piJ rad/s below; 'Hz'). The spin's offset from its frame is
-    then minus that value."""
+    then minus that value, and the frame's angular value is computed once,
+    here."""
 
     spin: str
-    value: Fraction | float
+    value: Fraction | float = field(compare=False)
     unit: str
-    _forms: tuple = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
+    _angular: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_spin(self.spin)
         if self.unit not in ("piJ", "Hz"):
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
-        _store_reals(self, "value", rational=("value",) if self.unit == "piJ" else ())
+        (value,) = _store_reals(self, "value", rational=("value",) if self.unit == "piJ" else ())
+        angular = value * 2 * math.pi * DEFAULT_J if self.unit == "piJ" else 2 * math.pi * value
+        object.__setattr__(self, "_angular", angular)
 
     def angular(self) -> float:
-        if self.unit == "piJ":
-            return float(self.value) * 2 * math.pi * DEFAULT_J
-        return 2 * math.pi * float(self.value)
+        return self._angular
 
 
 @dataclass(frozen=True)
@@ -307,10 +323,12 @@ def free_evolution_unitary(
 
 def _energies(params: SpinSystemParams, iz_sign: int) -> np.ndarray:
     """The eigenvalues of H in basis order |uu>, |ud>, |du>, |dd>, each
-    omega_a*ma + omega_b*mb + 2piJ*ma*mb of its spins' signed m_z values, with
-    the operations of that scalar formula, so each entry has its bits."""
-    ma, mb = iz_sign * _MA, iz_sign * _MB
-    return params.omega_a * ma + params.omega_b * mb + 2 * math.pi * DEFAULT_J * ma * mb
+    omega_a*ma + omega_b*mb + 2piJ*ma*mb of its spins' signed m_z values,
+    computed as that scalar formula in Python floats, one entry at a time."""
+    a, b, coupling = params.omega_a, params.omega_b, 2 * math.pi * DEFAULT_J
+    # the J term takes no sign: rounding is odd, so flipping both m keeps its bits
+    return np.array([a * (iz_sign * ma) + b * (iz_sign * mb) + coupling * ma * mb
+                     for ma, mb in zip(_MA.tolist(), _MB.tolist())])
 
 
 def _free_phases(energies: np.ndarray, t: float | np.ndarray) -> np.ndarray:

@@ -208,8 +208,13 @@ def sigma_dot(n) -> np.ndarray:
 
 def rotation_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
     """exp(-i angle axis.sigma / 2) = cos(angle/2) 1 - i sin(angle/2) axis.sigma
-    for a unit axis, filled entry by entry."""
-    nx, ny, nz = map(float, axis)
+    for a unit axis, filled entry by entry. The axis must be three real
+    numbers, each through _check_real, or a DomainError names it."""
+    try:
+        nx, ny, nz = axis
+    except (TypeError, ValueError):
+        raise DomainError("rotation axis must be a 3-vector of real numbers") from None
+    nx, ny, nz = (_check_real(n, "rotation axis entry") for n in (nx, ny, nz))
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if not abs(norm - 1.0) <= POLICY.axis_unit_tol:
         raise DomainError("rotation axis must be a unit vector")

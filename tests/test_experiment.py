@@ -1274,6 +1274,31 @@ REJECTIONS = {
     "rotation-angle-inf": (
         lambda: rotation_unitary([1.0, 0.0, 0.0], math.inf), "rotation angle must be finite",
     ),
+    # text was read character by character, a complex entry lost its
+    # imaginary part, and the wrong shapes raised bare errors
+    "rotation-axis-text": (
+        lambda: rotation_unitary("100", 0.5), "rotation axis entry must be a real number",
+    ),
+    "rotation-axis-complex": (
+        lambda: rotation_unitary(np.array([1 + 1j, 0, 0]), 0.5),
+        "rotation axis entry must be a real number",
+    ),
+    "rotation-axis-python-complex": (
+        lambda: rotation_unitary([1j, 0.0, 0.0], 0.5), "rotation axis entry must be a real number",
+    ),
+    "rotation-axis-past-floats": (
+        lambda: rotation_unitary([10**400, 0, 0], 0.5), "rotation axis entry must fit a float",
+    ),
+    "rotation-axis-two-entries": (
+        lambda: rotation_unitary((1, 0), 0.5), "rotation axis must be a 3-vector of real numbers",
+    ),
+    "rotation-axis-four-entries": (
+        lambda: rotation_unitary((1, 0, 0, 0), 0.5),
+        "rotation axis must be a 3-vector of real numbers",
+    ),
+    "rotation-axis-missing": (
+        lambda: rotation_unitary(None, 0.5), "rotation axis must be a 3-vector of real numbers",
+    ),
     "theta-overflow": (
         lambda: check_inclination(10**400), "inclination angle must fit a float",
     ),

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import numbers
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +284,98 @@ class TestValueIdentity:
             final, traj = run_sequence(rho, prog, record=True, samples_per_delay=3)
             runs.append((final.matrix.tobytes(), traj.times.tobytes(), traj.matrices.tobytes()))
         assert runs[0] == runs[1]
+
+
+# values that meet in every form: each signed zero, ints, Fractions, numpy
+# scalars and the floats of the Fractions, so that equal and unequal pairs
+# of all kinds turn up
+key_values = st.sampled_from([
+    0.0, -0.0, 0, Fraction(0), np.float64(-0.0), 0.5, Fraction(1, 2), np.float64(0.5),
+    1, 1.0, Fraction(1), np.int64(1), True, Fraction(1, 3), 1 / 3, 0.25, Fraction(-1, 4),
+])
+
+
+def old_forms(obj):
+    """The forms that an object's equality read before it had a key: each
+    init field's sign for a float, and its type for anything else."""
+    return tuple(math.copysign(1.0, v) if type(v) is float else type(v)
+                 for v in (getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init))
+
+
+def same_by_fields(one, two):
+    """The value objects' equality as an oracle: the same class, equal
+    init fields and equal forms."""
+    names = [f.name for f in dataclasses.fields(one) if f.init]
+    return (type(one) is type(two) and old_forms(one) == old_forms(two)
+            and all(getattr(one, n) == getattr(two, n) for n in names))
+
+
+def value_objects(x):
+    """Every value object that x may build, one per value field, or none."""
+    built = []
+    for make in VALUE_FIELDS.values():
+        try:
+            built.append(make(x))
+        except DomainError:
+            pass
+    return built
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+class TestValueKey:
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(key_values, min_size=2, max_size=6))
+    def test_equality_and_hash_follow_the_fields_and_their_forms(self, xs):
+        objs = [obj for x in xs for obj in value_objects(x)]
+        for one, two in itertools.product(objs, repeat=2):
+            assert (one == two) is same_by_fields(one, two), (one, two)
+            assert one != two or hash(one) == hash(two)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(key_values, st.floats(-6.0, 6.0), st.fractions(-2, 2, max_denominator=24)))
+    def test_stored_floats_have_the_bits_of_their_formulas(self, x):
+        for obj in value_objects(x):
+            if isinstance(obj, Rotation):
+                flip = obj.flip
+                want = float(flip) * math.pi if isinstance(flip, Fraction) else float(flip)
+                assert float_bits(obj.flip_radians) == float_bits(want)
+            elif isinstance(obj, Delay):
+                want = (float(obj.per_j) / J if obj.per_j is not None else float(obj.seconds))
+                assert float_bits(obj.duration()) == float_bits(want)
+            elif isinstance(obj, FrameOffset):
+                for frame in (obj, FrameOffset("a", float(x), "Hz")):
+                    value = float(frame.value)
+                    want = value * 2 * math.pi * J if frame.unit == "piJ" else 2 * math.pi * value
+                    assert float_bits(frame.angular()) == float_bits(want)
+
+    def test_a_cache_hit_reads_no_fraction(self, monkeypatch):
+        # one grid point's programs, built as experiment builds them
+        def point():
+            prepare = make_program([
+                Rotation("b", "x", Fraction(1, 3)), Gradient(), Rotation("b", "x", Fraction(1, 4)),
+                Delay(per_j=Fraction(1, 2)), Rotation("b", "-y", Fraction(1, 4)), Gradient(),
+            ], SpinSystemParams(12.5, -40.0))
+            return prepare, mixing_program(5), cycle_program(0.4)
+
+        for prog in point():
+            pulse._stretches(prog, -1, 1)
+        calls = {"__hash__": 0, "__eq__": 0, "__float__": 0}
+        for name in calls:
+            def counted(self, *args, name=name, original=getattr(Fraction, name)):
+                calls[name] += 1
+                return original(self, *args)
+            monkeypatch.setattr(Fraction, name, counted)
+        programs = point()
+        # ten Fraction fields, each converted once, by the probe
+        assert calls == {"__hash__": 0, "__eq__": 0, "__float__": 10}
+        hits = pulse._compile.cache_info().hits
+        for prog in programs:
+            pulse._stretches(prog, -1, 1)
+        assert pulse._compile.cache_info().hits == hits + 3
+        assert calls == {"__hash__": 0, "__eq__": 0, "__float__": 10}
 
 
 # what a caller may pass for a number: no number at all, numbers beyond the

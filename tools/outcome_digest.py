@@ -9,21 +9,28 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 ``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, a stream of 200
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
-relaxation, and 22 command lines of the CLI in subprocesses, and prints one
-sha256 per stream and per command line. Each outcome digest covers every
-matrix (dtype, shape, bytes, whether it is writeable), every flag, every
-time and every complex number; each command digest covers stdout, stderr
-and the exit code. Run it on two checkouts and compare the output line by
-line: equal lines mean equal bits.
+relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
+rotations, delays, frames) and the programs built from them, and 22 command
+lines of the CLI in subprocesses, and prints one sha256 per stream and per
+command line. Each outcome digest covers every matrix (dtype, shape, bytes,
+whether it is writeable), every flag, every time and every complex number;
+each command digest covers stdout, stderr and the exit code. The value
+digest covers each object's stored fields, the bits of the floats computed
+from them, which objects of a block compare equal and whether equal
+objects hash equal (never a hash value, which differs between processes),
+and each program's rendering and total duration. Run it on two checkouts
+and compare the output line by line: equal lines mean equal bits.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import os
 import random
 import struct
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +38,8 @@ import numpy as np
 SEEDS = (1, 2, 741)
 STREAMS = (("chain", 100), ("trajectory", 60))
 STATE_SEEDS, STATE_COUNT = (1, 2), 200
+VALUE_SEED, VALUE_BLOCKS, VALUE_BLOCK = 31, 200, 8
+VALUE_KINDS = ("params", "rotation", "delay", "frame")
 MODEL = ("--model", "idealized-controlled-U")
 RELAXED = ("--relaxation", "0.3,0.4")
 SIMULATE = ("simulate", "--theta", "pi/8", "--n", "5", "--format", "json")
@@ -124,11 +133,76 @@ def state_outcome(pulse, qcore, experiment, matrix, normalized) -> dict:
     }
 
 
+def value_number(rng: random.Random, nonnegative: bool = False):
+    """A seeded multiple of 1/4 in [-1, 1] in one of the forms a caller may
+    pass: a Fraction, a float, an int, a numpy float or integer, or a signed
+    zero. Few values in many forms, so that a block holds equal objects
+    built from different inputs."""
+    k = rng.randint(0 if nonnegative else -4, 4)
+    zero = rng.choice((0.0, -0.0, np.float64(-0.0)))
+    return rng.choice((Fraction(k, 4), k / 4, k // 4, np.float64(k / 4), np.int64(k // 4), zero))
+
+
+def value_object(pulse, kind: str, rng: random.Random):
+    """One seeded value object of the given kind (see VALUE_KINDS)."""
+    if kind == "params":
+        return pulse.SpinSystemParams(value_number(rng), value_number(rng))
+    if kind == "rotation":
+        axis = rng.choice(("x", "-x", "y", "-y", value_number(rng)))
+        return pulse.Rotation(rng.choice("ab"), axis, value_number(rng))
+    if kind == "delay":
+        return pulse.Delay(**{rng.choice(("seconds", "per_j")): value_number(rng, True)})
+    return pulse.FrameOffset(rng.choice("ab"), value_number(rng), rng.choice(("piJ", "Hz")))
+
+
+def value_outcome(pulse, obj) -> dict:
+    """An object's stored init fields (a Fraction as its numerator and
+    denominator) and the float computed from them: a rotation's flip in
+    radians, a delay's duration, a frame's angular offset."""
+    outcome = {}
+    for f in dataclasses.fields(obj):
+        if f.init:
+            value = getattr(obj, f.name)
+            fraction = isinstance(value, Fraction)
+            outcome[f.name] = ("Fraction", value.numerator, value.denominator) if fraction else value
+    if isinstance(obj, pulse.Rotation):
+        outcome["flip_radians"] = obj.flip_radians
+    elif isinstance(obj, pulse.Delay):
+        outcome["duration"] = obj.duration()
+    elif isinstance(obj, pulse.FrameOffset):
+        outcome["angular"] = obj.angular()
+    return outcome
+
+
+def value_blocks(pulse, pulseprog, rng: random.Random):
+    """The outcome of each block of VALUE_BLOCK objects of one kind: each
+    object's outcome, the index of the first object of the block that
+    compares equal to it, and whether equal objects hash equal. Each run of
+    the four kinds also builds a program: the rotations and delays
+    alternating around a crusher, on the params block's first params, with
+    the frame block's last frame of each spin; its rendering and total
+    duration are the run's outcome."""
+    for _ in range(VALUE_BLOCKS // len(VALUE_KINDS)):
+        blocks = {}
+        for kind in VALUE_KINDS:
+            objs = blocks[kind] = [value_object(pulse, kind, rng) for _ in range(VALUE_BLOCK)]
+            yield {
+                "objects": [value_outcome(pulse, obj) for obj in objs],
+                "first_equal": [next(j for j, b in enumerate(objs) if b == a) for a in objs],
+                "equal_hash_equal": all(hash(a) == hash(b) for a in objs for b in objs if a == b),
+            }
+        events = [ev for pair in zip(blocks["rotation"], blocks["delay"]) for ev in pair]
+        events.insert(VALUE_BLOCK, pulse.Gradient())
+        frames = tuple({fr.spin: fr for fr in blocks["frame"]}.values())
+        prog = pulse.make_program(events, blocks["params"][0], frames)
+        yield {"rendered": pulseprog.render_sequence(prog), "total": prog.total_duration}
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from lunephase import experiment, pulse, qcore
+    from lunephase import experiment, pulse, pulseprog, qcore
 
     for (name, count), seed in itertools.product(STREAMS, SEEDS):
         make, run = getattr(workloads, f"{name}_requests"), getattr(workloads, f"run_{name}")
@@ -143,6 +217,11 @@ def main(argv: list[str]) -> int:
         for matrix, normalized in random_states(seed, STATE_COUNT):
             feed(h, state_outcome(pulse, qcore, experiment, matrix, normalized))
         print(f"states seed {seed} ({STATE_COUNT} states): {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    for outcome in value_blocks(pulse, pulseprog, random.Random(VALUE_SEED)):
+        feed(h, outcome)
+    print(f"values seed {VALUE_SEED} ({VALUE_BLOCKS} blocks of {VALUE_BLOCK}): {h.hexdigest()}")
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for argv_ in COMMANDS:
