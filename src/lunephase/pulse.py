@@ -12,7 +12,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -248,14 +248,15 @@ class SequenceProgram:
                 raise DomainError(
                     f"SequenceProgram.frames must hold FrameOffsets, not {type(fr).__name__}"
                 )
-            name = f"omega_{fr.spin}"
-            if name in offsets:
+            if fr.spin in offsets:
                 raise DomainError(f"spin {fr.spin} has more than one frame directive")
             # an offset past max float is past the bound too, and is refused
             # there rather than as an infinite offset
-            offsets[name] = max(-sys.float_info.max, min(-fr.angular(), sys.float_info.max))
+            offsets[fr.spin] = max(-sys.float_info.max, min(-fr.angular(), sys.float_info.max))
         if offsets:
-            object.__setattr__(self, "params", replace(self.params, **offsets))
+            p = self.params
+            params = SpinSystemParams(offsets.get("a", p.omega_a), offsets.get("b", p.omega_b))
+            object.__setattr__(self, "params", params)
         has_delay = False
         for ev in self.events:
             if not isinstance(ev, PulseEvent):

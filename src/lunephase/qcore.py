@@ -43,7 +43,9 @@ def principal_angle(x: float) -> float:
 
 
 def _check_sign(value: int, name: str) -> None:
-    if value not in (1, -1):
+    # an int only, as Conventions asks: True, 1.0 and numpy scalars compare
+    # equal to 1 but would reach compile-cache keys and records as themselves
+    if type(value) is not int or value not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1")
 
 

@@ -1034,6 +1034,34 @@ REJECTIONS = {
                              samples_per_delay=2.0),
         "samples_per_delay must be an integer of at least 1",
     ),
+    # a sign is an int: a bool, float or numpy scalar equal to +-1 is refused
+    "sequence-pulse-sense-bool": (
+        lambda: run_sequence(thermal_state(), cycle_program(0.3), pulse_sense=True),
+        "pulse sense must be +1 or -1",
+    ),
+    "sequence-iz-sign-numpy": (
+        lambda: run_sequence(thermal_state(), cycle_program(0.3), iz_sign=np.float64(-1.0)),
+        "iz_sign must be +1 or -1",
+    ),
+    "branch-pulse-sense-float": (
+        lambda: branch_propagators(cycle_program(0.3), pulse_sense=1.0),
+        "pulse sense must be +1 or -1",
+    ),
+    "branch-iz-sign-bool": (
+        lambda: branch_propagators(cycle_program(0.3), iz_sign=True),
+        "iz_sign must be +1 or -1",
+    ),
+    "eigenvector-label-float": (
+        lambda: idealized_eigenvector_path(0.3, eigen_sign=-1.0),
+        "eigenvector label must be +1 or -1",
+    ),
+    "traversal-sense-bool": (
+        lambda: lune_holonomy(0.3, True), "traversal sense must be +1 or -1",
+    ),
+    "orientation-sign-numpy": (
+        lambda: qubit_mixed_phase(0.5, 1.0, sign=np.int64(1)),
+        "orientation sign must be +1 or -1",
+    ),
     "samples-per-segment-fraction": (
         lambda: idealized_eigenvector_path(0.3, samples_per_segment=2.5),
         "samples_per_segment must be an integer of at least 2",

@@ -3,6 +3,10 @@ one-owner call-site and repeated-guard-message checks on the package
 source, written against the standard library `ast` module so they run
 wherever the test suite does, and a check of the names the package exports."""
 import ast
+import importlib
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -10,8 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lunephase"
-# __init__.py imports names to re-export them, not to use them.
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 # Public names that only tests reach, each with the reason it stays.
 UNREACHED_ALLOWED = {
@@ -396,6 +399,59 @@ def test_star_import_binds_the_public_names():
     assert namespace["__version__"] == lunephase.__version__
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert {"run_sequence", "SequenceProgram", "DomainError", "parse_sequence"} <= set(namespace)
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The lunephase modules, and numpy if it is loaded, in sys.modules of
+    a fresh interpreter after statement."""
+    probe = (
+        f"import sys\n{statement}\n"
+        "print(*sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'lunephase'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.split()
+
+
+def test_package_import_loads_no_module():
+    assert loaded_after("import lunephase") == ["lunephase"]
+
+
+def test_pulse_level_import_loads_only_its_layers():
+    assert loaded_after("import lunephase.pulse, lunephase.qcore") == [
+        "lunephase", "lunephase.errors", "lunephase.policy", "lunephase.pulse",
+        "lunephase.qcore", "numpy",
+    ]
+
+
+def test_each_public_name_is_its_modules_object():
+    import lunephase
+
+    # each name's home is the one module that defines it at top level
+    homes = {}
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for qualified, _, _ in _definitions(tree):
+            homes.setdefault(qualified, []).append(module.removesuffix(".py"))
+    assert lunephase.__all__[-1] == "__version__"
+    for name in lunephase.__all__[:-1]:
+        (home,) = homes[name]
+        home = importlib.import_module(f"lunephase.{home}")
+        assert getattr(lunephase, name) is getattr(home, name), name
+    # the package binds none of them: each read goes to the module
+    assert not set(lunephase.__all__[:-1]) & set(vars(lunephase))
+    assert set(lunephase.__all__) <= set(dir(lunephase))
+
+
+def test_unknown_name_is_an_attribute_error():
+    import lunephase
+
+    with pytest.raises(AttributeError) as err:
+        lunephase.no_such_name
+    assert str(err.value) == "module 'lunephase' has no attribute 'no_such_name'"
+    assert not hasattr(lunephase, "no_such_name")
 
 
 def _message_text(node: ast.AST) -> str | None:

@@ -11,15 +11,18 @@ seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
 relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
 rotations, delays, frames) and the programs built from them, and 22 command
-lines of the CLI in subprocesses, and prints one sha256 per stream and per
-command line. Each outcome digest covers every matrix (dtype, shape, bytes,
-whether it is writeable), every flag, every time and every complex number;
-each command digest covers stdout, stderr and the exit code. The value
-digest covers each object's stored fields, the bits of the floats computed
-from them, which objects of a block compare equal and whether equal
-objects hash equal (never a hash value, which differs between processes),
-and each program's rendering and total duration. Run it on two checkouts
-and compare the output line by line: equal lines mean equal bits.
+lines of the CLI in subprocesses. It prints one sha256 per stream and per
+command line, then one for the package namespace. Each outcome digest
+covers every matrix (dtype, shape, bytes, whether it is writeable), every
+flag, every time and every complex number; each command digest covers
+stdout, stderr and the exit code. The value digest covers each object's
+stored fields, the bits of the floats computed from them, which objects of
+a block compare equal and whether equal objects hash equal (never a hash
+value, which differs between processes), and each program's rendering and
+total duration. The namespace digest covers ``lunephase.__all__`` in order
+and, for each name, the module and qualified name of what it resolves to,
+or the repr of a constant. Run it on two checkouts and compare the output
+line by line: equal lines mean equal bits.
 """
 from __future__ import annotations
 
@@ -198,10 +201,25 @@ def value_blocks(pulse, pulseprog, rng: random.Random):
         yield {"rendered": pulseprog.render_sequence(prog), "total": prog.total_duration}
 
 
+def namespace_outcome(package) -> list:
+    """Each public name of package, in __all__ order, with the module and
+    qualified name of what it resolves to, or the repr of a constant (an
+    object with no qualified name)."""
+    outcome = []
+    for name in package.__all__:
+        value = getattr(package, name)
+        if hasattr(value, "__qualname__"):
+            outcome.append((name, value.__module__, value.__qualname__))
+        else:
+            outcome.append((name, repr(value)))
+    return outcome
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
+    import lunephase
     from lunephase import experiment, pulse, pulseprog, qcore
 
     for (name, count), seed in itertools.product(STREAMS, SEEDS):
@@ -231,6 +249,10 @@ def main(argv: list[str]) -> int:
         feed(h, request.outcome)
         code = request.outcome["code"]
         print(f"lunephase {' '.join(argv_)} (exit {code}): {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    feed(h, namespace_outcome(lunephase))
+    print(f"namespace ({len(lunephase.__all__)} names): {h.hexdigest()}")
     return 0
 
 
