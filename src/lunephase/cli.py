@@ -122,9 +122,10 @@ def _relaxation(text: str) -> tuple[float, float]:
 
 
 def _convention(text: str) -> Conventions:
-    """Parse 'sense=-1,active=up' style overrides (keys: sense|s, active)."""
-    sense = DEFAULT_CONVENTIONS.pulse_sense
-    active_up = DEFAULT_CONVENTIONS.active_branch_up
+    """Parse 'sense=-1,active=up' style overrides (keys: sense|s, active).
+    Each field may be set once (s and sense are one key); a field that no
+    key sets keeps its Conventions default."""
+    given = {}
     for item in text.split(","):
         if not item.strip():
             continue
@@ -134,14 +135,17 @@ def _convention(text: str) -> Conventions:
         if key in ("sense", "s"):
             if value not in ("+1", "1", "-1"):
                 raise ValueError(f"sense must be +1 or -1, got {value!r}")
-            sense = -1 if value == "-1" else 1
+            field, parsed = "pulse_sense", -1 if value == "-1" else 1
         elif key == "active":
             if value not in ("up", "down"):
                 raise ValueError(f"active must be up or down, got {value!r}")
-            active_up = value == "up"
+            field, parsed = "active_branch_up", value == "up"
         else:
             raise ValueError(f"unknown convention key {key!r}")
-    return Conventions(pulse_sense=sense, active_branch_up=active_up)
+        if field in given:
+            raise ValueError(f"convention key {key!r} sets {field} a second time")
+        given[field] = parsed
+    return Conventions(**given)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,11 +47,13 @@ from .pulse import (
 from .pulseprog import parse_sequence
 from .qcore import (
     DensityOperator,
+    _blocks,
     _check_count,
     _check_real,
     _check_sign,
     _check_two_spin,
     _conjugate,
+    _embed,
     identity2,
     is_unitary,
     pauli_x,
@@ -269,11 +271,8 @@ def _controlled_cycle(theta: float, conventions: Conventions) -> np.ndarray:
     observable phase matches the literal sequence under any convention set.
     """
     u_loop = lune_holonomy(theta, conventions.pulse_sense)
-    w = np.zeros((4, 4), dtype=complex)
-    w[:2, :2], w[2:, 2:] = (
-        (u_loop, identity2) if conventions.active_branch_up else (identity2, u_loop)
-    )
-    return w
+    up, down = (u_loop, identity2) if conventions.active_branch_up else (identity2, u_loop)
+    return _embed("b", up, down)
 
 
 def idealized_eigenvector_path(
@@ -323,11 +322,13 @@ def idealized_eigenvector_path(
 
 
 def spin_a_coherence(rho: DensityOperator) -> complex:
-    """Complex up-down coherence of the spin-a reduced state: the two
-    entries that qcore.partial_trace sums for it, read off the checked
-    two-spin matrix with no reduced state built."""
+    """Complex up-down coherence of the spin-a reduced state: the up-down
+    entries of spin a's two blocks (see qcore._blocks), which
+    qcore.partial_trace sums for it, read off the checked two-spin matrix
+    with no reduced state built."""
     _check_two_spin(rho, "spin-a coherence is defined for the two-spin system")
-    return complex(rho.matrix[0, 2] + rho.matrix[1, 3])
+    up, down = _blocks(rho.matrix, "a")
+    return complex(up[0, 1] + down[0, 1])
 
 
 def readout_phase(rho_ab: DensityOperator, reference: complex) -> PhaseResult:

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .policy import POLICY
 from .qcore import (
-    DensityOperator, _check_count, _check_real, _check_sign, _check_two_spin, _conjugate,
-    _validated, identity4, is_unitary, rotation_unitary,
+    DensityOperator, _DMA, _DMB, _MA, _MB, _blocks, _check_count, _check_real, _check_sign,
+    _check_two_spin, _conjugate, _embed, _validated, identity4, is_unitary, rotation_unitary,
 )
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
@@ -34,11 +34,6 @@ AXIS_LABELS = {
     "y": (0.0, 1.0, 0.0),
     "-y": (0.0, -1.0, 0.0),
 }
-
-# m_z eigenvalue pattern (in units of the +-1/2 quantum numbers, before the
-# I_z sign convention is applied) for basis order |uu>, |ud>, |du>, |dd>
-_MA = np.array([0.5, 0.5, -0.5, -0.5])
-_MB = np.array([0.5, -0.5, 0.5, -0.5])
 
 
 def _store_reals(
@@ -344,20 +339,13 @@ def pulse_unitary(ev: Rotation, sense: int = 1) -> np.ndarray:
     sense = +-1 fixes how a pulse label (axis, flip) maps onto a physical
     rotation: the realized unitary is exp(-i sense*flip axis.sigma/2) on the
     target spin. sense=+1 reproduces rotation_unitary verbatim. The 4x4 is
-    filled in place, entry for entry equal to tensor(u, 1) or tensor(1, u).
+    u on the target spin's blocks, filled in place (see qcore._embed): it
+    equals tensor(u, 1) or tensor(1, u) under ==, and its other entries are
+    +0.0, where the Kronecker product has -0.0 imaginary parts.
     """
     _check_sign(sense, "pulse sense")
     u = rotation_unitary(ev.axis_vector(), sense * ev.flip_radians)
-    full = np.zeros((4, 4), dtype=complex)
-    if ev.spin == "a":
-        # u acts on the leftmost label: one copy per spin-b state, interleaved
-        full[0::2, 0::2] = u
-        full[1::2, 1::2] = u
-    else:
-        # one copy per spin-a branch, block diagonal
-        full[:2, :2] = u
-        full[2:, 2:] = u
-    return full
+    return _embed(ev.spin, u, u)
 
 
 def gradient_crusher(rho: DensityOperator) -> DensityOperator:
@@ -400,11 +388,9 @@ def apply_t2_relaxation(
     if not 0 <= t < math.inf:
         raise DomainError("relaxation time must be finite and nonnegative")
     t2a, t2b = check_t2_times((t2a, t2b))
-    dma = np.abs(_MA[:, None] - _MA[None, :])
-    dmb = np.abs(_MB[:, None] - _MB[None, :])
     # t/T2 may overflow (subnormal T2): dm*t first, so 0*inf never makes a nan
     with np.errstate(over="ignore"):
-        factors = np.exp(-(dma * t) / t2a) * np.exp(-(dmb * t) / t2b)
+        factors = np.exp(-(_DMA * t) / t2a) * np.exp(-(_DMB * t) / t2b)
     return DensityOperator._wrap(_validated(rho.matrix * factors, rho.normalized), rho.normalized)
 
 
@@ -620,4 +606,5 @@ def branch_propagators(
             raise DomainError("branch propagators require b-spin pulses only")
     stretches = _stretches(prog, pulse_sense, iz_sign)
     u = stretches[0][-1].product if stretches else identity4
-    return u[:2, :2].copy(), u[2:, 2:].copy()
+    up, down = _blocks(u, "b")
+    return up.copy(), down.copy()

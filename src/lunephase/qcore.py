@@ -3,6 +3,11 @@
 Basis order is |uu>, |ud>, |du>, |dd> with spin a leftmost; "u" is the +1
 eigenstate of sigma_z. Rotations follow R_n(alpha) = exp(-i alpha n.sigma/2),
 which turns Bloch vectors right-handedly by alpha about n.
+
+This module is the one owner of that layout: it states each spin's m_z per
+basis state once (_MA, _MB) and derives from them the |dm| decay masks and
+every index of a pair that another module needs (_embed, _blocks), so that
+no other module indexes a 4x4 by the layout.
 """
 from __future__ import annotations
 
@@ -21,7 +26,13 @@ pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
 identity2 = np.eye(2, dtype=complex)
 identity4 = np.eye(4, dtype=complex)
-for _m in (pauli_x, pauli_y, pauli_z, identity2, identity4):
+# the layout, stated once: the m_z quantum number of spin a and of spin b in
+# each basis state, in basis order, before the I_z sign convention
+_MA = np.array([0.5, 0.5, -0.5, -0.5])
+_MB = np.array([0.5, -0.5, 0.5, -0.5])
+# |dm_a| and |dm_b| between the basis states of each row and column
+_DMA, _DMB = (np.abs(m[:, None] - m[None, :]) for m in (_MA, _MB))
+for _m in (pauli_x, pauli_y, pauli_z, identity2, identity4, _MA, _MB, _DMA, _DMB):
     _m.setflags(write=False)
 
 # values that float() accepts but that are no real number: text, which it
@@ -40,6 +51,36 @@ def principal_angle(x: float) -> float:
     if w <= -math.pi:
         w += 2.0 * math.pi
     return w
+
+
+def _split(m: np.ndarray) -> tuple[slice, slice]:
+    """The two basis states in which a spin is up, then the two in which it
+    is down, each as a slice, so that a block of them is a view."""
+    (i, j), (k, l) = (np.flatnonzero(m == value).tolist() for value in (0.5, -0.5))
+    return slice(i, j + 1, j - i), slice(k, l + 1, l - k)
+
+
+# each spin's two 2x2 blocks of a 4x4: the basis states in which the other
+# spin is up, then down; within each, the spin's own up state comes first
+_BLOCKS = {"a": _split(_MB), "b": _split(_MA)}
+
+
+def _embed(spin: str, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The 4x4 that acts on spin as the 2x2 up where the other spin is up and
+    as the 2x2 down where it is down, filled in place: every other entry is
+    +0.0, where a Kronecker product with the identity (tensor) would give
+    -0.0 imaginary parts."""
+    full = np.zeros((4, 4), dtype=complex)
+    first, second = _BLOCKS[spin]
+    full[first, first], full[second, second] = up, down
+    return full
+
+
+def _blocks(m: np.ndarray, spin: str) -> tuple[np.ndarray, np.ndarray]:
+    """The views of a 4x4 m on spin's blocks, the ones _embed fills: where
+    the other spin is up, then where it is down."""
+    first, second = _BLOCKS[spin]
+    return m[first, first], m[second, second]
 
 
 def _check_sign(value: int, name: str) -> None:
@@ -194,12 +235,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
-    """Trace out one spin of a two-spin state; keep is 'a' or 'b'."""
+    """Trace out one spin of a two-spin state; keep is 'a' or 'b'. The
+    reduced state is the sum of keep's two blocks (see _blocks)."""
     _check_two_spin(rho, "partial_trace expects a two-spin state")
     if keep not in ("a", "b"):
         raise DomainError("keep must be 'a' or 'b'")
-    blocks = rho.matrix.reshape(2, 2, 2, 2)
-    reduced = blocks.trace(axis1=1, axis2=3) if keep == "a" else blocks.trace(axis1=0, axis2=2)
+    # a sum from 0, as a trace forms it: a -0.0 in both blocks sums to +0.0
+    reduced = sum(_blocks(rho.matrix, keep))
     return DensityOperator._wrap(_validated(reduced, rho.normalized), rho.normalized)
 
 

@@ -658,6 +658,12 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
     [
         (["sweep", "--convention", "sense"], "--convention", "sense must be +1 or -1, got ''"),
         (["sweep", "--convention", "bogus=1"], "--convention", "unknown convention key 'bogus'"),
+        (["theory", "--omega", "pi/2", "--convention", "sense=1,sense=-1,active=up,active=down"],
+         "--convention", "convention key 'sense' sets pulse_sense a second time"),
+        (["sweep", "--convention", "s=-1,sense=-1"], "--convention",
+         "convention key 'sense' sets pulse_sense a second time"),
+        (["sweep", "--convention", "active=up,sense=1,active=up"], "--convention",
+         "convention key 'active' sets active_branch_up a second time"),
         (["sweep", "--relaxation", "0.3"], "--relaxation", "expected t2a,t2b"),
         (["sweep", "--relaxation", "0,0.4"], "--relaxation", "relaxation times must be positive"),
         (["sweep", "--relaxation", "a,0.4"], "--relaxation",
@@ -674,7 +680,8 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
         (["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb",
          "expected a finite number, got 'nan'"),
     ],
-    ids=["sense-value", "convention-key", "one-relaxation-time", "zero-relaxation-time",
+    ids=["sense-value", "convention-key", "repeated-sense", "sense-and-its-alias",
+         "repeated-active", "one-relaxation-time", "zero-relaxation-time",
          "text-relaxation-time",
          "empty-theta-list", "theta-range", "negative-tolerance", "omega-zero-denominator",
          "infinite-omega", "purity-index", "too-few-samples", "nan-perturb"],

@@ -236,6 +236,80 @@ def test_one_real_probe():
     assert sites and set(sites) <= body, sites
 
 
+# the literal forms of the two-spin layout |ab>, spin a leftmost: the
+# slices of a 4x4 on one spin's blocks, the entries of spin a's coherence
+# and the m_z values of a table
+LAYOUT_SLICES_2D = {":2", "2:"}
+LAYOUT_SLICES = {"0::2", "1::2"}
+LAYOUT_ENTRIES = {(0, 2), (1, 3)}
+
+
+def _number(node) -> float | None:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return value if isinstance(value, (int, float)) else None
+
+
+def layout_sites(source: str) -> list[int]:
+    """Lines that index a 4x4 by the two-spin layout ([:2, :2], [2:, 2:],
+    0::2, 1::2, [0, 2], [1, 3]), reshape one into its two spins
+    (reshape(2, 2, 2, 2)) or define an m_z table (a literal list or tuple
+    that holds both 0.5 and -0.5)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            index = node.slice
+            parts = index.elts if isinstance(index, ast.Tuple) else [index]
+            cuts = {ast.unparse(p) for p in parts if isinstance(p, ast.Slice)}
+            if (
+                cuts & LAYOUT_SLICES
+                or len(parts) == 2 and cuts & LAYOUT_SLICES_2D
+                or tuple(map(_number, parts)) in LAYOUT_ENTRIES
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            shape = [_number(a) for a in node.args]
+            if name == "reshape" and (shape == [2, 2, 2, 2] or "(2, 2, 2, 2)" in map(
+                ast.unparse, node.args
+            )):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            if {0.5, -0.5} <= {_number(e) for e in node.elts}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_layout_sites():
+    source = (
+        "m[:2, :2], m[2:, 2:] = u, v\n"
+        "x = m[0::2]\n"
+        "y = m[1::2, 1::2]\n"
+        "c = m[0, 2] + m[1, 3]\n"
+        "r = m.reshape(2, 2, 2, 2)\n"
+        "r = np.reshape(m, (2, 2, 2, 2))\n"
+        "_M = np.array([0.5, -0.5, 0.5, -0.5])\n"
+        "head = text[:2]\n"
+        "entry = m[0, 1]\n"
+        "flat = m.reshape(-1)\n"
+        "pair = (0.5, 1.0)\n"
+    )
+    assert layout_sites(source) == [1, 1, 2, 3, 4, 4, 5, 6, 7]
+
+
+def test_one_two_spin_layout():
+    # qcore states the basis layout once and derives every index of a pair
+    # from it; no other module indexes a 4x4 by it or holds an m_z table
+    sites = {
+        path.name: layout_sites(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert sites.pop("qcore.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
 def test_checker_finds_json_dumps_calls():
     source = (
         "import json\n"

@@ -75,3 +75,53 @@ def test_digest_tells_signed_zeros_of_a_complex_apart():
         feed(h, value)
         digests.append(h.hexdigest())
     assert digests[0] != digests[1]
+
+
+def load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CODE_LINES_FIXTURE = '''\
+"""Module docstring,
+over two lines."""
+import math  # a trailing comment keeps its line
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    text = """a string that is
+no docstring"""
+    return math.sqrt(
+        x
+    )
+
+
+class C:
+    """Class docstring,
+
+    with a blank line inside."""
+
+    def g(self):
+        # comment
+        return 1
+'''
+
+
+def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
+    tool = load_code_lines()
+    # import, def f, the string's two lines, the call's three, class C,
+    # def g and its return
+    assert tool.code_lines(CODE_LINES_FIXTURE) == 10
+    (tmp_path / "b.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    (tmp_path / "a.py").write_text('"""Only a docstring."""\nx = 1\n', encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1 a.py\n10 b.py\n11 total\n"
