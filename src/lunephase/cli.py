@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .conventions import DEFAULT_CONVENTIONS, Conventions
-from .errors import SequenceSyntaxError
+from .errors import DomainError, SequenceSyntaxError
 from .experiment import (
     DEFAULT_THETAS,
     MODELS,
@@ -377,13 +377,16 @@ def cmd_parse(args) -> tuple[str, int]:
         source = handle.read()
     try:
         prog = parse_sequence(source)
+        duration = prog.total_duration
     except SequenceSyntaxError as exc:
         raise ValueError(f"{args.file}:{exc}") from exc
+    except DomainError as exc:
+        # the clock's overflow, a fault of the whole program, has no line:column
+        raise ValueError(f"{args.file}: {exc}") from exc
     rendered = render_sequence(prog)
-    duration = float(prog.total_duration)
     footer = {"events": len(prog.events), "total_duration_s": duration}
     payload = {
-        "events": rendered.strip().split("\n"),
+        "events": rendered.splitlines(),
         "event_count": len(prog.events),
         "total_duration_s": duration,
     }

@@ -111,7 +111,10 @@ class RunRecord:
 
     residual is the wrapped difference gamma_measured - gamma_theory; it and
     the phase fields are meaningful only when defined is true (an undefined
-    row signals vanishing interference contrast, not an error).
+    row signals vanishing interference contrast, not an error). Under
+    relaxation, the measured fields are read after the T2 decay, but the
+    snapshots end at the cycle's output before it: the last snapshot's
+    visibility is the undecayed one.
     """
 
     config: ExperimentConfig
@@ -410,7 +413,10 @@ def _run_grid(
 def run_single(
     config: ExperimentConfig, record_snapshots: bool = False
 ) -> RunRecord:
-    """Execute one grid point end to end and compare against closed form."""
+    """Execute one grid point end to end and compare against closed form.
+
+    The recorded snapshots are the cycle's; relaxation, when configured,
+    decays the cycle's output after the last of them (see RunRecord)."""
     return _run_grid([config], record_snapshots)[0]
 
 

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import DomainError
 from .policy import POLICY
 from .qcore import (
-    DensityOperator, _DMA, _DMB, _MA, _MB, _blocks, _check_count, _check_real, _check_sign,
-    _check_two_spin, _conjugate, _embed, _validated, identity4, is_unitary, rotation_unitary,
+    DensityOperator, _DMA, _DMB, _MA, _MB, _SPINS, _blocks, _check_count, _check_real,
+    _check_sign, _check_two_spin, _conjugate, _embed, _validated, identity4, is_unitary,
+    rotation_unitary,
 )
 
 # Scalar coupling J of the heteronuclear pair in Hz, fixed for every program
@@ -36,21 +37,18 @@ AXIS_LABELS = {
 }
 
 
-def _store_reals(
-    obj, *names: str, exact: tuple[str, ...] = (), rational: tuple[str, ...] = ()
-) -> tuple[float, ...]:
+def _store_reals(obj, *names: str, rational: tuple[str, ...] = ()) -> tuple[float, ...]:
     """The one check of each named value field of obj: qcore._check_real
     decides that it is a real number that fits a float, and this that it is
     finite, or a DomainError names the field as "{class}.{field}". A field
-    named in rational, a k/J delay or a piJ offset, is stored as its
-    Fraction: a float converts exactly, and -0.0 becomes 0.
-    A field named in exact, the flip, keeps a Fraction as given (it counts
-    half turns). Any other number is stored as its float (radians, seconds
-    or Hz), so that numpy scalars and 0-d arrays hash, as the compile cache
-    needs. Each value is thus stored in the one form that the parser gives
-    back for its rendering. Returns each field's value as a float, the one
-    the probe made (the stored Fraction's, where a rational field was
-    converted), so that no field is converted twice.
+    named in rational, a k/J delay, a piJ offset or a flip given as a
+    Fraction (in half turns), is stored as a Fraction: a float converts
+    exactly, and -0.0 becomes 0. Any other number is stored as its float
+    (radians, seconds or Hz), so that numpy scalars and 0-d arrays hash, as
+    the compile cache needs. Each value is thus stored in the one form that
+    the parser gives back for its rendering. Returns each field's value as a
+    float, the one the probe made (the stored Fraction's, where a rational
+    field was converted), so that no field is converted twice.
 
     obj._key, which == and hash compare in place of the value fields, gets
     each field's stored form, flat: a float and its sign (0.0 against
@@ -72,7 +70,7 @@ def _store_reals(
                          if isinstance(value, numbers.Rational) else Fraction(number))
                 object.__setattr__(obj, name, value)
                 number = float(value)
-        elif type(value) is not float and not (isinstance(value, Fraction) and name in exact):
+        elif type(value) is not float:
             value = number
             object.__setattr__(obj, name, value)
         if type(value) is float:
@@ -108,7 +106,7 @@ class SpinSystemParams:
 
 
 def _check_spin(spin: str) -> None:
-    if spin not in ("a", "b"):
+    if spin not in _SPINS:
         raise DomainError(f"unknown spin label {spin!r}")
 
 
@@ -118,11 +116,11 @@ class Rotation:
 
     axis is one of the labels 'x', '-x', 'y', '-y' or a transverse phase angle
     in radians, stored as a float. flip is the nominal rotation angle: a
-    Fraction means an exact multiple of pi (kept exact for bit-stable
-    rendering), a float is radians. flip_radians, the flip in radians, is
-    computed once, here. The axis, a label or a float, compares as itself;
-    the flip, which may be a Fraction, only through the key (see
-    _store_reals).
+    Fraction means an exact multiple of pi (kept exact, as a plain
+    Fraction, for bit-stable rendering), any other number is radians.
+    flip_radians, the flip in radians, is computed once, here. The axis, a
+    label or a float, compares as itself; the flip, which may be a
+    Fraction, only through the key (see _store_reals).
     """
 
     spin: str
@@ -136,7 +134,8 @@ class Rotation:
         if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
             raise DomainError(f"unknown axis label {self.axis!r}")
         numeric_axis = () if isinstance(self.axis, str) else ("axis",)
-        flip = _store_reals(self, *numeric_axis, "flip", exact=("flip",))[-1]
+        half_turns = ("flip",) if isinstance(self.flip, Fraction) else ()
+        flip = _store_reals(self, *numeric_axis, "flip", rational=half_turns)[-1]
         flip_radians = flip if type(self.flip) is float else flip * math.pi
         if not -2 * math.pi < flip_radians <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")

@@ -27,6 +27,7 @@ from .pulse import (
     SequenceProgram,
     make_program,
 )
+from .qcore import _SPINS
 
 # longest suffix first: "s" also ends the other two
 _TIME_SCALES = {"us": Fraction(1, 1000000), "ms": Fraction(1, 1000), "s": Fraction(1)}
@@ -65,10 +66,11 @@ class _LineParser:
             col, tok = self.tokens[self.pos]
             self.fail(col, f"unexpected trailing token {tok!r}")
 
-    def spin(self) -> str:
-        col, tok = self.take("spin label 'a' or 'b'")
-        if tok not in ("a", "b"):
-            self.fail(col, f"expected spin label 'a' or 'b', found {tok!r}")
+    def choice(self, expected: str, options: tuple[str, ...]) -> str:
+        """The next token, which must be one of options."""
+        col, tok = self.take(expected)
+        if tok not in options:
+            self.fail(col, f"expected {expected}, found {tok!r}")
         return tok
 
     def axis(self) -> str | float:
@@ -153,8 +155,9 @@ def parse_sequence(text: str) -> SequenceProgram:
             continue
         lp = _LineParser(lineno, tokens, len(line))
         col, head = lp.take("statement")
+        # the two statements that name a spin name it first
+        spin = lp.choice("spin label 'a' or 'b'", _SPINS) if head in ("pulse", "frame") else None
         if head == "pulse":
-            spin = lp.spin()
             axis = lp.axis()
             flip = lp.angle()
             lp.done()
@@ -163,16 +166,11 @@ def parse_sequence(text: str) -> SequenceProgram:
             events.append(lp.delay())
             lp.done()
         elif head == "grad":
-            acol, axis = lp.take("gradient axis 'z'")
+            lp.choice("gradient axis 'z'", ("z",))
             lp.done()
-            if axis != "z":
-                lp.fail(acol, f"expected gradient axis 'z', found {axis!r}")
             events.append(Gradient())
         elif head == "frame":
-            spin = lp.spin()
-            kcol, keyword = lp.take("keyword 'offset'")
-            if keyword != "offset":
-                lp.fail(kcol, f"expected keyword 'offset', found {keyword!r}")
+            lp.choice("keyword 'offset'", ("offset",))
             frames.append(lp.frame_offset(spin))
             lp.done()
             lp.call_at(col, make_program, (), frames=tuple(frames))
@@ -188,8 +186,9 @@ def _render_angle(flip: Fraction | float) -> str:
 
 
 def render_sequence(prog: SequenceProgram) -> str:
-    """Render a program to source text; parse_sequence inverts this exactly
-    at the event-list level."""
+    """Render a program to source text, one line per frame and per event,
+    each ending in a newline, so that an empty program renders as "";
+    parse_sequence inverts this exactly at the event-list level."""
     lines = []
     for fr in prog.frames:
         value = str(fr.value) if isinstance(fr.value, Fraction) else repr(fr.value)
@@ -205,4 +204,4 @@ def render_sequence(prog: SequenceProgram) -> str:
                 lines.append(f"delay {ev.seconds!r}s")
         else:
             lines.append("grad z")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

@@ -5,9 +5,10 @@ eigenstate of sigma_z. Rotations follow R_n(alpha) = exp(-i alpha n.sigma/2),
 which turns Bloch vectors right-handedly by alpha about n.
 
 This module is the one owner of that layout: it states each spin's m_z per
-basis state once (_MA, _MB) and derives from them the |dm| decay masks and
-every index of a pair that another module needs (_embed, _blocks), so that
-no other module indexes a 4x4 by the layout.
+basis state once (_MA, _MB) and derives from them the |dm| decay masks,
+the spin labels (_SPINS) and every index of a pair that another module needs
+(_embed, _blocks), so that no other module indexes a 4x4 by the layout or
+lists the spins.
 """
 from __future__ import annotations
 
@@ -63,6 +64,9 @@ def _split(m: np.ndarray) -> tuple[slice, slice]:
 # each spin's two 2x2 blocks of a 4x4: the basis states in which the other
 # spin is up, then down; within each, the spin's own up state comes first
 _BLOCKS = {"a": _split(_MB), "b": _split(_MA)}
+# the spin labels, in basis order: a tuple, so that testing an unhashable
+# label for membership is False, not a TypeError
+_SPINS = tuple(_BLOCKS)
 
 
 def _embed(spin: str, up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -238,10 +242,10 @@ def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
     """Trace out one spin of a two-spin state; keep is 'a' or 'b'. The
     reduced state is the sum of keep's two blocks (see _blocks)."""
     _check_two_spin(rho, "partial_trace expects a two-spin state")
-    if keep not in ("a", "b"):
+    if keep not in _SPINS:
         raise DomainError("keep must be 'a' or 'b'")
-    # a sum from 0, as a trace forms it: a -0.0 in both blocks sums to +0.0
-    reduced = sum(_blocks(rho.matrix, keep))
+    # + 0.0, as a trace's sum from 0 gives: a -0.0 in both blocks sums to +0.0
+    reduced = np.add(*_blocks(rho.matrix, keep)) + 0.0
     return DensityOperator._wrap(_validated(reduced, rho.normalized), rho.normalized)
 
 

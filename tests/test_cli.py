@@ -372,7 +372,20 @@ class TestParseCommand:
         long.write_text(f"{line}\n{line}\n")
         code, out, err = invoke(["parse", str(long), "--format", fmt])
         assert (code, out) == (2, "")
-        assert err == "error: total duration is too large for a float\n"
+        # named by its file, as a syntax error is, but at no line
+        assert err == f"error: {long}: total duration is too large for a float\n"
+
+    @pytest.mark.parametrize("text", ["", "# no statement\n\n"], ids=["empty", "comment-only"])
+    def test_program_without_statements(self, tmp_path, text):
+        # no line of program text: the CSV is the footer alone, the JSON
+        # lists no event line
+        empty = tmp_path / "empty.seq"
+        empty.write_text(text)
+        code, out, _ = invoke(["parse", str(empty)])
+        assert (code, out) == (0, "# events = 0\n# total_duration_s = 0.0\n")
+        code, out, _ = invoke(["parse", str(empty), "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"events": [], "event_count": 0, "total_duration_s": 0.0}
 
     def test_round_trip_is_identity(self, tmp_path):
         with resources.as_file(bundled_program_path()) as path:

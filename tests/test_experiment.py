@@ -402,6 +402,23 @@ class TestRunSingle:
     def test_snapshots_off_by_default(self):
         assert run_single(ExperimentConfig(math.pi / 8, 0)).snapshots is None
 
+    def test_snapshots_end_before_the_relaxation(self):
+        # T2 decay acts on the cycle's output, after its last snapshot: the
+        # snapshots are those of the undecayed run, and the last one reads
+        # the undecayed visibility, which the decay of spin a then scales
+        relaxed = run_single(
+            ExperimentConfig(math.pi / 4, 3, relaxation=(0.3, 0.4)), record_snapshots=True
+        )
+        plain = run_single(ExperimentConfig(math.pi / 4, 3), record_snapshots=True)
+        snaps = relaxed.snapshots
+        assert snaps.times.tobytes() == plain.snapshots.times.tobytes()
+        assert snaps.matrices.tobytes() == plain.snapshots.matrices.tobytes()
+        last = readout_phase(snaps[-1][1], spin_a_coherence(snaps[0][1]))
+        assert last.visibility == pytest.approx(0.70711, abs=5e-6)
+        assert relaxed.visibility_measured == pytest.approx(0.69620, abs=5e-6)
+        decay = math.exp(-snaps.times[-1] / 0.3)
+        assert relaxed.visibility_measured == pytest.approx(last.visibility * decay, abs=1e-12)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ExperimentConfig(-0.1, 0)

@@ -310,6 +310,42 @@ def test_one_two_spin_layout():
     assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
+def spin_set_sites(source: str, labels) -> list[int]:
+    """Lines that hold a tuple, list or set literal of two or more of the
+    spin labels: a second statement of the spin set."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and len({e.value for e in node.elts if isinstance(e, ast.Constant)} & set(labels)) >= 2
+    )
+
+
+def test_checker_finds_spin_sets():
+    source = (
+        "if spin not in ('a', 'b'):\n"
+        "    pass\n"
+        "labels = ['b', 'a', 'c']\n"
+        "keep = {'a', 'b'}\n"
+        "one = ('a',)\n"
+        "axes = ('x', 'y')\n"
+        "blocks = {'a': 0, 'b': 1}\n"
+        "text = 'ab'\n"
+    )
+    assert spin_set_sites(source, ("a", "b")) == [1, 3, 4]
+
+
+def test_one_spin_set():
+    # qcore derives the spin labels from its layout (_SPINS); every other
+    # test of a label is a membership test in it, not a literal of its own.
+    # The labels are stated here, apart from the package, as the oracle.
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in spin_set_sites(path.read_text(encoding="utf-8"), ("a", "b"))
+    ]
+    assert sites == []
+
+
 def test_checker_finds_json_dumps_calls():
     source = (
         "import json\n"

@@ -2,7 +2,9 @@
 indexing of the basis |uu>, |ud>, |du>, |dd> (spin a leftmost), which this
 file keeps as the oracle. Every comparison is by tobytes(), so that a signed
 zero counts: == takes -0.0 for 0.0, and an embedding through np.kron, for
-one, has -0.0 imaginary parts where the filled propagator has +0.0."""
+one, has -0.0 imaginary parts where the filled propagator has +0.0.
+The spin labels, which qcore derives from the layout, are tested at every
+site that reads one."""
 import math
 import struct
 from fractions import Fraction
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from lunephase import experiment, pulse, qcore
 from lunephase.conventions import Conventions
-from lunephase.pulse import Delay, Rotation, SpinSystemParams, make_program
+from lunephase.errors import DomainError, SequenceSyntaxError
+from lunephase.pulse import Delay, FrameOffset, Rotation, SpinSystemParams, make_program
+from lunephase.pulseprog import parse_sequence
 
 # the literal layout: m_z of spin a and of spin b in each basis state
 MA = np.array([0.5, 0.5, -0.5, -0.5])
@@ -156,3 +160,34 @@ class TestTwoSpinLayoutBits:
         factors = np.exp(-(dma * t) / t2[0]) * np.exp(-(dmb * t) / t2[1])
         want = qcore._validated(rho.matrix * factors, False)
         assert pulse.apply_t2_relaxation(rho, t, *t2).matrix.tobytes() == want.tobytes()
+
+
+STATE = qcore.DensityOperator(np.eye(4, dtype=complex) / 4)
+SPIN_TEXT = "expected spin label 'a' or 'b', found 'c'"
+# each site that reads a spin label: how it reads one, and how it refuses 'c'
+SPIN_SITES = {
+    "rotation": (lambda s: Rotation(s, "x", Fraction(1, 2)), "unknown spin label 'c'"),
+    "frame-offset": (lambda s: FrameOffset(s, 1.0, "Hz"), "unknown spin label 'c'"),
+    "pulse-line": (lambda s: parse_sequence(f"pulse {s} x 90deg"), f"1:7: {SPIN_TEXT}"),
+    "frame-line": (lambda s: parse_sequence(f"frame {s} offset 1Hz"), f"1:7: {SPIN_TEXT}"),
+    "partial-trace": (lambda s: qcore.partial_trace(STATE, s), "keep must be 'a' or 'b'"),
+}
+
+
+@pytest.mark.parametrize("spin", [*qcore._SPINS, "c"])
+@pytest.mark.parametrize("site", sorted(SPIN_SITES))
+def test_each_site_takes_the_spin_set(site, spin):
+    read, message = SPIN_SITES[site]
+    if spin in qcore._SPINS:
+        read(spin)
+    else:
+        with pytest.raises((DomainError, SequenceSyntaxError)) as err:
+            read(spin)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("site", ["rotation", "frame-offset", "partial-trace"])
+def test_an_unhashable_label_is_a_domain_error(site):
+    # the spin set is a tuple: membership of a list is False, not a TypeError
+    with pytest.raises(DomainError):
+        SPIN_SITES[site][0](["a"])

@@ -147,8 +147,11 @@ class TestDiagnostics:
             ("frame b offset 5", 16, "offset '5' is missing a Hz or piJ unit"),
             ("grad x", 6, "expected gradient axis 'z', found 'x'"),
             ("frame b shift 1Hz", 9, "expected keyword 'offset', found 'shift'"),
+            # the axis is checked where it stands, before any trailing token
+            ("grad x now", 6, "expected gradient axis 'z', found 'x'"),
         ],
-        ids=["phase-literal", "delay-unit", "offset-unit", "grad-axis", "frame-keyword"],
+        ids=["phase-literal", "delay-unit", "offset-unit", "grad-axis", "frame-keyword",
+             "grad-axis-then-trailing"],
     )
     def test_malformed_statement(self, text, column, fragment):
         self.assert_fails_at(text, 1, column, fragment)
@@ -222,6 +225,11 @@ class TestRoundTrip:
         assert again.events == prog.events
         assert again.frames == prog.frames
         assert again.params == prog.params
+
+    def test_empty_program_renders_as_no_text(self):
+        prog = make_program([])
+        assert render_sequence(prog) == ""
+        assert parse_sequence(render_sequence(prog)) == prog
 
     @pytest.mark.parametrize("axis", [Fraction(1, 3), 1], ids=["fraction", "int"])
     def test_numeric_axis_round_trips_as_its_float(self, axis):

@@ -265,6 +265,19 @@ class TestValueIdentity:
             assert (build(twin) == one) is same, (name, x, twin)
             assert not same or hash(build(twin)) == hash(one)
 
+    def test_a_fraction_subclass_flip_is_its_fraction(self):
+        # a flip in half turns is stored as a plain Fraction, as a k/J delay
+        # is, so a subclass's flip equals the same Fraction's, whose bits it
+        # compiles to
+        class HalfTurns(Fraction):
+            pass
+
+        sub, plain = Rotation("b", "x", HalfTurns(1, 3)), Rotation("b", "x", Fraction(1, 3))
+        assert type(sub.flip) is Fraction and sub.flip_radians == plain.flip_radians
+        assert sub == plain and hash(sub) == hash(plain)
+        for sense in (1, -1):
+            assert pulse_unitary(sub, sense).tobytes() == pulse_unitary(plain, sense).tobytes()
+
     @pytest.mark.parametrize(
         "zero", [-0.0, 0.0, Fraction(0), 0, np.float64(-0.0)],
         ids=["minus-zero", "zero", "fraction", "int", "numpy-minus-zero"],

@@ -10,9 +10,12 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
 relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
-rotations, delays, frames) and the programs built from them, and 22 command
-lines of the CLI in subprocesses. It prints one sha256 per stream and per
-command line, then one for the package namespace. Each outcome digest
+rotations, delays, frames) and the programs built from them, and 28 command
+lines of the CLI in subprocesses: 22 from the checkout's root, and ``parse``
+of six small programs, written to a temporary directory and parsed from
+there by relative file name, so that no path enters their bytes. It prints
+one sha256 per stream and per command line, then one for the package
+namespace. Each outcome digest
 covers every matrix (dtype, shape, bytes, whether it is writeable), every
 flag, every time and every complex number; each command digest covers
 stdout, stderr and the exit code. The value digest covers each object's
@@ -33,6 +36,7 @@ import os
 import random
 import struct
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +77,17 @@ COMMANDS = (
     ("parse", SEQ_FILE),
     ("parse", SEQ_FILE, "--format", "json"),
 )
+
+# programs for parse that refuse, or print, an edge case of the format
+PROGRAMS = {
+    "empty.seq": "",
+    "spin_c.seq": "pulse c x 90deg\n",
+    "frame_shift.seq": "frame b shift 1Hz\n",
+    "grad_trailing.seq": "grad x now\n",
+    "frame_only.seq": "frame b offset -1/2piJ\n",
+    # each delay fits a float, their sum does not
+    "clock_overflow.seq": "delay 1e308s\ndelay 1e308s\n",
+}
 
 
 def feed(h, value) -> None:
@@ -242,13 +257,18 @@ def main(argv: list[str]) -> int:
     print(f"values seed {VALUE_SEED} ({VALUE_BLOCKS} blocks of {VALUE_BLOCK}): {h.hexdigest()}")
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for argv_ in COMMANDS:
-        request = workloads.Request({"argv": argv_}, 1)
-        workloads.run_cli_subprocess(env, str(root), request)
-        h = hashlib.sha256()
-        feed(h, request.outcome)
-        code = request.outcome["code"]
-        print(f"lunephase {' '.join(argv_)} (exit {code}): {h.hexdigest()}")
+    with tempfile.TemporaryDirectory() as programs:
+        for name, text in PROGRAMS.items():
+            Path(programs, name).write_text(text, encoding="utf-8")
+        runs = [(str(root), argv_) for argv_ in COMMANDS]
+        runs += [(programs, ("parse", name)) for name in PROGRAMS]
+        for cwd, argv_ in runs:
+            request = workloads.Request({"argv": argv_}, 1)
+            workloads.run_cli_subprocess(env, cwd, request)
+            h = hashlib.sha256()
+            feed(h, request.outcome)
+            code = request.outcome["code"]
+            print(f"lunephase {' '.join(argv_)} (exit {code}): {h.hexdigest()}")
 
     h = hashlib.sha256()
     feed(h, namespace_outcome(lunephase))
