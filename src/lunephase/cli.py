@@ -161,7 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", default=None, help="write to a file, not stdout")
 
-    def add_gate(p: argparse.ArgumentParser) -> None:
+    def add_model_and_gate(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", choices=MODELS, default="literal-sequence")
+        p.add_argument("--relaxation", type=_usage(_relaxation), default=None,
+                       help="transverse decay times t2a,t2b in seconds")
         p.add_argument(
             "--tolerance",
             type=_usage(_tolerance),
@@ -190,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--theta", type=_usage(_inclination_list), default=DEFAULT_THETAS,
                          help="comma-separated inclination angles")
-    p_sweep.add_argument("--model", choices=MODELS, default="literal-sequence")
-    p_sweep.add_argument("--relaxation", type=_usage(_relaxation), default=None,
-                         help="transverse decay times t2a,t2b in seconds")
-    add_gate(p_sweep)
+    add_model_and_gate(p_sweep)
     add_common(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="one grid point with state snapshots")
@@ -201,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--theta", type=_usage(_inclination), required=True)
     p_sim.add_argument("--n", type=_usage(_purity_index), required=True,
                        help=f"purity index 0..{PURITY_STEPS - 1}")
-    p_sim.add_argument("--model", choices=MODELS, default="literal-sequence")
-    p_sim.add_argument("--relaxation", type=_usage(_relaxation), default=None)
-    add_gate(p_sim)
+    add_model_and_gate(p_sim)
     add_common(p_sim)
 
     p_trace = sub.add_parser("trace-path", help="idealized active-branch Bloch path")
@@ -385,8 +383,11 @@ def cmd_parse(args) -> tuple[str, int]:
         raise ValueError(f"{args.file}: {exc}") from exc
     rendered = render_sequence(prog)
     footer = {"events": len(prog.events), "total_duration_s": duration}
+    # the rendering holds one line per frame directive, then one per event
+    lines = rendered.splitlines()
     payload = {
-        "events": rendered.splitlines(),
+        "frames": lines[: len(prog.frames)],
+        "events": lines[len(prog.frames):],
         "event_count": len(prog.events),
         "total_duration_s": duration,
     }

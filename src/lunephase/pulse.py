@@ -35,6 +35,8 @@ AXIS_LABELS = {
     "y": (0.0, 1.0, 0.0),
     "-y": (0.0, -1.0, 0.0),
 }
+# the units of a frame directive's value, each stated once, here
+_FRAME_UNITS = ("Hz", "piJ")
 
 
 def _store_reals(obj, *names: str, rational: tuple[str, ...] = ()) -> tuple[float, ...]:
@@ -200,7 +202,7 @@ class FrameOffset:
 
     def __post_init__(self) -> None:
         _check_spin(self.spin)
-        if self.unit not in ("piJ", "Hz"):
+        if self.unit not in _FRAME_UNITS:
             raise DomainError(f"unknown frame offset unit {self.unit!r}")
         (value,) = _store_reals(self, "value", rational=("value",) if self.unit == "piJ" else ())
         angular = value * 2 * math.pi * DEFAULT_J if self.unit == "piJ" else 2 * math.pi * value

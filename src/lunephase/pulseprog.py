@@ -2,13 +2,17 @@
 
 Line-oriented UTF-8 with '#' comments. Statements:
 
-    pulse <a|b> <x|-x|y|-y|phase:<radians>> <angle><deg|rad>
-    delay <number><s|ms|us>
-    delay <k>/J            # k a rational literal, e.g. 1/2
+    pulse <a|b> <x|-x|y|-y|phase:<number>> <number><deg|rad>
+    delay <number><s|ms|us|/J>
     grad z
-    frame <a|b> offset <value><Hz|piJ>
+    frame <a|b> offset <number><Hz|piJ>
 
-Angles in deg and frame offsets in piJ are kept as exact rationals so that
+Every <number> is one numeral grammar: a rational literal such as 3, -2.5,
+1e-3 or 45/2 whose value fits a float. A phase: axis is in radians, and
+delay 1/2/J is half of 1/J. A numeral that is no such literal (nan, inf,
+1e400, 1/0) is refused at its token's column. Angles in deg, durations in /J
+and frame offsets in piJ are kept as exact rationals, the other numbers as
+floats rounded from the exact value (with a literal -0 as -0.0), so that
 parse(render(prog)) reproduces the event list bit for bit.
 """
 from __future__ import annotations
@@ -25,12 +29,14 @@ from .pulse import (
     Gradient,
     Rotation,
     SequenceProgram,
+    _FRAME_UNITS,
     make_program,
 )
 from .qcore import _SPINS
 
 # longest suffix first: "s" also ends the other two
 _TIME_SCALES = {"us": Fraction(1, 1000000), "ms": Fraction(1, 1000), "s": Fraction(1)}
+_AXES = f"{', '.join(AXIS_LABELS)}, or phase:<radians>"
 
 
 def _tokenize(line: str) -> list[tuple[int, str]]:
@@ -74,15 +80,13 @@ class _LineParser:
         return tok
 
     def axis(self) -> str | float:
-        col, tok = self.take("axis (x, -x, y, -y, or phase:<radians>)")
+        col, tok = self.take(f"axis ({_AXES})")
         if tok in AXIS_LABELS:
             return tok
-        if tok.startswith("phase:"):
-            try:
-                return float(tok[len("phase:"):])
-            except ValueError:
-                self.fail(col, f"invalid phase angle in {tok!r}")
-        self.fail(col, f"expected axis x, -x, y, -y, or phase:<radians>, found {tok!r}")
+        if not tok.startswith("phase:"):
+            self.fail(col, f"expected axis {_AXES}, found {tok!r}")
+        text = tok[len("phase:"):]
+        return _float(self.number(col, "phase angle", text), text)
 
     def call_at(self, column: int, make, *args, **kwargs):
         """make(*args, **kwargs), its DomainError reported at column."""
@@ -91,54 +95,46 @@ class _LineParser:
         except DomainError as exc:
             self.fail(column, str(exc))
 
-    def quantity(
-        self, expected: str, units: tuple[str, ...]
-    ) -> tuple[int, str, str | None, str, Fraction | None]:
-        """The next token as a number with a unit suffix: (column, token,
-        unit, number text, value). unit is the first of units that ends the
-        token, or None. value is the number as an exact rational, or None
-        when the text is not a rational literal ("3", "2.5", "45/2") or is
-        too large for a float."""
-        col, tok = self.take(expected)
-        unit = next((u for u in units if tok.endswith(u)), None)
-        body = tok[: -len(unit)] if unit else tok
+    def number(self, column: int, noun: str, text: str) -> Fraction:
+        """The one reading of a numeral: text as an exact rational, when it
+        is a rational literal ("3", "-2.5", "45/2", "1e-3") that fits a
+        float, or a failure at column."""
         try:
-            value = Fraction(body)
+            value = Fraction(text)
             float(value)
+            return value
         except (ValueError, ZeroDivisionError, OverflowError):
-            value = None
-        return col, tok, unit, body, value
+            self.fail(column, f"invalid {noun} value {text!r}")
+
+    def quantity(self, noun: str, units: tuple[str, ...]) -> tuple[int, str, str, Fraction]:
+        """The next token as a number with a unit suffix: (column, unit,
+        number text, value). unit is the first of units that ends the token;
+        a token that none ends fails, as does a number text that is no
+        numeral (see number)."""
+        phrase = f"{', '.join(units[:-1])} or {units[-1]}"
+        col, tok = self.take(f"{noun} with unit {phrase}")
+        unit = next((u for u in units if tok.endswith(u)), None)
+        if unit is None:
+            self.fail(col, f"{noun} {tok!r} is missing a {phrase} unit")
+        body = tok[: -len(unit)]
+        return col, unit, body, self.number(col, noun, body)
 
     def angle(self) -> Fraction | float:
-        col, tok, unit, body, value = self.quantity("angle with unit deg or rad", ("deg", "rad"))
-        if unit is None:
-            self.fail(col, f"angle {tok!r} is missing a deg or rad unit")
-        if value is None:
-            self.fail(col, f"invalid angle value {body!r}")
+        _, unit, body, value = self.quantity("angle", ("deg", "rad"))
         # degrees become exact multiples of pi; radians stay floating point
         return value / 180 if unit == "deg" else _float(value, body)
 
     def delay(self) -> Delay:
-        col, tok, unit, body, value = self.quantity(
-            "duration with unit s, ms, us, or k/J", ("/J", *_TIME_SCALES)
-        )
-        if unit is None:
-            self.fail(col, f"duration {tok!r} is missing a unit (s, ms, us, or /J)")
-        if value is None and unit == "/J":
-            self.fail(col, f"invalid rational multiple in {tok!r}")
-        if value is None:
-            self.fail(col, f"invalid duration value in {tok!r}")
+        col, unit, body, value = self.quantity("duration", (*_TIME_SCALES, "/J"))
         if unit == "/J":
             return self.call_at(col, Delay, per_j=value)
         return self.call_at(col, Delay, seconds=_float(value * _TIME_SCALES[unit], body))
 
     def frame_offset(self, spin: str) -> FrameOffset:
-        col, tok, unit, body, value = self.quantity("offset with unit Hz or piJ", ("piJ", "Hz"))
-        if unit is None:
-            self.fail(col, f"offset {tok!r} is missing a Hz or piJ unit")
-        if value is None:
-            self.fail(col, f"invalid offset value {body!r}")
-        return FrameOffset(spin, value if unit == "piJ" else _float(value, body), unit)
+        _, unit, body, value = self.quantity("offset", _FRAME_UNITS)
+        # FrameOffset stores the value in its unit's form; only a zero
+        # needs the float that carries its literal's sign
+        return FrameOffset(spin, value or _float(value, body), unit)
 
 
 def parse_sequence(text: str) -> SequenceProgram:
@@ -158,8 +154,7 @@ def parse_sequence(text: str) -> SequenceProgram:
         # the two statements that name a spin name it first
         spin = lp.choice("spin label 'a' or 'b'", _SPINS) if head in ("pulse", "frame") else None
         if head == "pulse":
-            axis = lp.axis()
-            flip = lp.angle()
+            axis, flip = lp.axis(), lp.angle()
             lp.done()
             events.append(lp.call_at(col, Rotation, spin, axis, flip))
         elif head == "delay":

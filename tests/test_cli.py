@@ -355,7 +355,11 @@ class TestParseCommand:
 
     @pytest.mark.parametrize(
         "line, position",
-        [("delay 1e400/J", "1:7"), ("pulse b phase:nan 90deg", "1:1")],
+        [
+            ("delay 1e400/J", "1:7"),
+            # at its token; the id keeps the column of the old report
+            pytest.param("pulse b phase:nan 90deg", "1:9", id="pulse b phase:nan 90deg-1:1"),
+        ],
     )
     def test_number_beyond_a_float_is_an_input_error(self, tmp_path, line, position):
         bad = tmp_path / "bad.seq"
@@ -385,7 +389,29 @@ class TestParseCommand:
         assert (code, out) == (0, "# events = 0\n# total_duration_s = 0.0\n")
         code, out, _ = invoke(["parse", str(empty), "--format", "json"])
         assert code == 0
-        assert json.loads(out) == {"events": [], "event_count": 0, "total_duration_s": 0.0}
+        assert json.loads(out) == {
+            "frames": [], "events": [], "event_count": 0, "total_duration_s": 0.0
+        }
+
+    @pytest.mark.parametrize(
+        "text, frames, events",
+        [
+            ("frame b offset -1/2piJ\n", ["frame b offset -1/2piJ"], []),
+            ("delay 1/2/J\nframe a offset 100Hz\nframe b offset 0piJ\ngrad z\n",
+             ["frame a offset 100.0Hz", "frame b offset 0piJ"], ["delay 1/2/J", "grad z"]),
+        ],
+        ids=["frame-only", "frames-and-events"],
+    )
+    def test_json_lists_frames_apart_from_events(self, tmp_path, text, frames, events):
+        program = tmp_path / "frames.seq"
+        program.write_text(text)
+        code, out, _ = invoke(["parse", str(program), "--format", "json"])
+        payload = json.loads(out)
+        assert (code, payload["frames"], payload["events"]) == (0, frames, events)
+        assert len(payload["events"]) == payload["event_count"]
+        # the CSV keeps every rendered line, directives first
+        code, out, _ = invoke(["parse", str(program)])
+        assert out.splitlines()[: len(frames) + len(events)] == frames + events
 
     def test_round_trip_is_identity(self, tmp_path):
         with resources.as_file(bundled_program_path()) as path:
@@ -516,6 +542,19 @@ class TestExitCodeContract:
     def test_help_exits_zero(self):
         code, _, _ = invoke(["--help"])
         assert code == 0
+
+    def test_sweep_and_simulate_share_their_run_options(self):
+        # one definition of each: the same flags, default, choices and help
+        def run_options(command):
+            (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+            return [
+                (a.option_strings, a.default, a.choices, a.help)
+                for a in sub.choices[command]._actions
+                if a.dest in ("model", "relaxation", "tolerance", "tolerance_visibility")
+            ]
+
+        assert len(run_options("sweep")) == 4
+        assert run_options("sweep") == run_options("simulate")
 
     def test_tolerance_flags_only_on_gating_commands(self):
         for argv in (

@@ -1,11 +1,15 @@
+import ast
 import math
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lunephase import pulse, pulseprog
 from lunephase.errors import SequenceSyntaxError
 from lunephase.pulse import (
     Delay,
@@ -142,16 +146,24 @@ class TestDiagnostics:
     @pytest.mark.parametrize(
         "text, column, fragment",
         [
-            ("pulse b phase:abc 90deg", 9, "invalid phase angle in 'phase:abc'"),
-            ("delay 5", 7, "duration '5' is missing a unit"),
+            ("pulse b phase:abc 90deg", 9, "invalid phase angle value 'abc'"),
+            ("delay 5", 7, "duration '5' is missing a us, ms, s or /J unit"),
             ("frame b offset 5", 16, "offset '5' is missing a Hz or piJ unit"),
             ("grad x", 6, "expected gradient axis 'z', found 'x'"),
             ("frame b shift 1Hz", 9, "expected keyword 'offset', found 'shift'"),
             # the axis is checked where it stands, before any trailing token
             ("grad x now", 6, "expected gradient axis 'z', found 'x'"),
+            # a bad numeral fails at its token, whatever number it is
+            ("pulse b phase: 90deg", 9, "invalid phase angle value ''"),
+            ("pulse b phase:1/0 90deg", 9, "invalid phase angle value '1/0'"),
+            ("pulse b x 1/0rad", 11, "invalid angle value '1/0'"),
+            ("delay 0x10ms", 7, "invalid duration value '0x10'"),
+            ("delay nan/J", 7, "invalid duration value 'nan'"),
+            ("frame b offset infHz", 16, "invalid offset value 'inf'"),
         ],
         ids=["phase-literal", "delay-unit", "offset-unit", "grad-axis", "frame-keyword",
-             "grad-axis-then-trailing"],
+             "grad-axis-then-trailing", "phase-empty", "phase-zero-denominator",
+             "angle-zero-denominator", "delay-hex", "delay-nan", "offset-inf"],
     )
     def test_malformed_statement(self, text, column, fragment):
         self.assert_fails_at(text, 1, column, fragment)
@@ -187,13 +199,18 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("axis", ["phase:nan", "phase:inf", "phase:-inf", "phase:1e400"])
     def test_phase_angle_must_be_finite(self, axis):
-        self.assert_fails_at(f"pulse b {axis} 90deg", 1, 1, "Rotation.axis must be finite")
+        # refused at its token, as every other numeral is
+        message = f"invalid phase angle value {axis[len('phase:'):]!r}"
+        self.assert_fails_at(f"pulse b {axis} 90deg", 1, 9, message)
 
     @pytest.mark.parametrize(
         "text, column, fragment",
         [
             ("delay 1e400s", 7, "invalid duration value"),
-            ("delay 1e400/J", 7, "invalid rational multiple"),
+            # the id names the message this case pinned before every
+            # numeral shared one template
+            pytest.param("delay 1e400/J", 7, "invalid duration value '1e400'",
+                         id="delay 1e400/J-7-invalid rational multiple"),
             ("pulse b x 1e400rad", 11, "invalid angle value"),
             ("pulse b x 1e400deg", 11, "invalid angle value"),
             ("frame b offset 1e400Hz", 16, "invalid offset value"),
@@ -340,3 +357,71 @@ class TestRoundTrip:
             assert getattr(prog.params, f"omega_{fr.spin}") == -fr.angular()
         plain = SequenceProgram(events, SpinSystemParams(), frames)
         assert parse_sequence(render_sequence(plain)) == plain
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestNumerals:
+    """One numeral rule reads every number of a program."""
+
+    def test_phase_axis_takes_a_rational_literal(self):
+        (ev,) = events_of("pulse b phase:1/4 90deg")
+        assert ev == Rotation("b", 0.25, Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.5", ".5", "5.", "+1", "-0", "-0.0e7", "1E5", "1e-400", "-1e-400",
+         "1.7976931348623157e308", "-1.79769313486231580793e308"],
+    )
+    def test_phase_literal_reads_as_float_reads_it(self, text):
+        (ev,) = events_of(f"pulse b phase:{text} 90deg")
+        assert bits(ev.axis) == bits(float(text))
+
+    @pytest.mark.parametrize(
+        "template, numbers, read",
+        [
+            ("pulse b phase:{!r} 90deg", st.floats(allow_nan=False, allow_infinity=False),
+             lambda prog: prog.events[0].axis),
+            ("pulse b x {!r}rad", st.floats(-2 * math.pi, 2 * math.pi, exclude_min=True),
+             lambda prog: prog.events[0].flip),
+            ("delay {!r}s", st.floats(0.0, allow_infinity=False),
+             lambda prog: prog.events[0].seconds),
+            # within the 10*2piJ bound on a frame offset
+            ("frame b offset {!r}Hz", st.floats(-2000.0, 2000.0),
+             lambda prog: prog.frames[0].value),
+        ],
+        ids=["phase-axis", "rad-angle", "s-delay", "hz-offset"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_float_repr_parses_to_its_bits(self, template, numbers, read, data):
+        x = data.draw(st.one_of(st.just(-0.0), numbers), label="x")
+        value = read(parse_sequence(template.format(x)))
+        assert type(value) is float and bits(value) == bits(x)
+
+
+class TestOwnedLabels:
+    def test_frame_units_come_from_pulse(self):
+        assert pulseprog._FRAME_UNITS is pulse._FRAME_UNITS
+        # the parser states no frame unit and no axis label of its own
+        tree = ast.parse(Path(pulseprog.__file__).read_text(encoding="utf-8"))
+        constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not constants & {*pulse._FRAME_UNITS, *pulse.AXIS_LABELS}
+
+    @pytest.mark.parametrize("unit", pulse._FRAME_UNITS)
+    def test_each_frame_unit_parses(self, unit):
+        assert parse_sequence(f"frame b offset -1{unit}").frames == (FrameOffset("b", -1, unit),)
+        (fr,) = parse_sequence(f"frame b offset -0{unit}").frames
+        assert fr == FrameOffset("b", -0.0, unit)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [("frame b offset 5", pulse._FRAME_UNITS), ("pulse b q 90deg", pulse.AXIS_LABELS)],
+        ids=["frame-units", "axis-labels"],
+    )
+    def test_message_names_every_unit_or_label(self, text, names):
+        with pytest.raises(SequenceSyntaxError) as err:
+            parse_sequence(text)
+        assert all(f" {name}" in err.value.message for name in names)

@@ -10,9 +10,9 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
 relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
-rotations, delays, frames) and the programs built from them, and 28 command
+rotations, delays, frames) and the programs built from them, and 33 command
 lines of the CLI in subprocesses: 22 from the checkout's root, and ``parse``
-of six small programs, written to a temporary directory and parsed from
+of eleven small programs, written to a temporary directory and parsed from
 there by relative file name, so that no path enters their bytes. It prints
 one sha256 per stream and per command line, then one for the package
 namespace. Each outcome digest
@@ -87,6 +87,12 @@ PROGRAMS = {
     "frame_only.seq": "frame b offset -1/2piJ\n",
     # each delay fits a float, their sum does not
     "clock_overflow.seq": "delay 1e308s\ndelay 1e308s\n",
+    # one numeral rule and one unit rule for every number
+    "phase_rational.seq": "pulse b phase:1/4 90deg\n",
+    "phase_nan.seq": "pulse b phase:nan 90deg\n",
+    "delay_no_unit.seq": "delay 5\n",
+    "offset_no_unit.seq": "frame b offset 5\n",
+    "angle_past_float.seq": "pulse b x 1e400deg\n",
 }
 
 
