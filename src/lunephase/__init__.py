@@ -31,9 +31,7 @@ _EXPORTS = {
         "BlochPath", "LuneSpec", "StatePath", "check_geodesic", "dynamical_phase",
         "lune_path", "pancharatnam_phase", "solid_angle",
     ),
-    "phases": (
-        "PhaseResult", "TheoryRow", "qubit_mixed_phase", "sjoqvist_average", "theory_curve",
-    ),
+    "phases": ("PhaseResult", "qubit_mixed_phase", "sjoqvist_average"),
     "policy": ("POLICY", "NumericPolicy"),
     "pulse": (
         "Delay", "FrameOffset", "Gradient", "Rotation", "SequenceProgram", "SpinSystemParams",

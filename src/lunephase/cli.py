@@ -40,7 +40,7 @@ from .geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from .phases import PURITY_STEPS, check_purity_index, theory_curve
+from .phases import PURITY_STEPS, check_purity_index, ladder_purity, qubit_mixed_phase
 from .pulse import check_t2_times
 from .pulseprog import parse_sequence, render_sequence
 from .qcore import _check_count
@@ -105,13 +105,22 @@ def _inclination_list(text: str) -> tuple[float, ...]:
     return tuple(_inclination(p) for p in parts)
 
 
+def _integer(text: str) -> int | str:
+    """text as an int when it is an integer literal; other text goes on as it
+    is, for the count check (qcore._check_count) to refuse in its own words."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _purity_index(text: str) -> int:
-    return check_purity_index(int(text))
+    return check_purity_index(_integer(text))
 
 
 def _samples(text: str) -> int:
     """Loop sampling N: N//2 steps, at least two, per geodesic half turn."""
-    return _check_count(int(text), "samples", 4, 1_000_000)
+    return _check_count(_integer(text), "samples", 4, 1_000_000)
 
 
 def _relaxation(text: str) -> tuple[float, float]:
@@ -231,23 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args) -> tuple[str, int]:
-    table = theory_curve(args.omega, sign=args.convention.orientation)
-    rows = [
-        {
-            "n": row.n,
-            "r": row.r,
-            "gamma_rad": row.gamma if row.defined else None,
-            "visibility": row.visibility,
-        }
-        for row in table
-    ]
-    payload = {
-        "omega_rad": args.omega,
-        "rows": [
-            dict(cells, defined=row.defined, flipped=row.flipped)
-            for cells, row in zip(rows, table)
-        ],
-    }
+    rows, payload_rows = [], []
+    for n in range(PURITY_STEPS):
+        c = ladder_purity(n)
+        res = qubit_mixed_phase(c, args.omega, args.convention.orientation)
+        rows.append({
+            "n": n,
+            "r": abs(c),
+            "gamma_rad": res.gamma if res.defined else None,
+            "visibility": res.visibility,
+        })
+        payload_rows.append(dict(rows[-1], defined=res.defined, flipped=c < 0))
+    payload = {"omega_rad": args.omega, "rows": payload_rows}
     return render_table(args.format, rows, {}, payload), 0
 
 

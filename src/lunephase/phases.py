@@ -3,8 +3,8 @@
 A mixed qubit state carried around a closed Bloch-sphere loop produces an
 interference pattern whose phase shift and contrast are the argument and
 modulus of the eigenvalue-weighted average of the eigenvector phase factors.
-This module evaluates that average, its closed qubit reduction, and the
-standard purity-ladder prediction table.
+This module evaluates that average and its closed qubit reduction, and
+defines the purity ladder that the experiment steps through.
 """
 from __future__ import annotations
 
@@ -99,28 +99,3 @@ def qubit_mixed_phase(r: float, omega: float, sign: int = 1) -> PhaseResult:
     half = 0.5 * omega
     z = complex(math.cos(half), sign * r * math.sin(half))
     return _from_complex(z, math.hypot(z.real, z.imag))
-
-
-@dataclass(frozen=True)
-class TheoryRow:
-    """One prediction-table row; flipped marks purities entering as negative
-    cosines, reported with r = |cos| and the phase sign inverted."""
-
-    n: int
-    r: float
-    gamma: float
-    visibility: float
-    defined: bool
-    flipped: bool
-
-
-def theory_curve(omega: float, sign: int = 1) -> list[TheoryRow]:
-    """Prediction table over the purity ladder, n = 0..PURITY_STEPS-1."""
-    rows = []
-    for n in range(PURITY_STEPS):
-        c = ladder_purity(n)
-        res = qubit_mixed_phase(c, omega, sign)
-        rows.append(
-            TheoryRow(n, abs(c), res.gamma, res.visibility, res.defined, c < 0)
-        )
-    return rows

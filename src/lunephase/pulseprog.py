@@ -72,12 +72,14 @@ class _LineParser:
             col, tok = self.tokens[self.pos]
             self.fail(col, f"unexpected trailing token {tok!r}")
 
-    def choice(self, expected: str, options: tuple[str, ...]) -> str:
-        """The next token, which must be one of options."""
+    def choice(self, noun: str, options: tuple[str, ...]) -> str:
+        """The next token, which must be one of options. A refusal names noun
+        and quotes each option; its text is built only then."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos][1] in options:
+            return self.take(noun)[1]
+        expected = f"{noun} {' or '.join(map(repr, options))}"
         col, tok = self.take(expected)
-        if tok not in options:
-            self.fail(col, f"expected {expected}, found {tok!r}")
-        return tok
+        self.fail(col, f"expected {expected}, found {tok!r}")
 
     def axis(self) -> str | float:
         col, tok = self.take(f"axis ({_AXES})")
@@ -152,7 +154,7 @@ def parse_sequence(text: str) -> SequenceProgram:
         lp = _LineParser(lineno, tokens, len(line))
         col, head = lp.take("statement")
         # the two statements that name a spin name it first
-        spin = lp.choice("spin label 'a' or 'b'", _SPINS) if head in ("pulse", "frame") else None
+        spin = lp.choice("spin label", _SPINS) if head in ("pulse", "frame") else None
         if head == "pulse":
             axis, flip = lp.axis(), lp.angle()
             lp.done()
@@ -161,11 +163,11 @@ def parse_sequence(text: str) -> SequenceProgram:
             events.append(lp.delay())
             lp.done()
         elif head == "grad":
-            lp.choice("gradient axis 'z'", ("z",))
+            lp.choice("gradient axis", ("z",))
             lp.done()
             events.append(Gradient())
         elif head == "frame":
-            lp.choice("keyword 'offset'", ("offset",))
+            lp.choice("keyword", ("offset",))
             frames.append(lp.frame_offset(spin))
             lp.done()
             lp.call_at(col, make_program, (), frames=tuple(frames))

@@ -239,11 +239,11 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
-    """Trace out one spin of a two-spin state; keep is 'a' or 'b'. The
+    """Trace out one spin of a two-spin state; keep is a label of _SPINS. The
     reduced state is the sum of keep's two blocks (see _blocks)."""
     _check_two_spin(rho, "partial_trace expects a two-spin state")
     if keep not in _SPINS:
-        raise DomainError("keep must be 'a' or 'b'")
+        raise DomainError(f"keep must be {' or '.join(map(repr, _SPINS))}")
     # + 0.0, as a trace's sum from 0 gives: a -0.0 in both blocks sums to +0.0
     reduced = np.add(*_blocks(rho.matrix, keep)) + 0.0
     return DensityOperator._wrap(_validated(reduced, rho.normalized), rho.normalized)

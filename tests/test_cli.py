@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from lunephase.cli import build_parser, main, parse_angle
+from lunephase.phases import qubit_mixed_phase
+from lunephase.qcore import principal_angle
 
 
 def invoke(argv):
@@ -18,6 +20,17 @@ def invoke(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def theory_rows(omega, *options):
+    """The rows of `theory --format json` at omega."""
+    code, out, err = invoke(["theory", "--omega", omega, "--format", "json", *options])
+    assert (code, err) == (0, "")
+    return json.loads(out)["rows"]
+
+
+# orientation +1, under which the pure row's phase is +omega/2
+ORIENTATION_PLUS = ("--convention", "sense=1,active=up")
 
 
 def bundled_program_path():
@@ -117,6 +130,51 @@ class TestTheoryCommand:
     def test_missing_omega_is_usage_error(self):
         code, _, _ = invoke(["theory"])
         assert code == 2
+
+    def test_default_ladder(self):
+        rows = theory_rows("pi/2")
+        assert [row["n"] for row in rows] == list(range(12))
+        for row in rows:
+            assert row["r"] == pytest.approx(abs(math.cos(row["n"] * math.pi / 12)), abs=1e-15)
+        assert not any(row["flipped"] for row in rows[:7])
+        assert all(row["flipped"] for row in rows[7:])
+
+    def test_pure_row(self):
+        omega = 1.7
+        row = theory_rows("1.7", *ORIENTATION_PLUS)[0]
+        assert row["r"] == 1.0
+        assert row["gamma_rad"] == pytest.approx(omega / 2, abs=1e-12)
+        assert row["visibility"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_mixed_row_phase_vanishes(self):
+        row = theory_rows("1.3", *ORIENTATION_PLUS)[6]
+        assert row["r"] == pytest.approx(0.0, abs=1e-15)
+        assert row["gamma_rad"] == pytest.approx(0.0, abs=1e-12)
+        assert row["visibility"] == pytest.approx(abs(math.cos(0.65)), abs=1e-12)
+
+    def test_known_quarter_turn_value(self):
+        row = theory_rows("pi/2", *ORIENTATION_PLUS)[3]
+        assert abs(row["gamma_rad"]) == pytest.approx(0.6154797086703873, abs=1e-12)
+        assert abs(row["gamma_rad"]) == pytest.approx(math.atan(math.sqrt(2) / 2), abs=1e-15)
+
+    def test_flipped_rows_negate_phase(self):
+        omega = 2.1
+        rows = theory_rows("2.1", *ORIENTATION_PLUS)
+        for n in range(7, 12):
+            base = qubit_mixed_phase(rows[n]["r"], omega)
+            assert principal_angle(rows[n]["gamma_rad"] + base.gamma) == pytest.approx(
+                0.0, abs=1e-13
+            )
+            assert rows[n]["visibility"] == pytest.approx(base.visibility, abs=1e-15)
+
+    def test_sign_threading(self):
+        rows_plus = theory_rows("1.1", *ORIENTATION_PLUS)
+        rows_minus = theory_rows("1.1", "--convention", "sense=1,active=down")
+        for a, b in zip(rows_plus, rows_minus):
+            if a["defined"]:
+                assert principal_angle(a["gamma_rad"] + b["gamma_rad"]) == pytest.approx(
+                    0.0, abs=1e-14
+                )
 
 
 class TestSweepCommand:
@@ -729,6 +787,10 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
          "purity index must be an integer in [0, 11]"),
         (["trace-path", "--theta", "pi/8", "--samples", "2"], "--samples",
          "samples must be an integer in [4, 1000000]"),
+        (["simulate", "--theta", "pi/8", "--n", "3.0"], "--n",
+         "purity index must be an integer in [0, 11]"),
+        (["trace-path", "--theta", "pi/8", "--samples", "1e3"], "--samples",
+         "samples must be an integer in [4, 1000000]"),
         (["check-transport", "--theta", "pi/8", "--perturb", "nan"], "--perturb",
          "expected a finite number, got 'nan'"),
     ],
@@ -736,7 +798,8 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
          "repeated-active", "one-relaxation-time", "zero-relaxation-time",
          "text-relaxation-time",
          "empty-theta-list", "theta-range", "negative-tolerance", "omega-zero-denominator",
-         "infinite-omega", "purity-index", "too-few-samples", "nan-perturb"],
+         "infinite-omega", "purity-index", "too-few-samples", "float-purity-index",
+         "float-samples", "nan-perturb"],
 )
 def test_usage_error_shows_the_converter_reason(argv, flag, reason):
     # argparse prints a converter's private name for a plain ValueError;

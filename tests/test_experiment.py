@@ -50,7 +50,7 @@ from lunephase.geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from lunephase.phases import qubit_mixed_phase, sjoqvist_average, theory_curve
+from lunephase.phases import qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import (
     Delay,
     FrameOffset,
@@ -1293,9 +1293,6 @@ REJECTIONS = {
     ),
     "mixed-phase-omega-overflow": (
         lambda: qubit_mixed_phase(0.5, 10**400), "solid angle omega must fit a float",
-    ),
-    "theory-omega-overflow": (
-        lambda: theory_curve(10**400), "solid angle omega must fit a float",
     ),
     "path-perturb-str": (
         lambda: idealized_eigenvector_path(0.3, perturb="0.1"), "perturb must be a real number",

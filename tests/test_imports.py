@@ -5,6 +5,7 @@ wherever the test suite does, and a check of the names the package exports."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -312,12 +313,16 @@ def test_one_two_spin_layout():
 
 def spin_set_sites(source: str, labels) -> list[int]:
     """Lines that hold a tuple, list or set literal of two or more of the
-    spin labels: a second statement of the spin set."""
-    return sorted(
-        node.lineno for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
-        and len({e.value for e in node.elts if isinstance(e, ast.Constant)} & set(labels)) >= 2
-    )
+    spin labels, or a string (a docstring or a part of an f-string too) that
+    quotes two or more of them: a second statement of the spin set."""
+    def stated(node) -> set:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return {e.value for e in node.elts if isinstance(e, ast.Constant)} & set(labels)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return {s for s in labels if re.search(f"(['\"]){re.escape(s)}\\1", node.value)}
+        return set()
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if len(stated(node)) >= 2)
 
 
 def test_checker_finds_spin_sets():
@@ -330,13 +335,20 @@ def test_checker_finds_spin_sets():
         "axes = ('x', 'y')\n"
         "blocks = {'a': 0, 'b': 1}\n"
         "text = 'ab'\n"
+        "raise ValueError(\"keep must be 'a' or 'b'\")\n"
+        "fail(f'expected spin label \"b\" or \"a\", found {tok!r}')\n"
+        "note = \"spin 'a' only, or b\"\n"
+        "quoted = \"'ab' and 'b'\"\n"
+        'def f():\n'
+        '    """Keep is \'a\' or \'b\'."""\n'
     )
-    assert spin_set_sites(source, ("a", "b")) == [1, 3, 4]
+    assert spin_set_sites(source, ("a", "b")) == [1, 3, 4, 9, 10, 14]
 
 
 def test_one_spin_set():
     # qcore derives the spin labels from its layout (_SPINS); every other
-    # test of a label is a membership test in it, not a literal of its own.
+    # test of a label is a membership test in it, not a literal of its own,
+    # and a message that lists the labels builds its text from it.
     # The labels are stated here, apart from the package, as the oracle.
     sites = [
         f"{path.name}:{line}"

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from lunephase.errors import DomainError
-from lunephase.phases import (
-    PhaseResult,
-    qubit_mixed_phase,
-    sjoqvist_average,
-    theory_curve,
-)
+from lunephase.phases import PhaseResult, qubit_mixed_phase, sjoqvist_average
 from lunephase.qcore import principal_angle
 
 
@@ -186,49 +181,3 @@ class TestSignedMixedPhase:
         with pytest.raises(DomainError):
             qubit_mixed_phase(-1.2, 1.0)
 
-
-class TestTheoryCurve:
-    def test_default_ladder(self):
-        rows = theory_curve(math.pi / 2)
-        assert [row.n for row in rows] == list(range(12))
-        for row in rows:
-            assert row.r == pytest.approx(abs(math.cos(row.n * math.pi / 12)), abs=1e-15)
-        assert not any(row.flipped for row in rows[:7])
-        assert all(row.flipped for row in rows[7:])
-
-    def test_pure_row(self):
-        omega = 1.7
-        row = theory_curve(omega)[0]
-        assert row.r == 1.0
-        assert row.gamma == pytest.approx(omega / 2, abs=1e-12)
-        assert row.visibility == pytest.approx(1.0, abs=1e-15)
-
-    def test_mixed_row_phase_vanishes(self):
-        row = theory_curve(1.3)[6]
-        assert row.r == pytest.approx(0.0, abs=1e-15)
-        assert row.gamma == pytest.approx(0.0, abs=1e-12)
-        assert row.visibility == pytest.approx(abs(math.cos(0.65)), abs=1e-12)
-
-    def test_known_quarter_turn_value(self):
-        row = theory_curve(math.pi / 2)[3]
-        assert abs(row.gamma) == pytest.approx(0.6154797086703873, abs=1e-12)
-        assert abs(row.gamma) == pytest.approx(math.atan(math.sqrt(2) / 2), abs=1e-15)
-
-    def test_flipped_rows_negate_phase(self):
-        omega = 2.1
-        rows = theory_curve(omega)
-        for n in range(7, 12):
-            base = qubit_mixed_phase(rows[n].r, omega)
-            assert principal_angle(rows[n].gamma + base.gamma) == pytest.approx(
-                0.0, abs=1e-13
-            )
-            assert rows[n].visibility == pytest.approx(base.visibility, abs=1e-15)
-
-    def test_sign_threading(self):
-        rows_plus = theory_curve(1.1, sign=1)
-        rows_minus = theory_curve(1.1, sign=-1)
-        for a, b in zip(rows_plus, rows_minus):
-            if a.defined:
-                assert principal_angle(a.gamma + b.gamma) == pytest.approx(
-                    0.0, abs=1e-14
-                )

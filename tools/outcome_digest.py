@@ -10,8 +10,8 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
 relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
-rotations, delays, frames) and the programs built from them, and 33 command
-lines of the CLI in subprocesses: 22 from the checkout's root, and ``parse``
+rotations, delays, frames) and the programs built from them, and 36 command
+lines of the CLI in subprocesses: 25 from the checkout's root, and ``parse``
 of eleven small programs, written to a temporary directory and parsed from
 there by relative file name, so that no path enters their bytes. It prints
 one sha256 per stream and per command line, then one for the package
@@ -76,6 +76,10 @@ COMMANDS = (
     ("trace-path", "--theta", "pi/2", "--branch", "minus", "--samples", "2000"),
     ("parse", SEQ_FILE),
     ("parse", SEQ_FILE, "--format", "json"),
+    ("theory", "--omega", "pi/2"),
+    # the undefined row n = 6 and the flipped rows n >= 7
+    ("theory", "--omega", "pi", "--format", "json"),
+    ("theory", "--omega", "2.1", "--format", "json", "--convention", "sense=1,active=down"),
 )
 
 # programs for parse that refuse, or print, an edge case of the format
