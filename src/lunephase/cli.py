@@ -105,29 +105,30 @@ def _inclination_list(text: str) -> tuple[float, ...]:
     return tuple(_inclination(p) for p in parts)
 
 
-def _integer(text: str) -> int | str:
-    """text as an int when it is an integer literal; other text goes on as it
-    is, for the count check (qcore._check_count) to refuse in its own words."""
+def _literal(text: str, kind: type = int) -> int | float | str:
+    """text as a kind (int or float) when it is a literal of that kind;
+    other text goes on as it is, for the package's own check
+    (qcore._check_count, pulse.check_t2_times) to refuse in its own words."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
         return text
 
 
 def _purity_index(text: str) -> int:
-    return check_purity_index(_integer(text))
+    return check_purity_index(_literal(text))
 
 
 def _samples(text: str) -> int:
     """Loop sampling N: N//2 steps, at least two, per geodesic half turn."""
-    return _check_count(_integer(text), "samples", 4, 1_000_000)
+    return _check_count(_literal(text), "samples", 4, 1_000_000)
 
 
 def _relaxation(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected t2a,t2b")
-    return check_t2_times([float(p) for p in parts])
+    return check_t2_times([_literal(p, float) for p in parts])
 
 
 def _convention(text: str) -> Conventions:

@@ -334,6 +334,29 @@ def _free_phases(energies: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(t, -energies))
 
 
+def _delay_samples(
+    energies: np.ndarray, dt: float, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The samples_per_delay - 1 elapsed times dt*i/samples of a recorded
+    delay of duration dt after its start, and the diagonals of exp(-iHt) at
+    them, each phase checked for unit modulus (see run_sequence). They
+    depend only on the energies, dt and samples, so a run computes them
+    once per distinct duration."""
+    # dt * np.arange(1, samples) overflows exactly when its last entry does
+    if dt * (samples - 1) == math.inf:
+        raise DomainError(
+            f"delay of {dt!r} s is too long to record:"
+            " duration*samples_per_delay must fit a float"
+        )
+    elapsed = dt * np.arange(1, samples) / samples
+    phases = _free_phases(energies, elapsed)
+    # not (phases * phases.conj()).real: numpy's complex product
+    # may fuse a multiply-add, and then rounds unlike the Gram
+    if not abs(phases.real ** 2 + phases.imag ** 2 - 1).max() <= POLICY.unitarity_tol:
+        raise DomainError("sample propagator is not unitary within tolerance")
+    return elapsed, phases
+
+
 def pulse_unitary(ev: Rotation, sense: int = 1) -> np.ndarray:
     """Two-spin propagator of a hard pulse.
 
@@ -425,7 +448,10 @@ def _compile(
     Crushers stay in the tuple as themselves; each step carries the
     stretch's running propagator up to it, so the last step's is the whole
     stretch's, which qcore._conjugate takes as it is.
-    Every event propagator and every running propagator pass one stacked
+    Each distinct event's propagator is built once, looked up by the event
+    itself, since equal events compile to the same bits (see _store_reals):
+    the cycle's second 1/(2J) delay reuses the first's. Every distinct
+    event propagator and every running propagator pass one stacked
     unitarity check, so a run, recorded or not, conjugates by the cached
     products without checking them again. The program's whole clock is
     checked up front.
@@ -440,16 +466,15 @@ def _compile(
     call, since an exception is never cached.
     """
     compiled: list[Gradient | list[_Step]] = []
-    factors = []
+    factors: dict[Rotation | Delay, np.ndarray] = {}
     for ev, end in zip(events, tuple(_clock(events))):
         if isinstance(ev, Gradient):
             compiled.append(ev)
             continue
-        if isinstance(ev, Rotation):
-            u = pulse_unitary(ev, sense=pulse_sense)
-        else:
-            u = free_evolution_unitary(params, ev.duration(), iz_sign)
-        factors.append(u)
+        if ev not in factors:
+            factors[ev] = (pulse_unitary(ev, sense=pulse_sense) if isinstance(ev, Rotation)
+                           else free_evolution_unitary(params, ev.duration(), iz_sign))
+        u = factors[ev]
         if compiled and isinstance(compiled[-1], list):
             product = u @ compiled[-1][-1].product
         else:
@@ -459,7 +484,7 @@ def _compile(
         compiled[-1].append(_Step(ev, end, product))
     # a stretch's first running propagator is its first factor
     products = [step.product for s in compiled if isinstance(s, list) for step in s[1:]]
-    if factors and not is_unitary(np.array(factors + products)):
+    if factors and not is_unitary(np.array([*factors.values(), *products])):
         raise DomainError("event propagator is not unitary within tolerance")
     return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
 
@@ -529,9 +554,13 @@ def run_sequence(
     starts from. Every sample therefore comes from the delay's start state
     under its own propagator, so rounding does not grow with the sample
     count. The running products were checked at compile, so a recorded run
-    checks only each delay's new phases: every phase d must have
+    checks only the delays' sample phases: every phase d must have
     |Re(d)^2 + Im(d)^2 - 1| within the unitarity tolerance, the very
     deviation that the Gram check of is_unitary finds on diag(d). The
+    phases depend only on the energies, the duration and
+    samples_per_delay, so the run samples and checks each distinct delay
+    duration once (see _delay_samples), before any state uses them, and
+    each delay multiplies them into its own start product. The
     stretch's start state is then conjugated by the whole stack at once,
     through the same kernel as an unrecorded stretch: one batched product
     and one state check, no second unitarity check.
@@ -548,6 +577,8 @@ def run_sequence(
     stretches = _stretches(prog, pulse_sense, iz_sign)
     # every delay of a run samples the same four energies, after the sign checks
     energies = _energies(prog.params, iz_sign) if record and prog._has_delay else None
+    # each distinct delay duration's (elapsed times, checked sample phases)
+    sampled: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for stretch in stretches:
         if isinstance(stretch, Gradient):
             rho = gradient_crusher(rho)
@@ -563,19 +594,10 @@ def run_sequence(
         for ev, end, product in stretch:
             if isinstance(ev, Delay) and samples > 1:
                 dt = ev.duration()
-                # dt * np.arange(1, samples) overflows exactly when its last entry does
-                if dt * (samples - 1) == math.inf:
-                    raise DomainError(
-                        f"delay of {dt!r} s is too long to record:"
-                        " duration*samples_per_delay must fit a float"
-                    )
-                elapsed = dt * np.arange(1, samples) / samples
+                if dt not in sampled:
+                    sampled[dt] = _delay_samples(energies, dt, samples)
+                elapsed, phases = sampled[dt]
                 times.append(t + elapsed)
-                phases = _free_phases(energies, elapsed)
-                # not (phases * phases.conj()).real: numpy's complex product
-                # may fuse a multiply-add, and then rounds unlike the Gram
-                if not abs(phases.real ** 2 + phases.imag ** 2 - 1).max() <= POLICY.unitarity_tol:
-                    raise DomainError("sample propagator is not unitary within tolerance")
                 stack.append(phases[:, :, None] * before)
             times.append((end,))
             stack.append(product[None])

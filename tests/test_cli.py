@@ -777,7 +777,7 @@ def test_malformed_list_or_convention_is_usage_error(argv, flag):
         (["sweep", "--relaxation", "0.3"], "--relaxation", "expected t2a,t2b"),
         (["sweep", "--relaxation", "0,0.4"], "--relaxation", "relaxation times must be positive"),
         (["sweep", "--relaxation", "a,0.4"], "--relaxation",
-         "could not convert string to float: 'a'"),
+         "relaxation must be a pair (t2a, t2b) of real numbers that fit a float"),
         (["sweep", "--theta", ","], "--theta", "expected a comma-separated list of angles"),
         (["sweep", "--theta", "pi/8,2"], "--theta", "inclination angle must lie in [0, pi/2]"),
         (["sweep", "--tolerance", "-1"], "--tolerance", "tolerance must be nonnegative, got '-1'"),

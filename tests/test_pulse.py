@@ -740,30 +740,50 @@ class TestRelaxation:
             assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
 
 
+def unshared_steps(prog, pulse_sense, iz_sign):
+    """prog's stretches as lists of (event, end, running product), with every
+    event's propagator built on its own, as if no two events were equal."""
+    stretches = []
+    for ev, end in zip(prog.events, pulse._clock(prog.events)):
+        if isinstance(ev, Gradient):
+            stretches.append(ev)
+            continue
+        if isinstance(ev, Rotation):
+            u = pulse_unitary(ev, sense=pulse_sense)
+        else:
+            u = free_evolution_unitary(prog.params, ev.duration(), iz_sign)
+        if stretches and isinstance(stretches[-1], list):
+            u = u @ stretches[-1][-1][2]
+        else:
+            stretches.append([])
+        stretches[-1].append((ev, end, u))
+    return stretches
+
+
 def sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign):
-    """The states of a recorded run, each stretch's stack built here from
-    its compiled steps: the phases of each delay sample times the product
-    the delay starts from, and the running product after each event. Each
-    slice is conjugated on its own by oracle_brute."""
-    want = [rho]
-    for stretch in pulse._stretches(prog, pulse_sense, iz_sign):
+    """The times and states of a recorded run, each stretch's stack built
+    here from its unshared steps: the phases of each delay sample, computed
+    for that delay alone, times the product the delay starts from, and the
+    running product after each event. Each slice is conjugated on its own
+    by oracle_brute."""
+    times, want, t = [0.0], [rho], 0.0
+    energies = pulse._energies(prog.params, iz_sign)
+    for stretch in unshared_steps(prog, pulse_sense, iz_sign):
         if isinstance(stretch, Gradient):
+            times.append(t)
             want.append(gradient_crusher(want[-1]))
             continue
         stack, before = [], np.eye(4, dtype=complex)
-        for step in stretch:
-            if isinstance(step.event, Delay):
-                elapsed = step.event.duration() * np.arange(1, samples) / samples
-                energies = pulse._energies(prog.params, iz_sign)
-                phases = pulse._free_phases(energies, elapsed)
-                stack.append(phases[:, :, None] * before)
-            stack.append(step.product[None])
-            before = step.product
-        want += [
-            DensityOperator(oracle.conj(want[-1].matrix, u), rho.normalized)
-            for u in np.concatenate(stack)
-        ]
-    return want
+        for ev, end, product in stretch:
+            if isinstance(ev, Delay) and samples > 1:
+                elapsed = ev.duration() * np.arange(1, samples) / samples
+                times += list(t + elapsed)
+                stack += list(pulse._free_phases(energies, elapsed)[:, :, None] * before)
+            times.append(end)
+            stack.append(product)
+            t, before = end, product
+        want += [DensityOperator(oracle.conj(want[-1].matrix, u), rho.normalized) for u in stack]
+    return times, want
 
 
 class TestRunSequence:
@@ -905,12 +925,12 @@ class TestRunSequence:
 
     def test_every_pulse_factor_is_checked(self, monkeypatch):
         # A and its inverse multiply to the identity, so only a check of
-        # each factor, not of the stretch product, can refuse them
+        # each factor, not of the stretch product, can refuse them; the two
+        # pulses differ, so that each draws its own factor
         a = np.diag([2.0, 0.5, 2.0, 0.5]).astype(complex)
         factors = iter([a, np.linalg.inv(a)])
         monkeypatch.setattr(pulse, "pulse_unitary", lambda *args, **kw: next(factors))
-        quarter = Rotation("b", "x", Fraction(1, 2))
-        prog = make_program([quarter, quarter])
+        prog = make_program([Rotation("b", "x", Fraction(k, 6)) for k in (2, 3)])
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DomainError, match="not unitary"):
             run_sequence(rho, prog)
@@ -993,11 +1013,12 @@ class TestRunSequence:
         if not normalized:
             start = start - np.eye(4) / 4
         rho = DensityOperator(start, normalized=normalized)
-        want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
+        times, want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
         final, traj = run_sequence(
             rho, prog, record=True, samples_per_delay=samples,
             pulse_sense=pulse_sense, iz_sign=iz_sign,
         )
+        assert traj.times.tobytes() == np.array(times).tobytes()
         assert len(traj) == len(want)
         for (_, got), ref in zip(traj, want):
             assert got.matrix.tobytes() == ref.matrix.tobytes()
@@ -1019,7 +1040,7 @@ class TestRunSequence:
     ):
         prog = make_program(events, SpinSystemParams(omega_b=math.pi * J))
         rho = random_two_spin_state(np.random.default_rng(seed))
-        want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
+        _, want = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
         final, traj = run_sequence(
             rho, prog, record=True, samples_per_delay=samples,
             pulse_sense=pulse_sense, iz_sign=iz_sign,
@@ -1139,6 +1160,8 @@ class TestRunSequence:
         # would let this program run unrecorded. A's Gram matrix is off by
         # about 8e-11, inside the tolerance, A^2's by about 1.6e-10 and A^3's
         # by about 2.4e-10, outside it, and A^3 A^-3 is the identity again.
+        # The six pulses differ, so that each draws its own factor: equal
+        # ones would share one, and A^6 would fail the whole-product check.
         s = 1 + 4e-11
         a = np.diag([s, 1 / s, s, 1 / s]).astype(complex)
         inverse = np.diag([1 / s, s, 1 / s, s]).astype(complex)
@@ -1148,8 +1171,7 @@ class TestRunSequence:
         assert is_unitary(np.linalg.multi_dot(factors))
         supply = itertools.cycle(factors)
         monkeypatch.setattr(pulse, "pulse_unitary", lambda *args, **kw: next(supply))
-        quarter = Rotation("b", "x", Fraction(1, 2))
-        prog = make_program([quarter] * 6)
+        prog = make_program([Rotation("b", "x", Fraction(k, 12)) for k in range(1, 7)])
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         message = "^event propagator is not unitary within tolerance$"
         for record in (False, True):
@@ -1460,3 +1482,98 @@ class TestCompileCache:
             final, path = run_sequence(rho, prog, record=True, samples_per_delay=4)
             runs.append([final.matrix.tobytes()] + [s.matrix.tobytes() for _, s in path])
         assert runs[0] == runs[1]
+
+
+# programs whose equal events share one propagator, and whose delays of
+# equal duration share one sample set
+REPEATED_EVENT_PROGRAMS = {
+    "literal-cycle": cycle_program(0.3),
+    "seconds-beside-per-j": make_program(
+        [Rotation("b", "x", Fraction(1, 3)), Delay(seconds=HALF_J_DELAY),
+         Rotation("b", "-x", 0.7), Delay(per_j=Fraction(1, 2))],
+        SpinSystemParams(omega_a=0.4 * J, omega_b=-1.3 * J),
+    ),
+    "repeated-rotation": make_program(
+        [Rotation("b", "x", Fraction(1, 2)), Delay(per_j=Fraction(1, 4)),
+         Rotation("b", "x", Fraction(1, 2)), Gradient(), Rotation("b", "x", Fraction(1, 2)),
+         Rotation("a", "y", 0.9), Delay(per_j=Fraction(1, 4)), Rotation("a", "y", 0.9)],
+        SpinSystemParams(omega_b=math.pi * J),
+    ),
+    "unequal-delays": make_program(
+        [Rotation("b", "-x", 0.4), Delay(per_j=Fraction(1, 2)), Rotation("b", "-x", 2.3),
+         Delay(per_j=Fraction(1, 3)), Delay(seconds=1e-3)],
+        SpinSystemParams(omega_a=-0.2 * J, omega_b=0.6 * J),
+    ),
+    "signed-zero-delays": make_program(
+        [Delay(seconds=0.0), Rotation("b", "x", 0.5), Delay(seconds=-0.0),
+         Delay(seconds=0.0), Delay(seconds=-0.0)],
+        SpinSystemParams(omega_a=0.1 * J, omega_b=0.3 * J),
+    ),
+}
+
+
+class TestSharedWork:
+    def test_a_seconds_delay_shares_samples_but_not_its_key(self):
+        seconds, per_j = Delay(seconds=HALF_J_DELAY), Delay(per_j=Fraction(1, 2))
+        assert seconds != per_j and seconds.duration() == per_j.duration()
+
+    @pytest.mark.parametrize("name", REPEATED_EVENT_PROGRAMS)
+    @pytest.mark.parametrize("pulse_sense, iz_sign", itertools.product((1, -1), (1, -1)))
+    def test_shared_work_gives_the_unshared_bits(self, name, pulse_sense, iz_sign):
+        prog = REPEATED_EVENT_PROGRAMS[name]
+        rho = random_two_spin_state(np.random.default_rng(97))
+        steps = unshared_steps(prog, pulse_sense, iz_sign)
+        compiled = pulse._stretches(prog, pulse_sense, iz_sign)
+        assert compiled_bits(compiled) == compiled_bits(
+            [s if isinstance(s, Gradient) else [pulse._Step(*step) for step in s] for s in steps]
+        )
+        want = rho
+        for stretch in steps:
+            want = (gradient_crusher(want) if isinstance(stretch, Gradient)
+                    else DensityOperator(oracle.conj(want.matrix, stretch[-1][2])))
+        final, _ = run_sequence(rho, prog, pulse_sense=pulse_sense, iz_sign=iz_sign)
+        assert same_state(final, want)
+        for samples in (1, 2, 16):
+            times, states = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
+            final, traj = run_sequence(rho, prog, record=True, samples_per_delay=samples,
+                                       pulse_sense=pulse_sense, iz_sign=iz_sign)
+            assert traj.times.tobytes() == np.array(times).tobytes()
+            assert len(traj) == len(states)
+            assert all(same_state(got, ref) for (_, got), ref in zip(traj, states))
+            assert same_state(final, states[-1])
+
+    @pytest.mark.parametrize("name", REPEATED_EVENT_PROGRAMS)
+    def test_each_distinct_event_and_duration_is_built_once(self, name, monkeypatch):
+        prog = REPEATED_EVENT_PROGRAMS[name]
+        calls = {"pulse_unitary": [], "free_evolution_unitary": [], "_free_phases": []}
+        for builder, seen in calls.items():
+            def count(*args, _seen=seen, _original=getattr(pulse, builder), **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pulse, builder, count)
+        # each distinct value once, in program order
+        rotations = list(dict.fromkeys(ev for ev in prog.events if isinstance(ev, Rotation)))
+        delays = list(dict.fromkeys(ev for ev in prog.events if isinstance(ev, Delay)))
+        durations = list(dict.fromkeys(ev.duration() for ev in delays))
+        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        for iz_sign in (1, -1):
+            for seen in calls.values():
+                seen.clear()
+            pulse._compile.cache_clear()
+            pulse._stretches(prog, 1, iz_sign)
+            assert [args[0] for args in calls["pulse_unitary"]] == rotations
+            assert [args[1] for args in calls["free_evolution_unitary"]] == [
+                ev.duration() for ev in delays
+            ]
+            for samples in (1, 2, 16):
+                for _ in range(2):
+                    calls["_free_phases"].clear()
+                    run_sequence(rho, prog, record=True, samples_per_delay=samples,
+                                 iz_sign=iz_sign)
+                    # the run compiled nothing: one sample set per distinct
+                    # duration, in program order, and none at one sample
+                    elapsed = [args[1].tobytes() for args in calls["_free_phases"]]
+                    assert elapsed == [
+                        (dt * np.arange(1, samples) / samples).tobytes() for dt in durations
+                    ] * (samples > 1)

@@ -9,15 +9,18 @@ seeded ``chain`` (100 requests) and ``trajectory`` (60 requests) streams of
 ``perfbench/workloads.py`` at seeds 1, 2 and 741 in process, a stream of 200
 seeded random normalized and deviation states at seeds 1 and 2, each run
 through a crusher, the spin-a readout, both partial traces and transverse
-relaxation, 200 blocks of 8 seeded pulse-program value objects (params,
-rotations, delays, frames) and the programs built from them, and 36 command
-lines of the CLI in subprocesses: 25 from the checkout's root, and ``parse``
-of eleven small programs, written to a temporary directory and parsed from
-there by relative file name, so that no path enters their bytes. It prints
-one sha256 per stream and per command line, then one for the package
-namespace. Each outcome digest
-covers every matrix (dtype, shape, bytes, whether it is writeable), every
-flag, every time and every complex number; each command digest covers
+relaxation, a stream of runs of four programs with repeated equal events
+at seeds 1 and 2 (25 seeded start states each; every program unrecorded
+and recorded at 1, 2 and 16 samples per delay, under each of the four
+pairs of pulse sense and I_z sign), 200 blocks of 8 seeded pulse-program
+value objects (params, rotations, delays, frames) and the programs built
+from them, and 36 command lines of the CLI in subprocesses: 25 from the
+checkout's root, and ``parse`` of eleven small programs, written to a
+temporary directory and parsed from there by relative file name, so that
+no path enters their bytes. It prints one sha256 per stream and per
+command line, then one for the package namespace: 48 lines. Each outcome
+digest covers every matrix (dtype, shape, bytes, whether it is writeable),
+every flag, every time and every complex number; each command digest covers
 stdout, stderr and the exit code. The value digest covers each object's
 stored fields, the bits of the floats computed from them, which objects of
 a block compare equal and whether equal objects hash equal (never a hash
@@ -32,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import random
 import struct
@@ -45,6 +49,7 @@ import numpy as np
 SEEDS = (1, 2, 741)
 STREAMS = (("chain", 100), ("trajectory", 60))
 STATE_SEEDS, STATE_COUNT = (1, 2), 200
+REPEAT_SEEDS, REPEAT_STATES, REPEAT_SAMPLES = (1, 2), 25, (1, 2, 16)
 VALUE_SEED, VALUE_BLOCKS, VALUE_BLOCK = 31, 200, 8
 VALUE_KINDS = ("params", "rotation", "delay", "frame")
 MODEL = ("--model", "idealized-controlled-U")
@@ -161,6 +166,47 @@ def state_outcome(pulse, qcore, experiment, matrix, normalized) -> dict:
     }
 
 
+def repeated_event_programs(pulse, rng: random.Random) -> tuple:
+    """Four programs with repeated equal events, on seeded offsets of up to
+    piJ rad/s and a seeded angle theta: the literal cycle at inclination
+    theta in its frame (two equal 1/(2J) delays), a 1/(2J) delay in seconds
+    beside one of 1/2 per J, a quarter turn repeated within and across a
+    crusher, and two unequal delays."""
+    bound = math.pi * pulse.DEFAULT_J
+    params = pulse.SpinSystemParams(rng.uniform(-bound, bound), rng.uniform(-bound, bound))
+    theta = rng.uniform(0.0, math.pi / 2)
+    half, quarter = pulse.Delay(per_j=Fraction(1, 2)), pulse.Rotation("b", "x", Fraction(1, 2))
+    cycle = [pulse.Rotation("b", "-x", theta), half,
+             pulse.Rotation("b", "-x", math.pi - 2.0 * theta), pulse.Delay(per_j=Fraction(1, 2))]
+    return (
+        pulse.make_program(cycle, params, (pulse.FrameOffset("b", Fraction(-1, 2), "piJ"),)),
+        pulse.make_program([quarter, pulse.Delay(seconds=1 / (2 * pulse.DEFAULT_J)),
+                            pulse.Rotation("b", "-x", theta), half], params),
+        pulse.make_program([quarter, pulse.Delay(per_j=Fraction(1, 4)), quarter,
+                            pulse.Gradient(), quarter, quarter], params),
+        pulse.make_program([quarter, half, pulse.Rotation("a", "y", theta),
+                            pulse.Delay(per_j=Fraction(1, 3))], params),
+    )
+
+
+def repeated_event_runs(pulse, qcore, seed: int, conventions):
+    """The final state and trajectory of each run of the repeated-event
+    programs (see repeated_event_programs), drawn anew for each of
+    REPEAT_STATES seeded start states of random_states: unrecorded, then
+    recorded at each of REPEAT_SAMPLES, under each (pulse sense, I_z sign)
+    pair of conventions."""
+    rng = random.Random(seed)
+    for matrix, normalized in random_states(seed, REPEAT_STATES):
+        rho = qcore.DensityOperator(matrix, normalized=normalized)
+        for prog, (sense, iz_sign) in itertools.product(
+            repeated_event_programs(pulse, rng), conventions
+        ):
+            yield pulse.run_sequence(rho, prog, pulse_sense=sense, iz_sign=iz_sign)
+            for samples in REPEAT_SAMPLES:
+                yield pulse.run_sequence(rho, prog, record=True, samples_per_delay=samples,
+                                         pulse_sense=sense, iz_sign=iz_sign)
+
+
 def value_number(rng: random.Random, nonnegative: bool = False):
     """A seeded multiple of 1/4 in [-1, 1] in one of the forms a caller may
     pass: a Fraction, a float, an int, a numpy float or integer, or a signed
@@ -260,6 +306,12 @@ def main(argv: list[str]) -> int:
         for matrix, normalized in random_states(seed, STATE_COUNT):
             feed(h, state_outcome(pulse, qcore, experiment, matrix, normalized))
         print(f"states seed {seed} ({STATE_COUNT} states): {h.hexdigest()}")
+
+    for seed in REPEAT_SEEDS:
+        h = hashlib.sha256()
+        for outcome in repeated_event_runs(pulse, qcore, seed, workloads.CONVENTION_PAIRS):
+            feed(h, outcome)
+        print(f"repeated events seed {seed} ({REPEAT_STATES} states): {h.hexdigest()}")
 
     h = hashlib.sha256()
     for outcome in value_blocks(pulse, pulseprog, random.Random(VALUE_SEED)):
