@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory = sub.add_parser("theory", help="closed-form phase/visibility ladder")
     p_theory.set_defaults(run=cmd_theory)
     p_theory.add_argument("--omega", type=_usage(parse_angle), required=True,
-                          help="loop solid angle in rad (symbolic pi forms ok)")
+                          help="loop solid angle in rad (symbolic pi forms ok; "
+                               "a negative one as --omega=-pi/2)")
     add_common(p_theory)
 
     p_sweep = sub.add_parser("sweep", help="simulate the grid and gate against theory")
@@ -263,7 +264,7 @@ def _gate(records, args) -> int:
     tol_vis = args.tolerance_visibility if args.tolerance_visibility is not None else tol
     failed = any(
         (rec.defined and abs(rec.residual) > tol)
-        or abs(rec.visibility_measured - rec.visibility_theory) > tol_vis
+        or abs(rec.measured.visibility - rec.theory.visibility) > tol_vis
         for rec in records
     )
     return 1 if failed else 0

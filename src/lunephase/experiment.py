@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise DomainError(f"unknown cycle model {self.model!r}")
         if self.relaxation is not None:
             object.__setattr__(self, "relaxation", check_t2_times(self.relaxation))
+        if not isinstance(self.conventions, Conventions):
+            raise DomainError("ExperimentConfig.conventions must be a Conventions")
 
     @property
     def omega(self) -> float:
@@ -107,31 +109,31 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one grid point.
+    """Outcome of one grid point: the measured readout and the closed-form
+    prediction it is compared with.
 
-    residual is the wrapped difference gamma_measured - gamma_theory; it and
-    the phase fields are meaningful only when defined is true (an undefined
-    row signals vanishing interference contrast, not an error). Under
-    relaxation, the measured fields are read after the T2 decay, but the
-    snapshots end at the cycle's output before it: the last snapshot's
-    visibility is the undecayed one.
+    defined and residual are derived from the two results: a row is defined
+    when both phases are, and its residual is the wrapped difference
+    measured.gamma - theory.gamma, nan on an undefined row (which signals
+    vanishing interference contrast, not an error). Under relaxation, the
+    measured result is read after the T2 decay, but the snapshots end at the
+    cycle's output before it: the last snapshot's visibility is the
+    undecayed one.
     """
 
     config: ExperimentConfig
-    gamma_measured: float
-    visibility_measured: float
-    gamma_theory: float
-    visibility_theory: float
-    residual: float
-    defined: bool
+    measured: PhaseResult
+    theory: PhaseResult
     snapshots: Trajectory | None = None
 
-    def __post_init__(self) -> None:
-        if self.defined:
-            if not -math.pi < self.residual <= math.pi:
-                raise DomainError("residual must be a principal angle")
-        elif not math.isnan(self.residual):
-            raise DomainError("undefined rows must carry a nan residual")
+    @property
+    def defined(self) -> bool:
+        return self.measured.defined and self.theory.defined
+
+    @property
+    def residual(self) -> float:
+        gap = self.measured.gamma - self.theory.gamma
+        return principal_angle(gap) if self.defined else math.nan
 
 
 def thermal_state() -> DensityOperator:
@@ -391,21 +393,11 @@ def _run_grid(
                 t2a, t2b = config.relaxation
                 out = apply_t2_relaxation(out, duration, t2a, t2b)
 
-            measured = readout_phase(out, reference)
-            theory = qubit_mixed_phase(config.purity, config.omega, conv.orientation)
-            defined = measured.defined and theory.defined
-            residual = (
-                principal_angle(measured.gamma - theory.gamma) if defined else math.nan
-            )
             records.append(RunRecord(
-                config=config,
-                gamma_measured=measured.gamma,
-                visibility_measured=measured.visibility,
-                gamma_theory=theory.gamma,
-                visibility_theory=theory.visibility,
-                residual=residual,
-                defined=defined,
-                snapshots=trajectory if record_snapshots else None,
+                config,
+                readout_phase(out, reference),
+                qubit_mixed_phase(config.purity, config.omega, conv.orientation),
+                trajectory if record_snapshots else None,
             ))
     return records
 
@@ -468,10 +460,10 @@ def record_values(record: RunRecord) -> dict:
         "theta_rad": cfg.theta,
         "n": cfg.n,
         "r": cfg.purity,
-        "gamma_sim_rad": record.gamma_measured if defined else None,
-        "gamma_theory_rad": record.gamma_theory if defined else None,
-        "visibility_sim": record.visibility_measured,
-        "visibility_theory": record.visibility_theory,
+        "gamma_sim_rad": record.measured.gamma if defined else None,
+        "gamma_theory_rad": record.theory.gamma if defined else None,
+        "visibility_sim": record.measured.visibility,
+        "visibility_theory": record.theory.visibility,
         "residual_rad": record.residual if defined else None,
         "defined": defined,
     }

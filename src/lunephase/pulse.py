@@ -448,12 +448,14 @@ def _compile(
     Crushers stay in the tuple as themselves; each step carries the
     stretch's running propagator up to it, so the last step's is the whole
     stretch's, which qcore._conjugate takes as it is.
-    Each distinct event's propagator is built once, looked up by the event
-    itself, since equal events compile to the same bits (see _store_reals):
-    the cycle's second 1/(2J) delay reuses the first's. Every distinct
-    event propagator and every running propagator pass one stacked
-    unitarity check, so a run, recorded or not, conjugates by the cached
-    products without checking them again. The program's whole clock is
+    Each distinct rotation's propagator is built once, looked up by the
+    event itself, since equal events compile to the same bits (see
+    _store_reals); each delay's is looked up by its duration, the only thing
+    of the delay it depends on: the cycle's second 1/(2J) delay reuses the
+    first's, and a delay in seconds shares the propagator of an equal one
+    given per J. Every distinct propagator and every running propagator
+    pass one stacked unitarity check, so a run, recorded or not, conjugates
+    by the cached products without checking them again. The program's whole clock is
     checked up front.
 
     The arguments are the cache key, and hold only what a compile reads:
@@ -466,15 +468,16 @@ def _compile(
     call, since an exception is never cached.
     """
     compiled: list[Gradient | list[_Step]] = []
-    factors: dict[Rotation | Delay, np.ndarray] = {}
+    factors: dict[Rotation | float, np.ndarray] = {}
     for ev, end in zip(events, tuple(_clock(events))):
         if isinstance(ev, Gradient):
             compiled.append(ev)
             continue
-        if ev not in factors:
-            factors[ev] = (pulse_unitary(ev, sense=pulse_sense) if isinstance(ev, Rotation)
-                           else free_evolution_unitary(params, ev.duration(), iz_sign))
-        u = factors[ev]
+        key = ev if isinstance(ev, Rotation) else ev.duration()
+        if key not in factors:
+            factors[key] = (pulse_unitary(ev, sense=pulse_sense) if isinstance(ev, Rotation)
+                            else free_evolution_unitary(params, key, iz_sign))
+        u = factors[key]
         if compiled and isinstance(compiled[-1], list):
             product = u @ compiled[-1][-1].product
         else:

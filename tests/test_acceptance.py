@@ -77,8 +77,8 @@ def test_ac1_arctan_law(acceptance):
             gamma_formula = abs(
                 math.atan2(r * math.sin(omega / 2), math.cos(omega / 2))
             )
-            worst_gamma = max(worst_gamma, abs(abs(rec.gamma_measured) - gamma_formula))
-            worst_vis = max(worst_vis, abs(rec.visibility_measured - v_formula))
+            worst_gamma = max(worst_gamma, abs(abs(rec.measured.gamma) - gamma_formula))
+            worst_vis = max(worst_vis, abs(rec.measured.visibility - v_formula))
             checked += 1
     elapsed = time.perf_counter() - start
     ok = worst_gamma <= 1e-9 and worst_vis <= 1e-9 and elapsed < 1.0
@@ -96,18 +96,18 @@ def test_ac2_pure_and_mixed_limits(acceptance):
     for theta in GRID_THETAS:
         omega = 4.0 * theta
         pure = run_single(ExperimentConfig(theta, 0))
-        worst = max(worst, abs(abs(pure.gamma_measured) - omega / 2))
-        worst = max(worst, abs(pure.visibility_measured - 1.0))
+        worst = max(worst, abs(abs(pure.measured.gamma) - omega / 2))
+        worst = max(worst, abs(pure.measured.visibility - 1.0))
         mixed = run_single(ExperimentConfig(theta, 6))
-        worst = max(worst, abs(mixed.visibility_measured - abs(math.cos(omega / 2))))
+        worst = max(worst, abs(mixed.measured.visibility - abs(math.cos(omega / 2))))
         if mixed.defined:
             if math.cos(omega / 2) > 0:
-                worst = max(worst, abs(mixed.gamma_measured))
+                worst = max(worst, abs(mixed.measured.gamma))
             else:
                 # obtuse half-angle: the r=0 phase is the argument of
                 # cos(omega/2), i.e. pi rather than 0
                 worst = max(
-                    worst, abs(principal_angle(mixed.gamma_measured - math.pi))
+                    worst, abs(principal_angle(mixed.measured.gamma - math.pi))
                 )
                 notes.append(f"theta={theta:.3f} carries gamma=pi")
     ok = worst <= 1e-9
@@ -246,13 +246,13 @@ def test_ac7_timing_and_decoherence(acceptance):
         for n in range(12):
             base = run_single(ExperimentConfig(theta, n))
             relaxed = run_single(ExperimentConfig(theta, n, relaxation=(0.3, 0.4)))
-            if base.visibility_measured > 1e-9:
-                loss = 1.0 - relaxed.visibility_measured / base.visibility_measured
+            if base.measured.visibility > 1e-9:
+                loss = 1.0 - relaxed.measured.visibility / base.measured.visibility
                 worst_loss = max(worst_loss, loss)
             if base.defined and relaxed.defined:
                 worst_shift = max(
                     worst_shift,
-                    abs(principal_angle(relaxed.gamma_measured - base.gamma_measured)),
+                    abs(principal_angle(relaxed.measured.gamma - base.measured.gamma)),
                 )
     ok = duration_err <= 1e-12 and worst_loss <= 0.016 and worst_shift <= 1e-6
     acceptance(

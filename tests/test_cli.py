@@ -127,6 +127,17 @@ class TestTheoryCommand:
         assert code == 2
         assert "omega" in err
 
+    def test_negative_symbolic_omega_needs_the_equals_form(self):
+        # after a space, argparse reads '-pi/2' as an option, not a value;
+        # a negative decimal is read as a value either way
+        code, out, err = invoke(["theory", "--omega", "-pi/2"])
+        assert (code, out) == (2, "")
+        assert "argument --omega: expected one argument" in err
+        code, out, err = invoke(["theory", "--omega=-pi/2", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["omega_rad"] == -math.pi / 2
+        assert invoke(["theory", "--omega", "-1.5"])[0] == 0
+
     def test_missing_omega_is_usage_error(self):
         code, _, _ = invoke(["theory"])
         assert code == 2
@@ -673,10 +684,12 @@ class TestNumericInputRejection:
             ["sweep", "--theta", "2"],
             ["sweep", "--theta", "pi/8,-0.1"],
             ["simulate", "--theta", "2", "--n", "3"],
-            ["trace-path", "--theta", "-pi/8"],
+            ["trace-path", "--theta=-pi/8"],
             ["check-transport", "--theta", "3pi/4"],
         ):
-            self.assert_usage_error(argv, "--theta")
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert "argument --theta: inclination angle must lie in [0, pi/2]" in err
 
     def test_purity_index_outside_ladder(self):
         for value in ("12", "-1", "1.5"):

@@ -50,7 +50,7 @@ from lunephase.geometry import (
     pancharatnam_phase,
     solid_angle,
 )
-from lunephase.phases import qubit_mixed_phase, sjoqvist_average
+from lunephase.phases import PhaseResult, qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import (
     Delay,
     FrameOffset,
@@ -278,11 +278,11 @@ class TestIdealizedCycle:
             lit = run_single(ExperimentConfig(theta, n, "literal-sequence"))
             ide = run_single(ExperimentConfig(theta, n, "idealized-controlled-U"))
             assert lit.defined == ide.defined
-            assert lit.visibility_measured == pytest.approx(
-                ide.visibility_measured, abs=1e-12
+            assert lit.measured.visibility == pytest.approx(
+                ide.measured.visibility, abs=1e-12
             )
             if lit.defined:
-                offset = principal_angle(lit.gamma_measured - ide.gamma_measured)
+                offset = principal_angle(lit.measured.gamma - ide.measured.gamma)
                 assert abs(offset) < 1e-12
 
     def test_model_equivalence_alternate_branch_assignment(self):
@@ -294,7 +294,7 @@ class TestIdealizedCycle:
                     theta, 2, "idealized-controlled-U", conventions=alt
                 )
             )
-            assert abs(principal_angle(lit.gamma_measured - ide.gamma_measured)) < 1e-12
+            assert abs(principal_angle(lit.measured.gamma - ide.measured.gamma)) < 1e-12
 
 
 class TestReadout:
@@ -351,24 +351,24 @@ class TestRunSingle:
     def test_pinned_pure_example(self):
         rec = run_single(ExperimentConfig(math.pi / 8, 0))
         assert rec.defined
-        assert rec.gamma_measured == pytest.approx(-math.pi / 4, abs=1e-12)
-        assert rec.visibility_measured == pytest.approx(1.0, abs=1e-12)
-        assert rec.gamma_theory == pytest.approx(-math.pi / 4, abs=1e-15)
+        assert rec.measured.gamma == pytest.approx(-math.pi / 4, abs=1e-12)
+        assert rec.measured.visibility == pytest.approx(1.0, abs=1e-12)
+        assert rec.theory.gamma == pytest.approx(-math.pi / 4, abs=1e-15)
         assert abs(rec.residual) < 1e-12
 
     def test_pinned_undefined_example(self):
         rec = run_single(ExperimentConfig(math.pi / 4, 6))
         assert not rec.defined
         assert math.isnan(rec.residual)
-        assert rec.visibility_measured < 1e-9
-        assert rec.visibility_theory < 1e-9
+        assert rec.measured.visibility < 1e-9
+        assert rec.theory.visibility < 1e-9
 
     def test_relaxation_scales_visibility_not_phase(self):
         base = run_single(ExperimentConfig(math.pi / 8, 3))
         relaxed = run_single(ExperimentConfig(math.pi / 8, 3, relaxation=(0.3, 0.4)))
-        ratio = relaxed.visibility_measured / base.visibility_measured
+        ratio = relaxed.measured.visibility / base.measured.visibility
         assert ratio == pytest.approx(math.exp(-(1.0 / J) / 0.3), abs=1e-12)
-        assert abs(relaxed.gamma_measured - base.gamma_measured) < 1e-12
+        assert abs(relaxed.measured.gamma - base.measured.gamma) < 1e-12
         assert 1.0 - ratio < 0.016
 
     def test_relaxation_applies_to_idealized_model_too(self):
@@ -378,7 +378,7 @@ class TestRunSingle:
                 math.pi / 8, 3, "idealized-controlled-U", relaxation=(0.3, 0.4)
             )
         )
-        ratio = relaxed.visibility_measured / base.visibility_measured
+        ratio = relaxed.measured.visibility / base.measured.visibility
         assert ratio == pytest.approx(math.exp(-(1.0 / J) / 0.3), abs=1e-12)
 
     def test_snapshots_cover_cycle(self):
@@ -415,9 +415,9 @@ class TestRunSingle:
         assert snaps.matrices.tobytes() == plain.snapshots.matrices.tobytes()
         last = readout_phase(snaps[-1][1], spin_a_coherence(snaps[0][1]))
         assert last.visibility == pytest.approx(0.70711, abs=5e-6)
-        assert relaxed.visibility_measured == pytest.approx(0.69620, abs=5e-6)
+        assert relaxed.measured.visibility == pytest.approx(0.69620, abs=5e-6)
         decay = math.exp(-snaps.times[-1] / 0.3)
-        assert relaxed.visibility_measured == pytest.approx(last.visibility * decay, abs=1e-12)
+        assert relaxed.measured.visibility == pytest.approx(last.visibility * decay, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -429,12 +429,30 @@ class TestRunSingle:
         with pytest.raises(DomainError):
             ExperimentConfig(0.3, 0, relaxation=(0.0, 0.4))
 
-    def test_record_validation(self):
+    def test_record_derives_defined_and_residual(self):
+        # A record stores only the two results it compares; whether the row
+        # is defined and its residual follow from them.
         cfg = ExperimentConfig(0.3, 0)
-        with pytest.raises(DomainError):
-            RunRecord(cfg, 0.0, 1.0, 0.0, 1.0, 4.0, True)
-        with pytest.raises(DomainError):
-            RunRecord(cfg, 0.0, 1.0, 0.0, 1.0, 0.0, False)
+        assert [f.name for f in dataclasses.fields(RunRecord)] == [
+            "config", "measured", "theory", "snapshots",
+        ]
+        for gm, gt, want in [
+            (3.0, -3.0, 6.0 - 2.0 * math.pi),
+            (-3.0, 3.0, 2.0 * math.pi - 6.0),
+            (math.pi, 0.0, math.pi),
+            (0.0, math.pi, math.pi),
+            (-2.5, 2.5, 2.0 * math.pi - 5.0),
+        ]:
+            rec = RunRecord(cfg, PhaseResult(gm, 0.5, True), PhaseResult(gt, 0.5, True))
+            assert rec.defined is True
+            assert -math.pi < rec.residual <= math.pi
+            assert rec.residual == principal_angle(gm - gt)
+            assert rec.residual == pytest.approx(want, abs=1e-15)
+        defined, undefined = PhaseResult(0.4, 0.5, True), PhaseResult(0.0, 0.0, False)
+        for pair in [(undefined, defined), (defined, undefined), (undefined, undefined)]:
+            rec = RunRecord(cfg, *pair)
+            assert rec.defined is False
+            assert math.isnan(rec.residual)
 
 
 class TestEndToEnd:
@@ -445,8 +463,8 @@ class TestEndToEnd:
             n = int(rng.integers(0, 12))
             model = MODELS[int(rng.integers(0, 2))]
             rec = run_single(ExperimentConfig(theta, n, model))
-            assert rec.visibility_measured == pytest.approx(
-                rec.visibility_theory, abs=1e-9
+            assert rec.measured.visibility == pytest.approx(
+                rec.theory.visibility, abs=1e-9
             )
             if rec.defined:
                 assert abs(rec.residual) < 1e-9
@@ -472,8 +490,8 @@ class TestEndToEnd:
             if not want.defined:
                 assert not rec.defined
                 continue
-            assert rec.gamma_measured == pytest.approx(want.gamma, abs=1e-12)
-            assert rec.visibility_measured == pytest.approx(want.visibility, abs=1e-12)
+            assert rec.measured.gamma == pytest.approx(want.gamma, abs=1e-12)
+            assert rec.measured.visibility == pytest.approx(want.visibility, abs=1e-12)
 
     def test_branch_purity_preserved(self):
         rho = prepared_state(4)
@@ -573,8 +591,8 @@ class TestSweep:
         records = run_sweep(thetas=(0.0,))
         for rec in records:
             assert rec.defined
-            assert rec.visibility_measured == pytest.approx(1.0, abs=1e-12)
-            wrapped = abs(principal_angle(rec.gamma_measured))
+            assert rec.measured.visibility == pytest.approx(1.0, abs=1e-12)
+            wrapped = abs(principal_angle(rec.measured.gamma))
             assert wrapped < 1e-12 or abs(wrapped - math.pi) < 1e-12
 
     def test_purity_index_of_any_integer_type_is_stored_as_an_int(self):
@@ -720,14 +738,14 @@ class TestGridPipeline:
             theory = qubit_mixed_phase(cfg.purity, cfg.omega, conv.orientation)
             assert rec.defined == theory.defined
             # a ratio of two computed magnitudes: 1 up to roundoff at r = 1
-            assert 0.0 <= rec.visibility_measured <= 1.0 + 1e-12
-            assert other.visibility_measured == pytest.approx(
-                rec.visibility_measured, abs=1e-12
+            assert 0.0 <= rec.measured.visibility <= 1.0 + 1e-12
+            assert other.measured.visibility == pytest.approx(
+                rec.measured.visibility, abs=1e-12
             )
             assert other.defined == mirror.defined == rec.defined
             if rec.defined:
-                assert abs(principal_angle(other.gamma_measured - rec.gamma_measured)) < 1e-12
-                assert abs(principal_angle(mirror.gamma_measured + rec.gamma_measured)) < 1e-12
+                assert abs(principal_angle(other.measured.gamma - rec.measured.gamma)) < 1e-12
+                assert abs(principal_angle(mirror.measured.gamma + rec.measured.gamma)) < 1e-12
 
 
 class TestReadoutIdentity:
@@ -745,9 +763,9 @@ class TestReadoutIdentity:
         )
         rho_b = 0.5 * (identity2 + rec.config.purity * pauli_x)
         z = complex(np.trace(down.conj().T @ up @ rho_b))
-        assert abs(abs(z) - rec.visibility_measured) <= 1e-12
+        assert abs(abs(z) - rec.measured.visibility) <= 1e-12
         if rec.defined:
-            measured = rec.visibility_measured * cmath.exp(1j * rec.gamma_measured)
+            measured = rec.measured.visibility * cmath.exp(1j * rec.measured.gamma)
             assert abs(z - measured) <= 1e-12
         else:
             assert abs(z) < 1e-9
@@ -863,14 +881,14 @@ class TestSerializers:
         records = run_sweep(thetas=(math.pi / 8,), n_values=(1,))
         row = records_to_csv(records).strip().split("\n")[1].split(",")
         assert float(row[0]) == records[0].config.omega
-        assert float(row[4]) == records[0].gamma_measured
+        assert float(row[4]) == records[0].measured.gamma
 
     def test_json_payload(self):
         records = run_sweep(thetas=(math.pi / 4,), n_values=(0, 6))
         payload = json.loads(records_to_json(records))
         assert set(payload) == {"rows", "summary"}
         assert len(payload["rows"]) == 2
-        assert payload["rows"][0]["gamma_sim_rad"] == records[0].gamma_measured
+        assert payload["rows"][0]["gamma_sim_rad"] == records[0].measured.gamma
         assert payload["rows"][1]["gamma_sim_rad"] is None
         assert payload["rows"][1]["defined"] is False
         assert payload["summary"]["defined_rows"] == 1
@@ -1004,6 +1022,14 @@ REJECTIONS = {
     ),
     "convention-active-int": (
         lambda: Conventions(active_branch_up=1), "active_branch_up must be a bool",
+    ),
+    "config-conventions-tuple": (
+        lambda: run_sweep(thetas=(0.3,), n_values=(0,), conventions=(-1, True)),
+        "ExperimentConfig.conventions must be a Conventions",
+    ),
+    "config-conventions-str": (
+        lambda: run_single(ExperimentConfig(0.3, 0, conventions="sense=-1")),
+        "ExperimentConfig.conventions must be a Conventions",
     ),
     "density-shape": (
         lambda: DensityOperator(np.zeros((3, 3))), "expected a 2x2 or 4x4 matrix",

@@ -1563,9 +1563,7 @@ class TestSharedWork:
             pulse._compile.cache_clear()
             pulse._stretches(prog, 1, iz_sign)
             assert [args[0] for args in calls["pulse_unitary"]] == rotations
-            assert [args[1] for args in calls["free_evolution_unitary"]] == [
-                ev.duration() for ev in delays
-            ]
+            assert [args[1] for args in calls["free_evolution_unitary"]] == durations
             for samples in (1, 2, 16):
                 for _ in range(2):
                     calls["_free_phases"].clear()

@@ -14,11 +14,11 @@ at seeds 1 and 2 (25 seeded start states each; every program unrecorded
 and recorded at 1, 2 and 16 samples per delay, under each of the four
 pairs of pulse sense and I_z sign), 200 blocks of 8 seeded pulse-program
 value objects (params, rotations, delays, frames) and the programs built
-from them, and 36 command lines of the CLI in subprocesses: 25 from the
+from them, and 39 command lines of the CLI in subprocesses: 28 from the
 checkout's root, and ``parse`` of eleven small programs, written to a
 temporary directory and parsed from there by relative file name, so that
 no path enters their bytes. It prints one sha256 per stream and per
-command line, then one for the package namespace: 48 lines. Each outcome
+command line, then one for the package namespace: 51 lines. Each outcome
 digest covers every matrix (dtype, shape, bytes, whether it is writeable),
 every flag, every time and every complex number; each command digest covers
 stdout, stderr and the exit code. The value digest covers each object's
@@ -85,6 +85,11 @@ COMMANDS = (
     # the undefined row n = 6 and the flipped rows n >= 7
     ("theory", "--omega", "pi", "--format", "json"),
     ("theory", "--omega", "2.1", "--format", "json", "--convention", "sense=1,active=down"),
+    # the CSV of one defined and one undefined record, and a sweep that only
+    # its own visibility gate lets pass (exit 1 without it)
+    SIMULATE[:5],
+    ("simulate", "--theta", "pi/4", "--n", "6") + MODEL,
+    ("sweep",) + RELAXED + ("--tolerance-visibility", "0.02"),
 )
 
 # programs for parse that refuse, or print, an edge case of the format
