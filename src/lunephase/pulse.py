@@ -143,10 +143,10 @@ class Rotation:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
         object.__setattr__(self, "flip_radians", flip_radians)
 
-    def axis_vector(self) -> np.ndarray:
+    def axis_vector(self) -> tuple[float, float, float]:
         if isinstance(self.axis, str):
-            return np.array(AXIS_LABELS[self.axis])
-        return np.array([math.cos(self.axis), math.sin(self.axis), 0.0])
+            return AXIS_LABELS[self.axis]
+        return (math.cos(self.axis), math.sin(self.axis), 0.0)
 
 
 @dataclass(frozen=True)
@@ -269,16 +269,21 @@ class SequenceProgram:
 def _clock(events) -> Iterator[float]:
     """The program's one clock: when each event ends, in seconds, rounded
     once from the exact sum of k/J delays plus the float sum of delays in
-    seconds. A time too large for a float is a DomainError."""
-    per_j, seconds, end = Fraction(0), 0.0, 0.0
+    seconds. The exact sum is an integer numerator over the lcm of the
+    denominators so far, with no Fraction arithmetic: Python's int division
+    rounds it correctly, to the float of the Fraction sum. A time too large
+    for a float is a DomainError."""
+    num, den, seconds, end = 0, 1, 0.0, 0.0
     for ev in events:
         if isinstance(ev, Delay):
             if ev.per_j is not None:
-                per_j += ev.per_j
+                p, q = ev.per_j.numerator, ev.per_j.denominator
+                lcm = math.lcm(den, q)
+                num, den = num * (lcm // den) + p * (lcm // q), lcm
             else:
                 seconds += ev.seconds
             try:
-                end = float(per_j) / DEFAULT_J + seconds
+                end = num / den / DEFAULT_J + seconds
             except OverflowError:
                 end = math.inf
             if end == math.inf:
@@ -304,6 +309,8 @@ def free_evolution_unitary(
     four energies are built once (see _energies); their largest magnitude
     bounds energy*time, and their phases fill the diagonal.
     """
+    if not isinstance(params, SpinSystemParams):
+        raise DomainError(f"params must be a SpinSystemParams, not {type(params).__name__}")
     t = _check_real(t, "evolution time")
     if not 0 <= t < math.inf:
         raise DomainError("evolution time must be finite and nonnegative")
@@ -469,27 +476,34 @@ def _compile(
     """
     compiled: list[Gradient | list[_Step]] = []
     factors: dict[Rotation | float, np.ndarray] = {}
+    products: list[np.ndarray] = []
     for ev, end in zip(events, tuple(_clock(events))):
         if isinstance(ev, Gradient):
             compiled.append(ev)
             continue
-        key = ev if isinstance(ev, Rotation) else ev.duration()
-        if key not in factors:
-            factors[key] = (pulse_unitary(ev, sense=pulse_sense) if isinstance(ev, Rotation)
-                            else free_evolution_unitary(params, key, iz_sign))
-        u = factors[key]
+        rotation = isinstance(ev, Rotation)
+        key = ev if rotation else ev.duration()
+        u = factors.get(key)
+        if u is None:
+            u = factors[key] = (pulse_unitary(ev, sense=pulse_sense) if rotation
+                                else free_evolution_unitary(params, key, iz_sign))
         if compiled and isinstance(compiled[-1], list):
             product = u @ compiled[-1][-1].product
+            products.append(product)
         else:
+            # a stretch's first running propagator is its first factor
             product = u
             compiled.append([])
         product.setflags(write=False)
         compiled[-1].append(_Step(ev, end, product))
-    # a stretch's first running propagator is its first factor
-    products = [step.product for s in compiled if isinstance(s, list) for step in s[1:]]
     if factors and not is_unitary(np.array([*factors.values(), *products])):
         raise DomainError("event propagator is not unitary within tolerance")
     return tuple([s if isinstance(s, Gradient) else tuple(s) for s in compiled])
+
+
+def _check_program(prog: SequenceProgram) -> None:
+    if not isinstance(prog, SequenceProgram):
+        raise DomainError(f"prog must be a SequenceProgram, not {type(prog).__name__}")
 
 
 def _stretches(
@@ -497,6 +511,7 @@ def _stretches(
 ) -> tuple[Gradient | tuple[_Step, ...], ...]:
     """prog compiled under the two sign conventions (see _compile), both
     checked first, whether or not an event reads them."""
+    _check_program(prog)
     _check_sign(pulse_sense, "pulse sense")
     _check_sign(iz_sign, "iz_sign")
     if prog._has_delay:
@@ -566,12 +581,19 @@ def run_sequence(
     each delay multiplies them into its own start product. The
     stretch's start state is then conjugated by the whole stack at once,
     through the same kernel as an unrecorded stretch: one batched product
-    and one state check, no second unitarity check.
+    and one state check, no second unitarity check. That check factors no
+    recorded state of a normalized run when the stretch's start state
+    minus half the eigenvalue floor factors: every propagator of the stack
+    is unitary within 6 times the unitarity tolerance, so every state
+    clears the floor by more than 4.9e-11 (see qcore._conjugate). A start
+    state that does not clear half the floor leaves the stack to one
+    stacked factorization, as before; either way the verdict is the same,
+    and Hermiticity and trace are checked on every state.
     The stack closes on the very product an unrecorded run conjugates by,
     so the final state is bit-identical with or without record. The
     stacks are joined once into the Trajectory's read-only arrays.
     """
-    _check_two_spin(rho0, "sequences act on the two-spin system")
+    _check_two_spin(rho0, "sequences act on the two-spin system", "rho0")
     if record:
         samples = _check_count(samples_per_delay, "samples_per_delay", 1)
         times, matrices = [(0.0,)], [rho0.matrix[None]]
@@ -625,6 +647,7 @@ def branch_propagators(
     off the blocks. Returns (U when a is up, U when a is down) as 2x2 blocks
     of the full propagator.
     """
+    _check_program(prog)
     for ev in prog.events:
         if isinstance(ev, Gradient):
             raise DomainError("branch propagators are unitary; crushers not allowed")

@@ -134,7 +134,19 @@ def _as_square(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
+def _factors(m: np.ndarray, shift: float) -> bool:
+    """Whether m - shift * 1, or every matrix of a stack m minus it, has a
+    Cholesky factorization: exactly when no eigenvalue of m lies below
+    shift, the two verdicts differing only within rounding of shift."""
+    identity = identity4 if m.shape[-1] == 4 else identity2
+    try:
+        np.linalg.cholesky(m - shift * identity)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _validated(m: np.ndarray, normalized: bool, *, certified: bool = False) -> np.ndarray:
     """Check one (n, n) operator, or every matrix of a (..., n, n) stack,
     and return the read-only symmetrized copy.
 
@@ -147,10 +159,11 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     absolute tolerance exactly when every matrix's own does, so the
     per-matrix scales are taken only when the stack as a whole fails.
 
-    Positivity is one stacked Cholesky factorization of m - floor * 1, which
-    exists exactly when no eigenvalue of m lies below the floor (the two
-    verdicts can differ only within rounding of the floor), and costs far
-    less than the eigenvalues. No eigenvalue is computed. A NaN entry would
+    Positivity is one stacked Cholesky factorization of m - floor * 1 (see
+    _factors), which costs far less than the eigenvalues; no eigenvalue is
+    computed. A certified stack skips it: _conjugate passes certified only
+    for a stack whose every matrix is proven to clear the floor by 4.9e-11,
+    since its start state clears half the floor. A NaN entry would
     factor into NaN without an error, so the order of the checks matters:
     any NaN or infinite entry makes m - m^dagger NaN, which the Hermiticity
     check refuses before the factorization runs (an infinite one makes numpy
@@ -174,11 +187,8 @@ def _validated(m: np.ndarray, normalized: bool) -> np.ndarray:
     if normalized:
         if not abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= POLICY.trace_tol:
             raise DomainError("normalized state must have unit trace")
-        identity = identity4 if m.shape[-1] == 4 else identity2
-        try:
-            np.linalg.cholesky(m - POLICY.eigenvalue_floor * identity)
-        except np.linalg.LinAlgError:
-            raise DomainError("normalized state has a negative eigenvalue") from None
+        if not certified and not _factors(m, POLICY.eigenvalue_floor):
+            raise DomainError("normalized state has a negative eigenvalue")
     m.setflags(write=False)
     return m
 
@@ -223,8 +233,11 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def _check_two_spin(rho: DensityOperator, message: str) -> None:
-    """The one test that rho is a two-spin state; message names the caller's model."""
+def _check_two_spin(rho: DensityOperator, message: str, name: str = "rho") -> None:
+    """The one test that rho, the caller's argument name, is a two-spin
+    state; message names the caller's model."""
+    if not isinstance(rho, DensityOperator):
+        raise DomainError(f"{name} must be a DensityOperator, not {type(rho).__name__}")
     if rho.dim != 4:
         raise DomainError(message)
 
@@ -282,8 +295,12 @@ def is_unitary(u: np.ndarray) -> bool:
     them, is unitary within POLICY.unitarity_tol: the largest deviation over
     the stack meets the tolerance exactly when each matrix's own does. The
     Gram matrices are compared against the read-only identity2/identity4;
-    any other shape is not unitary."""
-    u = np.asarray(u, dtype=complex)
+    any other shape, and anything numpy cannot read as a complex array, is
+    not unitary."""
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):
+        return False
     if u.ndim not in (2, 3) or u.shape[-2:] not in ((2, 2), (4, 4)) or u.size == 0:
         return False
     gram = u.conj().swapaxes(-1, -2) @ u
@@ -304,6 +321,21 @@ def _conjugate(rho: DensityOperator, u: np.ndarray) -> np.ndarray:
     u.conj().swapaxes(-1, -2), for a 2-D u the same strided view as
     u.conj().T, and a stack's slice i is bit-identical to the conjugation
     by u[i]. The result passes one state check against the same tolerances
-    as a state flagged rho.normalized; it is read-only and symmetrized."""
+    as a state flagged rho.normalized; it is read-only and symmetrized.
+
+    A stack of normalized states is certified positive by its start state,
+    not factored slice by slice. With f = POLICY.eigenvalue_floor < 0 and
+    tau = POLICY.unitarity_tol, every u[i] that a caller checked has
+    |u[i]^dagger u[i] - 1| <= 6 tau in the 2-norm (four times the largest
+    Gram deviation, plus the sample phases' own deviation). If rho - (f/2) 1
+    factors, each u[i] rho u[i]^dagger then has no eigenvalue below
+    (f/2)(1 + 6 tau), and the two products and the symmetrization move that
+    by less than 1e-13 on a state of unit trace: every slice minus f 1 has
+    its smallest eigenvalue above 4.9e-11, and factors. Hermiticity and the
+    trace are still checked on every slice. A start state that does not
+    factor at f/2 leaves the stack to the stacked factorization, and a
+    single u, or a deviation operator, is checked as before."""
     left = (u.reshape(-1, u.shape[-1]) @ rho.matrix).reshape(u.shape)
-    return _validated(left @ u.conj().swapaxes(-1, -2), rho.normalized)
+    certified = (u.ndim == 3 and rho.normalized
+                 and _factors(rho.matrix, POLICY.eigenvalue_floor / 2))
+    return _validated(left @ u.conj().swapaxes(-1, -2), rho.normalized, certified=certified)

@@ -54,6 +54,7 @@ from lunephase.phases import PhaseResult, qubit_mixed_phase, sjoqvist_average
 from lunephase.pulse import (
     Delay,
     FrameOffset,
+    Gradient,
     Rotation,
     SequenceProgram,
     SpinSystemParams,
@@ -827,9 +828,9 @@ class TestEachStateCheckedOnce:
         thermal = thermal_state()
         calls = []
 
-        def counting(m, normalized):
+        def counting(m, normalized, **certificate):
             calls.append(m.shape)
-            return checked(m, normalized)
+            return checked(m, normalized, **certificate)
 
         checked = qcore._validated
         monkeypatch.setattr(qcore, "_validated", counting)
@@ -1140,6 +1141,35 @@ REJECTIONS = {
     ),
     "compile-event-type": (
         lambda: pulse._stretches(make_program(["bogus"]), 1, 1), "unknown event type str",
+    ),
+    # an argument of the wrong type is named, with the type it got
+    "sequence-state-array": (
+        lambda: run_sequence(np.eye(4) / 4, make_program([])),
+        "rho0 must be a DensityOperator, not ndarray",
+    ),
+    "partial-trace-array": (
+        lambda: partial_trace(np.eye(4) / 4, "a"), "rho must be a DensityOperator, not ndarray",
+    ),
+    "crusher-array": (
+        lambda: gradient_crusher(np.eye(4) / 4), "rho must be a DensityOperator, not ndarray",
+    ),
+    "relaxation-array": (
+        lambda: apply_t2_relaxation(np.eye(4) / 4, 0.1, 0.3, 0.4),
+        "rho must be a DensityOperator, not ndarray",
+    ),
+    "coherence-array": (
+        lambda: spin_a_coherence(np.eye(4) / 4), "rho must be a DensityOperator, not ndarray",
+    ),
+    "sequence-program-list": (
+        lambda: run_sequence(thermal_state(), [Gradient()]),
+        "prog must be a SequenceProgram, not list",
+    ),
+    "branch-program-list": (
+        lambda: branch_propagators([Gradient()]), "prog must be a SequenceProgram, not list",
+    ),
+    "free-evolution-params-none": (
+        lambda: free_evolution_unitary(None, 1.0),
+        "params must be a SpinSystemParams, not NoneType",
     ),
     "render-event-type": (
         # refused when the program is built, before render_sequence sees it

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_brute as oracle
@@ -91,6 +91,41 @@ def same_state(got, want):
     return got.matrix.tobytes() == want.matrix.tobytes() and got.normalized is want.normalized
 
 
+def fraction_clock(events):
+    """Each event's end in seconds, the k/J delays summed as a Fraction and
+    converted once, plus the float sum of the delays in seconds; a time too
+    large for a float is a DomainError."""
+    per_j, seconds, end, ends = Fraction(0), 0.0, 0.0, []
+    for ev in events:
+        if isinstance(ev, Delay):
+            if ev.per_j is not None:
+                per_j += ev.per_j
+            else:
+                seconds += ev.seconds
+            try:
+                end = float(per_j) / J + seconds
+            except OverflowError:
+                end = math.inf
+            if end == math.inf:
+                raise DomainError("total duration is too large for a float")
+        ends.append(end)
+    return ends
+
+
+# k/J delays with numerators up to 10**308 and delays in seconds up to the
+# largest float, between pulses and crushers
+clock_events = st.lists(
+    st.one_of(
+        st.builds(lambda k, d: Delay(per_j=Fraction(k, d)),
+                  st.integers(0, 10**308), st.integers(1, 10**6)),
+        st.floats(0.0, 1.7e308).map(lambda sec: Delay(seconds=sec)),
+        pulse_events,
+        st.just(Gradient()),
+    ),
+    max_size=8,
+)
+
+
 class TestSpinSystemParams:
     def test_default_offsets_vanish(self):
         p = SpinSystemParams()
@@ -169,6 +204,17 @@ class TestEvents:
     def test_total_duration_exact_for_j_multiples(self):
         prog = make_program([Delay(per_j=Fraction(1, 2)), Delay(per_j=Fraction(1, 2))])
         assert prog.total_duration == 1 / J
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=clock_events)
+    def test_clock_ends_are_the_fraction_sum(self, events):
+        try:
+            want = fraction_clock(events)
+        except DomainError as error:
+            with pytest.raises(DomainError, match=f"^{error}$"):
+                list(pulse._clock(events))
+            return
+        assert [end.hex() for end in pulse._clock(events)] == [end.hex() for end in want]
 
     @pytest.mark.parametrize(
         "delay",
@@ -1269,6 +1315,102 @@ class TestRunSequence:
         for _, state in traj:
             assert abs(np.trace(state.matrix) - 1) <= 1e-10
             assert np.max(np.abs(state.matrix - state.matrix.conj().T)) <= 1e-10
+
+
+FLOOR = POLICY.eigenvalue_floor
+
+
+def state_with_lowest(lowest, rng):
+    """A unit-trace two-spin state with lowest as its smallest eigenvalue,
+    in a random eigenbasis."""
+    rest = rng.uniform(0.01, 1.0, size=3)
+    w = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    v, _ = np.linalg.qr(a)
+    return (v * w) @ v.conj().T
+
+
+def every_state_factored(rho, prog, samples, pulse_sense, iz_sign):
+    """A recorded run as every recorded state minus FLOOR * 1 factored:
+    sample_stack_oracle's states, each conjugated on its own and built
+    through the constructor, whose state check factors it. The recorded
+    matrices, or the message of the first state that is refused."""
+    try:
+        _, states = sample_stack_oracle(rho, prog, samples, pulse_sense, iz_sign)
+    except DomainError as error:
+        return str(error)
+    return [state.matrix for state in states]
+
+
+# smallest eigenvalues across [FLOOR, 1/4], and within 1e-13 of FLOOR and of
+# FLOOR / 2, where the certificate's verdict turns
+lowest_eigenvalues = st.one_of(
+    st.floats(FLOOR, 0.25),
+    st.floats(0.0, 1e-13).map(lambda d: FLOOR + d),
+    st.floats(-1e-13, 1e-13).map(lambda d: FLOOR / 2 + d),
+)
+
+
+class TestPositivityCertificate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lowest=lowest_eigenvalues,
+        events=program_events,
+        pulse_sense=st.sampled_from((1, -1)),
+        iz_sign=st.sampled_from((1, -1)),
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a start state at the floor whose recorded states round below it: refused
+    @example(
+        lowest=FLOOR,
+        events=[Rotation("a", "x", Fraction(1, 3)), Delay(per_j=Fraction(1, 2)),
+                Rotation("b", "y", Fraction(1, 2))],
+        pulse_sense=1, iz_sign=1, samples=8, seed=2,
+    )
+    def test_a_recorded_run_refuses_as_factoring_every_state(
+        self, lowest, events, pulse_sense, iz_sign, samples, seed
+    ):
+        try:
+            rho = DensityOperator(state_with_lowest(lowest, np.random.default_rng(seed)))
+        except DomainError:
+            # rounding put a start state at the floor just below it
+            assume(False)
+        prog = make_program(events)
+        want = every_state_factored(rho, prog, samples, pulse_sense, iz_sign)
+        try:
+            _, traj = run_sequence(
+                rho, prog, record=True, samples_per_delay=samples,
+                pulse_sense=pulse_sense, iz_sign=iz_sign,
+            )
+        except DomainError as error:
+            assert str(error) == want
+            return
+        assert not isinstance(want, str)
+        assert [m.tobytes() for m in traj.matrices] == [m.tobytes() for m in want]
+        np.linalg.cholesky(traj.matrices - FLOOR * np.eye(4))
+
+    def test_a_start_state_is_factored_once_per_recorded_stretch(self, monkeypatch):
+        shapes = []
+        factors = qcore._factors
+
+        def counting(m, shift):
+            shapes.append(m.shape)
+            return factors(m, shift)
+
+        clear = DensityOperator(np.eye(4, dtype=complex) / 4)
+        # its smallest eigenvalue between the floor and half of it
+        between = DensityOperator(np.diag([0.75 * FLOOR, 0.5, 0.25, 0.25 - 0.75 * FLOOR]))
+        monkeypatch.setattr(qcore, "_factors", counting)
+        for prog, stretches in ((prepare_pure_program(), 2), (mixing_program(5), 2),
+                                (cycle_program(0.4), 1)):
+            shapes.clear()
+            run_sequence(clear, prog, record=True, pulse_sense=-1)
+            assert shapes == [(4, 4)] * stretches
+        shapes.clear()
+        _, traj = run_sequence(between, cycle_program(0.4), record=True, pulse_sense=-1)
+        # the start state fails the certificate, and the stack is factored
+        assert shapes == [(4, 4), (len(traj) - 1, 4, 4)]
 
 
 class TestBranchPropagators:

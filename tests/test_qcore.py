@@ -476,6 +476,15 @@ class TestPositivityGate:
             assert gate_verdict(m) == eigvalsh_verdict(m)
         assert gate_verdict(stack) == eigvalsh_verdict(stack)
 
+    def test_the_certificate_margin_holds_for_the_policy(self):
+        # a stack's start state that clears f/2 certifies every slice (see
+        # _conjugate): (f/2)(1 + 6 tau) bounds each slice's smallest
+        # eigenvalue, the products and the symmetrization move it by under
+        # 1e-13, and what is left above f must clear 4.9e-11
+        f, tau = POLICY.eigenvalue_floor, POLICY.unitarity_tol
+        assert f < 0
+        assert (f / 2) * (1 + 6 * tau) - 1e-13 - f > 4.9e-11
+
     def test_pure_states_pass(self):
         # three zero eigenvalues (one for a qubit) sit 1e-10 above the floor
         rng = np.random.default_rng(59)
@@ -570,6 +579,11 @@ class TestIsUnitary:
     def test_empty_stack_is_not_unitary(self):
         assert not is_unitary(np.zeros((0, 4, 4)))
         assert not is_unitary(np.zeros((0, 0)))
+
+    def test_input_that_is_no_complex_array_is_not_unitary(self):
+        # numpy refuses a ragged list and text as complex arrays
+        assert is_unitary([[1, 0], [0]]) is False
+        assert is_unitary("ab") is False
 
 
 class TestPrincipalAngle:
