@@ -39,52 +39,41 @@ AXIS_LABELS = {
 _FRAME_UNITS = ("Hz", "piJ")
 
 
-def _store_reals(obj, *names: str, rational: tuple[str, ...] = ()) -> tuple[float, ...]:
-    """The one check of each named value field of obj: qcore._check_real
-    decides that it is a real number that fits a float, and this that it is
-    finite, or a DomainError names the field as "{class}.{field}". A field
-    named in rational, a k/J delay, a piJ offset or a flip given as a
-    Fraction (in half turns), is stored as a Fraction: a float converts
-    exactly, and -0.0 becomes 0. Any other number is stored as its float
-    (radians, seconds or Hz), so that numpy scalars and 0-d arrays hash, as
-    the compile cache needs. Each value is thus stored in the one form that
-    the parser gives back for its rendering. Returns each field's value as a
-    float, the one the probe made (the stored Fraction's, where a rational
-    field was converted), so that no field is converted twice.
+def _real_field(obj, name: str, value, rational: bool = False) -> tuple:
+    """The one check of the value passed for a numeric field of obj:
+    qcore._check_real decides that it is a real number that fits a float (a
+    plain float is one, and skips the probe), and this that it is finite,
+    or a DomainError names the field as "{class}.{field}". A rational field,
+    a k/J delay, a piJ offset or a flip given as a Fraction (in half turns),
+    is stored as a Fraction: a float converts exactly, and -0.0 becomes 0.
+    Any other number is stored as its float (radians, seconds or Hz), so
+    that numpy scalars and 0-d arrays hash, as the compile cache needs.
+    Each value is thus stored in the one form that the parser gives back
+    for its rendering.
 
-    obj._key, which == and hash compare in place of the value fields, gets
-    each field's stored form, flat: a float and its sign (0.0 against
-    -0.0), or a Fraction's numerator, denominator and type (a Fraction
-    flip, in half turns, against as many radians). Equal value objects
-    therefore compile to the same bits, and no comparison or hash of one
-    reads a Fraction."""
-    key, floats = (), ()
-    for name in names:
-        value = getattr(obj, name)
-        number = _check_real(value, name, obj)
-        if not math.isfinite(number):
-            raise DomainError(f"{type(obj).__name__}.{name} must be finite")
-        # an ABC check is slow: floats and Fractions, most values, skip it
-        if name in rational:
-            if type(value) is not Fraction:
-                # int(): a numpy integer's numerator is a fixed-width numpy integer
-                value = (Fraction(int(value.numerator), int(value.denominator))
-                         if isinstance(value, numbers.Rational) else Fraction(number))
-                object.__setattr__(obj, name, value)
-                number = float(value)
-        elif type(value) is not float:
-            value = number
-            object.__setattr__(obj, name, value)
-        if type(value) is float:
-            key += (value, math.copysign(1.0, value))
-        else:
-            key += (value.numerator, value.denominator, type(value))
-        floats += (number,)
-    object.__setattr__(obj, "_key", key)
-    return floats
+    Returns (stored form, its float, its part of obj._key). The float is the
+    one the probe made (the stored Fraction's, where a rational field was
+    converted), so that no field is converted twice. obj._key, which == and
+    hash compare in place of the value fields, holds each field's part in
+    field order, flat: a float and its sign (0.0 against -0.0), or a
+    Fraction's numerator, denominator and type (a Fraction flip, in half
+    turns, against as many radians). Equal value objects therefore compile
+    to the same bits, and no comparison or hash of one reads a Fraction."""
+    number = value if type(value) is float else _check_real(value, name, obj)
+    if not math.isfinite(number):
+        raise DomainError(f"{type(obj).__name__}.{name} must be finite")
+    if not rational:
+        return number, number, (number, math.copysign(1.0, number))
+    # an ABC check is slow: Fractions, most rational values, skip it
+    if type(value) is not Fraction:
+        # int(): a numpy integer's numerator is a fixed-width numpy integer
+        value = (Fraction(int(value.numerator), int(value.denominator))
+                 if isinstance(value, numbers.Rational) else Fraction(number))
+        number = float(value)
+    return value, number, (value.numerator, value.denominator, Fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpinSystemParams:
     """Two-spin rotating-frame offsets in rad/s; the coupling is DEFAULT_J.
 
@@ -101,10 +90,12 @@ class SpinSystemParams:
     omega_b: float = field(default=0.0, compare=False)
     _key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _store_reals(self, "omega_a", "omega_b")
-        if max(abs(self.omega_a), abs(self.omega_b)) > 10 * 2 * math.pi * DEFAULT_J:
+    def __init__(self, omega_a: float = 0.0, omega_b: float = 0.0) -> None:
+        omega_a, _, key_a = _real_field(self, "omega_a", omega_a)
+        omega_b, _, key_b = _real_field(self, "omega_b", omega_b)
+        if max(abs(omega_a), abs(omega_b)) > 10 * 2 * math.pi * DEFAULT_J:
             raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
+        self.__dict__.update(omega_a=omega_a, omega_b=omega_b, _key=key_a + key_b)
 
 
 def _check_spin(spin: str) -> None:
@@ -112,7 +103,7 @@ def _check_spin(spin: str) -> None:
         raise DomainError(f"unknown spin label {spin!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rotation:
     """Hard pulse on one spin about a transverse axis.
 
@@ -122,7 +113,7 @@ class Rotation:
     Fraction, for bit-stable rendering), any other number is radians.
     flip_radians, the flip in radians, is computed once, here. The axis, a
     label or a float, compares as itself; the flip, which may be a
-    Fraction, only through the key (see _store_reals).
+    Fraction, only through the key (see _real_field).
     """
 
     spin: str
@@ -131,17 +122,22 @@ class Rotation:
     flip_radians: float = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_spin(self.spin)
-        if isinstance(self.axis, str) and self.axis not in AXIS_LABELS:
-            raise DomainError(f"unknown axis label {self.axis!r}")
-        numeric_axis = () if isinstance(self.axis, str) else ("axis",)
-        half_turns = ("flip",) if isinstance(self.flip, Fraction) else ()
-        flip = _store_reals(self, *numeric_axis, "flip", rational=half_turns)[-1]
-        flip_radians = flip if type(self.flip) is float else flip * math.pi
-        if not -2 * math.pi < flip_radians <= 2 * math.pi:
+    def __init__(self, spin: str, axis: str | float, flip: Fraction | float) -> None:
+        _check_spin(spin)
+        if isinstance(axis, str):
+            if axis not in AXIS_LABELS:
+                raise DomainError(f"unknown axis label {axis!r}")
+            key = ()
+        else:
+            axis, _, key = _real_field(self, "axis", axis)
+        half_turns = isinstance(flip, Fraction)
+        flip, radians, flip_key = _real_field(self, "flip", flip, half_turns)
+        if half_turns:
+            radians *= math.pi
+        if not -2 * math.pi < radians <= 2 * math.pi:
             raise DomainError("flip angle must lie in (-2pi, 2pi]")
-        object.__setattr__(self, "flip_radians", flip_radians)
+        self.__dict__.update(spin=spin, axis=axis, flip=flip, _key=key + flip_key,
+                             flip_radians=radians)
 
     def axis_vector(self) -> tuple[float, float, float]:
         if isinstance(self.axis, str):
@@ -149,7 +145,7 @@ class Rotation:
         return (math.cos(self.axis), math.sin(self.axis), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Delay:
     """Free-evolution interval; exactly one of seconds / per_j is set.
 
@@ -163,16 +159,19 @@ class Delay:
     _key: tuple = field(init=False, repr=False)
     _duration: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if (self.seconds is None) == (self.per_j is None):
+    def __init__(self, seconds: float | None = None, per_j: Fraction | None = None) -> None:
+        if (seconds is None) == (per_j is None):
             raise DomainError("delay needs exactly one of seconds or per_j")
-        name = "per_j" if self.seconds is None else "seconds"
-        (number,) = _store_reals(self, name, rational=("per_j",))
+        if per_j is None:
+            seconds, duration, key = _real_field(self, "seconds", seconds)
+        else:
+            per_j, duration, key = _real_field(self, "per_j", per_j, True)
+            duration /= DEFAULT_J
         # the key opens with the float, or with the Fraction's numerator: the
         # sign of the duration either way, and no Fraction comparison
-        if self._key[0] < 0:
+        if key[0] < 0:
             raise DomainError("delay duration must be nonnegative")
-        object.__setattr__(self, "_duration", number / DEFAULT_J if name == "per_j" else number)
+        self.__dict__.update(seconds=seconds, per_j=per_j, _key=key, _duration=duration)
 
     def duration(self) -> float:
         return self._duration
@@ -186,7 +185,7 @@ class Gradient:
 PulseEvent = Rotation | Delay | Gradient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrameOffset:
     """Frame directive: place one spin's frame at the spin's resonance plus
     value in the given unit ('piJ' = multiples of 2piJ rad/s, so -0.5piJ
@@ -200,13 +199,14 @@ class FrameOffset:
     _key: tuple = field(init=False, repr=False)
     _angular: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        _check_spin(self.spin)
-        if self.unit not in _FRAME_UNITS:
-            raise DomainError(f"unknown frame offset unit {self.unit!r}")
-        (value,) = _store_reals(self, "value", rational=("value",) if self.unit == "piJ" else ())
-        angular = value * 2 * math.pi * DEFAULT_J if self.unit == "piJ" else 2 * math.pi * value
-        object.__setattr__(self, "_angular", angular)
+    def __init__(self, spin: str, value: Fraction | float, unit: str) -> None:
+        _check_spin(spin)
+        if unit not in _FRAME_UNITS:
+            raise DomainError(f"unknown frame offset unit {unit!r}")
+        in_pij = unit == "piJ"
+        value, number, key = _real_field(self, "value", value, in_pij)
+        angular = number * 2 * math.pi * DEFAULT_J if in_pij else 2 * math.pi * number
+        self.__dict__.update(spin=spin, value=value, unit=unit, _key=key, _angular=angular)
 
     def angular(self) -> float:
         return self._angular
@@ -221,7 +221,7 @@ class SequenceProgram:
     params check the sanity bound), so a program compiles in the frame it
     renders.
     Two programs compare equal only when they compile to the same bits,
-    since their events, parameters and frames do (see _store_reals). The
+    since their events, parameters and frames do (see _real_field). The
     pass that refuses any event but a PulseEvent, so that compiling and
     rendering need no check of their own, also sets _has_delay: whether a
     compile reads params and the I_z sign at all (see _stretches).
@@ -255,7 +255,7 @@ class SequenceProgram:
             object.__setattr__(self, "params", params)
         has_delay = False
         for ev in self.events:
-            if not isinstance(ev, PulseEvent):
+            if not isinstance(ev, (Rotation, Delay, Gradient)):
                 raise DomainError(f"unknown event type {type(ev).__name__}")
             has_delay = has_delay or isinstance(ev, Delay)
         object.__setattr__(self, "_has_delay", has_delay)
@@ -457,7 +457,7 @@ def _compile(
     stretch's, which qcore._conjugate takes as it is.
     Each distinct rotation's propagator is built once, looked up by the
     event itself, since equal events compile to the same bits (see
-    _store_reals); each delay's is looked up by its duration, the only thing
+    _real_field); each delay's is looked up by its duration, the only thing
     of the delay it depends on: the cycle's second 1/(2J) delay reuses the
     first's, and a delay in seconds shares the propagator of an equal one
     given per J. Every distinct propagator and every running propagator

@@ -46,7 +46,7 @@ def _tokenize(line: str) -> list[tuple[int, str]]:
 
 def _float(value: Fraction, text: str) -> float:
     """value as a float with the sign its literal text shows: "-0" gives
-    -0.0, which a propagator tells from 0.0 (see pulse._store_reals)."""
+    -0.0, which a propagator tells from 0.0 (see pulse._real_field)."""
     return math.copysign(float(value), -1.0 if text.startswith("-") else 1.0)
 
 

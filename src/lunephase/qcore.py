@@ -171,21 +171,27 @@ def _validated(m: np.ndarray, normalized: bool, *, certified: bool = False) -> n
     any entry large enough that a sum formed here could overflow.
 
     The adjoint is formed C-contiguous, so the difference and the sum run
-    over contiguous memory, and the sum is halved in place: the values are
-    those of 0.5 * (m + m.conj().swapaxes(-1, -2)), bit for bit.
+    over contiguous memory, and the sum is formed and halved in the
+    adjoint's own buffer: the values are those of
+    0.5 * (m + m.conj().swapaxes(-1, -2)), bit for bit. Each largest
+    deviation is one C-level np.maximum.reduce over the whole array, not
+    ndarray.max, which goes through a Python-level wrapper.
     """
     adjoint = np.conjugate(m.swapaxes(-1, -2), order="C")
     deviation = np.abs(m - adjoint)
-    if not deviation.max() <= POLICY.hermiticity_tol:
+    if not np.maximum.reduce(deviation, axis=None) <= POLICY.hermiticity_tol:
         # relative to each matrix's largest |entry|, which only a scale
         # above 1 can pass here; a NaN still fails
         scale = np.abs(m).max(axis=(-2, -1))
         if not np.all(deviation.max(axis=(-2, -1)) <= POLICY.hermiticity_tol * scale):
             raise DomainError("density matrix is not Hermitian within tolerance")
-    m = m + adjoint
-    m *= 0.5
+    # adjoint + m has the bits of m + adjoint: IEEE addition commutes
+    adjoint += m
+    adjoint *= 0.5
+    m = adjoint
     if normalized:
-        if not abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= POLICY.trace_tol:
+        trace_error = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+        if not np.maximum.reduce(trace_error, axis=None) <= POLICY.trace_tol:
             raise DomainError("normalized state must have unit trace")
         if not certified and not _factors(m, POLICY.eigenvalue_floor):
             raise DomainError("normalized state has a negative eigenvalue")
@@ -296,16 +302,18 @@ def is_unitary(u: np.ndarray) -> bool:
     the stack meets the tolerance exactly when each matrix's own does. The
     Gram matrices are compared against the read-only identity2/identity4;
     any other shape, and anything numpy cannot read as a complex array, is
-    not unitary."""
+    not unitary. Entries too large for the Gram to fit a float make it
+    infinite or NaN, without a warning, and fail the comparison."""
     try:
         u = np.asarray(u, dtype=complex)
     except (TypeError, ValueError):
         return False
     if u.ndim not in (2, 3) or u.shape[-2:] not in ((2, 2), (4, 4)) or u.size == 0:
         return False
-    gram = u.conj().swapaxes(-1, -2) @ u
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = u.conj().swapaxes(-1, -2) @ u
     identity = identity4 if u.shape[-1] == 4 else identity2
-    return bool(abs(gram - identity).max() <= POLICY.unitarity_tol)
+    return bool(np.maximum.reduce(abs(gram - identity), axis=None) <= POLICY.unitarity_tol)
 
 
 def _conjugate(rho: DensityOperator, u: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import numbers
+import pickle
 import struct
 from fractions import Fraction
 
@@ -511,6 +513,216 @@ class TestNumericInput:
                 attempt()
             except DomainError:
                 pass
+
+
+def store_reals_oracle(obj, *names, rational=()):
+    """The value objects' field check as it was before each class had its
+    own constructor: each named field read back from obj, probed by
+    qcore._check_real, checked finite and stored again, with the key
+    built over all of them; returns each field's float."""
+    key, floats = (), ()
+    for name in names:
+        value = getattr(obj, name)
+        number = qcore._check_real(value, name, obj)
+        if not math.isfinite(number):
+            raise DomainError(f"{type(obj).__name__}.{name} must be finite")
+        if name in rational:
+            if type(value) is not Fraction:
+                value = (Fraction(int(value.numerator), int(value.denominator))
+                         if isinstance(value, numbers.Rational) else Fraction(number))
+                object.__setattr__(obj, name, value)
+                number = float(value)
+        elif type(value) is not float:
+            value = number
+            object.__setattr__(obj, name, value)
+        if type(value) is float:
+            key += (value, math.copysign(1.0, value))
+        else:
+            key += (value.numerator, value.denominator, type(value))
+        floats += (number,)
+    object.__setattr__(obj, "_key", key)
+    return floats
+
+
+class old:
+    """The four value classes as generated dataclasses with __post_init__,
+    as they were: the oracle of the constructors. Each class keeps its name,
+    which every refusal message reads."""
+
+    @dataclasses.dataclass(frozen=True)
+    class SpinSystemParams:
+        omega_a: float = dataclasses.field(default=0.0, compare=False)
+        omega_b: float = dataclasses.field(default=0.0, compare=False)
+        _key: tuple = dataclasses.field(init=False, repr=False)
+
+        def __post_init__(self):
+            store_reals_oracle(self, "omega_a", "omega_b")
+            if max(abs(self.omega_a), abs(self.omega_b)) > 10 * 2 * math.pi * J:
+                raise DomainError("frame offset exceeds the 10*2piJ sanity bound")
+
+    @dataclasses.dataclass(frozen=True)
+    class Rotation:
+        spin: str
+        axis: str | float
+        flip: Fraction | float = dataclasses.field(compare=False)
+        flip_radians: float = dataclasses.field(init=False, repr=False, compare=False)
+        _key: tuple = dataclasses.field(init=False, repr=False)
+
+        def __post_init__(self):
+            pulse._check_spin(self.spin)
+            if isinstance(self.axis, str) and self.axis not in pulse.AXIS_LABELS:
+                raise DomainError(f"unknown axis label {self.axis!r}")
+            numeric_axis = () if isinstance(self.axis, str) else ("axis",)
+            half_turns = ("flip",) if isinstance(self.flip, Fraction) else ()
+            flip = store_reals_oracle(self, *numeric_axis, "flip", rational=half_turns)[-1]
+            flip_radians = flip if type(self.flip) is float else flip * math.pi
+            if not -2 * math.pi < flip_radians <= 2 * math.pi:
+                raise DomainError("flip angle must lie in (-2pi, 2pi]")
+            object.__setattr__(self, "flip_radians", flip_radians)
+
+    @dataclasses.dataclass(frozen=True)
+    class Delay:
+        seconds: float | None = dataclasses.field(default=None, compare=False)
+        per_j: Fraction | None = dataclasses.field(default=None, compare=False)
+        _key: tuple = dataclasses.field(init=False, repr=False)
+        _duration: float = dataclasses.field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            if (self.seconds is None) == (self.per_j is None):
+                raise DomainError("delay needs exactly one of seconds or per_j")
+            name = "per_j" if self.seconds is None else "seconds"
+            (number,) = store_reals_oracle(self, name, rational=("per_j",))
+            if self._key[0] < 0:
+                raise DomainError("delay duration must be nonnegative")
+            object.__setattr__(self, "_duration", number / J if name == "per_j" else number)
+
+    @dataclasses.dataclass(frozen=True)
+    class FrameOffset:
+        spin: str
+        value: Fraction | float = dataclasses.field(compare=False)
+        unit: str
+        _key: tuple = dataclasses.field(init=False, repr=False)
+        _angular: float = dataclasses.field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            pulse._check_spin(self.spin)
+            if self.unit not in ("Hz", "piJ"):
+                raise DomainError(f"unknown frame offset unit {self.unit!r}")
+            (value,) = store_reals_oracle(
+                self, "value", rational=("value",) if self.unit == "piJ" else ())
+            angular = value * 2 * math.pi * J if self.unit == "piJ" else 2 * math.pi * value
+            object.__setattr__(self, "_angular", angular)
+
+
+class HalfTurns(Fraction):
+    pass
+
+
+# each form of the digest's value_number, then what no caller should pass
+# but every field must refuse or convert alike
+oracle_numbers = st.one_of(
+    st.integers(-4, 4).flatmap(lambda k: st.sampled_from(
+        [Fraction(k, 4), k / 4, k // 4, np.float64(k / 4), np.int64(k // 4)])),
+    st.sampled_from([
+        0.0, -0.0, np.float64(-0.0), True, False, HalfTurns(1, 3), HalfTurns(-5, 2),
+        np.float32(0.1), np.float32(-0.0), np.int8(-3), np.array(0.25), np.array(-0.0),
+        np.array(2), "1", b"1", 1 + 0j, np.complex128(0.5), math.inf, -math.inf, math.nan,
+        np.float64(math.nan), 10**400, -(10**400), Fraction(10**400), None,
+    ]),
+    st.floats(),
+)
+spin_labels = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def constructor_calls(draw, kind):
+    """(class name, args, kwargs) of one call of kind's constructor, with
+    every field drawn, labels and units included."""
+    number = oracle_numbers
+    if kind == "SpinSystemParams":
+        args = tuple(draw(st.lists(number, max_size=2)))
+        optional = {} if len(args) == 2 else {"omega_b": number}
+        return kind, args, draw(st.fixed_dictionaries({}, optional=optional))
+    if kind == "Rotation":
+        axis = draw(st.sampled_from(["x", "-x", "y", "-y", "z"]) | number)
+        return kind, (draw(spin_labels), axis, draw(number)), {}
+    if kind == "Delay":
+        kwargs = draw(st.fixed_dictionaries({}, optional={"seconds": number, "per_j": number}))
+        return kind, (), kwargs
+    unit = draw(st.sampled_from(["Hz", "piJ", "rad"]))
+    return kind, (draw(spin_labels), draw(number), unit), {}
+
+
+ORACLE_KINDS = ("SpinSystemParams", "Rotation", "Delay", "FrameOffset")
+
+
+def built(namespace, call):
+    """What a (class name, args, kwargs) call gives on namespace, the pulse
+    module or the oracle: the object, or the refusal's type and message."""
+    name, args, kwargs = call
+    try:
+        return getattr(namespace, name)(*args, **kwargs)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def bits(value):
+    """value's type and value, a float's as its bit pattern and a tuple's
+    item by item."""
+    if type(value) is float:
+        return float, float_bits(value)
+    if type(value) is tuple:
+        return tuple(bits(v) for v in value)
+    return type(value), value
+
+
+def same_fields(one, two):
+    return all(bits(getattr(one, f.name)) == bits(getattr(two, f.name))
+               for f in dataclasses.fields(two))
+
+
+class TestConstructors:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.sampled_from(ORACLE_KINDS).flatmap(
+        lambda kind: st.lists(constructor_calls(kind), min_size=1, max_size=4)))
+    @example(calls=[("Rotation", ("b", -0.0, HalfTurns(1, 3)), {}),
+                    ("Rotation", ("b", np.float64(-0.0), Fraction(1, 3)), {})])
+    @example(calls=[("Delay", (), {"per_j": np.int8(-3)}), ("Delay", (), {"seconds": 10**400})])
+    def test_each_constructor_gives_what_the_post_init_oracle_gives(self, calls):
+        pairs = [(built(pulse, call), built(old, call)) for call in calls]
+        for new, want in pairs:
+            if isinstance(want, tuple):
+                assert new == want
+                continue
+            assert type(new) is getattr(pulse, type(want).__name__)
+            assert same_fields(new, want)
+            assert repr(new) == repr(want).removeprefix("old.")
+            assert hash(new) == hash(want)
+            if isinstance(new, Rotation):
+                assert bits(new.flip_radians) == bits(want.flip_radians)
+            elif isinstance(new, Delay):
+                assert bits(new.duration()) == bits(want._duration)
+            elif isinstance(new, FrameOffset):
+                assert bits(new.angular()) == bits(want._angular)
+            for copy in (dataclasses.replace(new), pickle.loads(pickle.dumps(new))):
+                assert copy == new and hash(copy) == hash(new) and same_fields(copy, new)
+        objects = [pair for pair in pairs if not isinstance(pair[1], tuple)]
+        for (one, old_one), (two, old_two) in itertools.product(objects, repeat=2):
+            assert (one == two) is (old_one == old_two)
+
+    @pytest.mark.parametrize("name", ORACLE_KINDS)
+    def test_signature_and_fields_are_the_generated_ones(self, name):
+        def parameters(cls):
+            return [(p.name, p.kind, p.default, type(p.default))
+                    for p in inspect.signature(cls).parameters.values()]
+
+        def flags(cls):
+            return [(f.name, f.init, f.repr, f.compare, f.hash, f.default)
+                    for f in dataclasses.fields(cls)]
+
+        new, want = getattr(pulse, name), getattr(old, name)
+        assert parameters(new) == parameters(want)
+        assert flags(new) == flags(want)
 
 
 class TestFreeEvolution:

@@ -580,6 +580,16 @@ class TestIsUnitary:
         assert not is_unitary(np.zeros((0, 4, 4)))
         assert not is_unitary(np.zeros((0, 0)))
 
+    def test_entries_whose_gram_overflows_are_not_unitary(self):
+        # past about 1e154 the Gram overflows to inf, or to inf - inf where
+        # signs differ; warnings are errors here, so a warning would raise
+        rng = np.random.default_rng(37)
+        stack = np.stack([random_unitary(rng, 4) for _ in range(3)])
+        stack[1] = np.eye(4) * 1e200
+        mixed = np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e200
+        for u in (np.eye(2) * 1e200, np.eye(4) * 1e200, mixed, stack):
+            assert is_unitary(u) is False
+
     def test_input_that_is_no_complex_array_is_not_unitary(self):
         # numpy refuses a ragged list and text as complex arrays
         assert is_unitary([[1, 0], [0]]) is False

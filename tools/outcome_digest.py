@@ -14,11 +14,13 @@ at seeds 1 and 2 (25 seeded start states each; every program unrecorded
 and recorded at 1, 2 and 16 samples per delay, under each of the four
 pairs of pulse sense and I_z sign), 200 blocks of 8 seeded pulse-program
 value objects (params, rotations, delays, frames) and the programs built
-from them, and 39 command lines of the CLI in subprocesses: 28 from the
-checkout's root, and ``parse`` of eleven small programs, written to a
-temporary directory and parsed from there by relative file name, so that
-no path enters their bytes. It prints one sha256 per stream and per
-command line, then one for the package namespace: 51 lines. Each outcome
+from them, the exception type and message of each of a fixed list of bad
+constructor calls of those objects and of a program (see REFUSALS), and 39
+command lines of the CLI in subprocesses: 28 from the checkout's root, and
+``parse`` of eleven small programs, written to a temporary directory and
+parsed from there by relative file name, so that no path enters their
+bytes. It prints one sha256 per stream and per command line, then one for
+the package namespace: 52 lines. Each outcome
 digest covers every matrix (dtype, shape, bytes, whether it is writeable),
 every flag, every time and every complex number; each command digest covers
 stdout, stderr and the exit code. The value digest covers each object's
@@ -108,6 +110,64 @@ PROGRAMS = {
     "offset_no_unit.seq": "frame b offset 5\n",
     "angle_past_float.seq": "pulse b x 1e400deg\n",
 }
+
+# bad constructor calls of the value objects and of a program, each on the
+# pulse module p: one per refusal, then calls with several faults, whose
+# first check decides
+REFUSALS = (
+    lambda p: p.SpinSystemParams("1"),
+    lambda p: p.SpinSystemParams(omega_b=10**400),
+    lambda p: p.SpinSystemParams(math.nan),
+    lambda p: p.SpinSystemParams(0.0, np.float64(-math.inf)),
+    lambda p: p.SpinSystemParams(1e5),
+    lambda p: p.SpinSystemParams(omega_c=1.0),
+    lambda p: p.Rotation("c", "x", 1.0),
+    lambda p: p.Rotation("a", "z", 1.0),
+    lambda p: p.Rotation("a", 1j, 1.0),
+    lambda p: p.Rotation("a", math.inf, Fraction(1, 2)),
+    lambda p: p.Rotation("a", "x", "1"),
+    lambda p: p.Rotation("a", "x", Fraction(10**400)),
+    lambda p: p.Rotation("a", "x", math.nan),
+    lambda p: p.Rotation("a", "x", 7.0),
+    lambda p: p.Rotation("a", "x", Fraction(3)),
+    lambda p: p.Rotation("a", "x"),
+    lambda p: p.Rotation("a", "x", 1.0, 2.0),
+    lambda p: p.Rotation("a", "x", 1.0, flip_radians=1.0),
+    lambda p: p.Delay(),
+    lambda p: p.Delay(1.0, Fraction(1)),
+    lambda p: p.Delay(-1.0),
+    lambda p: p.Delay(per_j=Fraction(-1, 2)),
+    lambda p: p.Delay(per_j="1/2"),
+    lambda p: p.Delay(10**400),
+    lambda p: p.Delay(math.nan),
+    lambda p: p.Delay(per_j=np.float64(math.inf)),
+    lambda p: p.FrameOffset("c", 1.0, "Hz"),
+    lambda p: p.FrameOffset("a", 1.0, "rad"),
+    lambda p: p.FrameOffset("a", np.complex128(1.0), "piJ"),
+    lambda p: p.FrameOffset("a", -math.inf, "Hz"),
+    lambda p: p.FrameOffset("a", 1.0),
+    lambda p: p.make_program(["pulse"]),
+    lambda p: p.make_program([], "params"),
+    lambda p: p.make_program([], None, (("b", 0.5, "Hz"),)),
+    lambda p: p.make_program([], None, (p.FrameOffset("b", 0.5, "Hz"),) * 2),
+    lambda p: p.SpinSystemParams("1", math.nan),
+    lambda p: p.Rotation("c", "z", "1"),
+    lambda p: p.Rotation("a", math.nan, "1"),
+    lambda p: p.Rotation("a", 1.0, math.nan),
+    lambda p: p.Delay("x", per_j=None),
+    lambda p: p.FrameOffset("c", "1", "rad"),
+    lambda p: p.FrameOffset("a", "1", "rad"),
+)
+
+
+def refusal_outcomes(pulse):
+    """The exception type and message of each call of REFUSALS on pulse, or
+    the repr of what it returned."""
+    for call in REFUSALS:
+        try:
+            yield repr(call(pulse))
+        except Exception as error:
+            yield type(error).__name__, str(error)
 
 
 def feed(h, value) -> None:
@@ -322,6 +382,10 @@ def main(argv: list[str]) -> int:
     for outcome in value_blocks(pulse, pulseprog, random.Random(VALUE_SEED)):
         feed(h, outcome)
     print(f"values seed {VALUE_SEED} ({VALUE_BLOCKS} blocks of {VALUE_BLOCK}): {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    feed(h, list(refusal_outcomes(pulse)))
+    print(f"refusals ({len(REFUSALS)} calls): {h.hexdigest()}")
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as programs:
